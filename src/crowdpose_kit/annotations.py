@@ -379,12 +379,20 @@ _PARSERS = {"coco_like": _parse_coco_like, "jta_like": _parse_jta_like, "native"
 def parse_dataset(data: bytes, format: str) -> Dataset:
     """Parse a JSON byte stream in the declared format into the canonical model.
 
-    Raises ParseError (with byte offset for malformed JSON) or SchemaError.
+    Raises ParseError (with byte offset for malformed JSON, or for a document
+    of the wrong shape: a missing key, a value of the wrong type, a short
+    keypoint row) or SchemaError.
     """
     if format not in _PARSERS:
         raise ParseError(f"unknown dataset format {format!r}; expected one of "
                          f"{sorted(_PARSERS)}")
-    return _PARSERS[format](_json_load(data))
+    doc = _json_load(data)
+    try:
+        return _PARSERS[format](doc)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise ParseError(f"{format} document has the wrong shape "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:

@@ -1,16 +1,20 @@
 """crowdpose-kit command line: reproducible pipelines over the toolkit.
 
-Every run with file outputs also writes a manifest (argv, seed, content
-digest of all inputs, version, duration). Exit codes: 0 success, 1 domain
-error, 2 usage error. Diagnostics go to stderr; data goes to files or
-stdout only. The --jobs flag controls data-parallel width without changing
-any output byte.
+`dispatch` is the one command runner. It times each subcommand and, for
+every run given `--out`, writes a manifest (argv, seed, content digest of
+the inputs the subcommand names, version, duration). It is also the one
+place that maps failures to exit codes: 0 success, 1 domain error
+(`CrowdKitError` or a missing input file), 2 usage error (argparse, which
+also rejects `heatmap encode` without `--out` and `heatmap decode` without
+`--bbox`). Diagnostics go to stderr; data goes to files or stdout only.
+The --jobs flag controls data-parallel width without changing any output
+byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import functools
 import hashlib
 import json
@@ -28,7 +32,7 @@ from . import masks
 from . import occloss
 from . import synthgen
 from .errors import ConfigError, CrowdKitError, InventoryError
-from .seeding import substream
+from .seeding import map_jobs, substream
 
 
 def _digest_paths(paths) -> str:
@@ -46,13 +50,13 @@ def _digest_paths(paths) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out: Path, argv, inputs, seed, started: float) -> None:
+def _write_manifest(out: Path, argv, inputs, seed, duration_s: float) -> None:
     manifest = {
         "command": ["crowdpose-kit", *argv],
         "seed": seed,
         "config_digest": _digest_paths(inputs),
         "tool_version": __version__,
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(duration_s, 3),
     }
     if out.suffix:  # file output: manifest next to it
         path = out.with_suffix(out.suffix + ".manifest.json")
@@ -71,6 +75,13 @@ def _read_dataset(path: str, fmt: str) -> anno.Dataset:
     return anno.parse_dataset(Path(path).read_bytes(), fmt)
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -81,40 +92,34 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 # --- subcommands -----------------------------------------------------------
+# Each returns the inputs its manifest digests.
 
-def _cmd_convert(args, argv) -> int:
-    started = time.time()
+def _cmd_convert(args):
     dataset = _read_dataset(args.infile, _format_name(args.src_format))
     if args.to == "crowdpose":
         if dataset.schema.count != anno.JTA_SCHEMA.count:
             raise ConfigError("conversion to crowdpose expects a 22-keypoint input")
         mapping = None
         if args.mapping:
-            mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
+            mapping = _read_json(args.mapping)
         dataset = anno.convert_dataset_jta_to_crowdpose(dataset, mapping)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(anno.serialize_dataset(dataset))
-    _write_manifest(out, argv, [args.infile, args.mapping], args.seed, started)
-    return 0
+    return [args.infile, args.mapping]
 
 
-def _cmd_validate(args, argv) -> int:
+def _cmd_validate(args):
     report = anno.validate(_read_dataset(args.infile, _format_name(args.format)))
     _emit(report.to_json(), args.out)
-    if args.out:
-        _write_manifest(Path(args.out), argv, [args.infile], args.seed, time.time())
-    return 0
+    return [args.infile]
 
 
-def _cmd_analyze(args, argv) -> int:
-    started = time.time()
+def _cmd_analyze(args):
     dataset = _read_dataset(args.infile, "native")
     stats = crowd_metrics.dataset_histogram(dataset, args.bins, args.count_mode)
     _emit(stats.to_json(), args.out)
-    if args.out:
-        _write_manifest(Path(args.out), argv, [args.infile], args.seed, started)
-    return 0
+    return [args.infile]
 
 
 @functools.lru_cache(maxsize=4)
@@ -140,8 +145,7 @@ def _augment_one(images_dir: str, inventory_dir: str, seed: int,
     return record.id, masks.write_pam(result.image), result.record, log
 
 
-def _cmd_augment(args, argv) -> int:
-    started = time.time()
+def _cmd_augment(args):
     if not Path(args.inventory).is_dir():
         raise InventoryError(f"inventory directory not found: {args.inventory}")
     dataset = _read_dataset(args.infile, "native")
@@ -151,7 +155,7 @@ def _cmd_augment(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     worker = functools.partial(_augment_one, images_dir, args.inventory,
                                args.seed, config)
-    results = _map_jobs(worker, dataset.images, args.jobs)
+    results = map_jobs(worker, dataset.images, args.jobs)
     log = {}
     new_images = []
     for image_id, pam, record, entry in results:
@@ -163,9 +167,7 @@ def _cmd_augment(args, argv) -> int:
     (out / "dataset.json").write_bytes(anno.serialize_dataset(augmented))
     (out / "augment_log.json").write_text(
         json.dumps(log, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(out, argv, [args.infile, images_dir, args.inventory],
-                    args.seed, started)
-    return 0
+    return [args.infile, images_dir, args.inventory]
 
 
 def _render_scene(scene: synthgen.GeneratedScene):
@@ -173,29 +175,30 @@ def _render_scene(scene: synthgen.GeneratedScene):
     return scene.record.id, masks.write_pam(raster), masks.write_depth_pam(depth)
 
 
-def _map_jobs(fn, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4))))
-
-
 def _target_histogram(target: str, bins: int) -> tuple[float, ...]:
+    if bins < 1:
+        raise ConfigError(f"--bins must be at least 1, got {bins}")
     if target == "uniform":
         return (1.0 / bins,) * bins
     if target == "easy":
         return (1.0,) + (0.0,) * (bins - 1)
-    weights = json.loads(Path(target).read_text(encoding="utf-8"))
+    weights = _read_json(target)
+    if not (isinstance(weights, list)
+            and all(isinstance(w, (int, float)) for w in weights) and sum(weights) > 0):
+        raise ConfigError(f"{target}: expected a JSON list of bin weights with a "
+                          f"positive sum")
     total = float(sum(weights))
     return tuple(w / total for w in weights)
 
 
-def _cmd_gen(args, argv) -> int:
-    started = time.time()
+def _cmd_gen(args):
     overrides = {}
     if args.config:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        overrides = _read_json(args.config)
+        fields = {f.name for f in dataclasses.fields(synthgen.SceneConfig)}
+        if not (isinstance(overrides, dict) and overrides.keys() <= fields):
+            raise ConfigError(f"{args.config}: expected a JSON object with keys "
+                              f"from {sorted(fields)}")
         overrides.pop("seed", None)  # --seed always wins
         for key in ("person_count_range", "scale_range"):
             if key in overrides:
@@ -203,24 +206,23 @@ def _cmd_gen(args, argv) -> int:
     scene_cfg = synthgen.SceneConfig(seed=args.seed, **overrides)
     corpus_cfg = synthgen.CorpusConfig(
         scenes=args.scenes, scene_cfg=scene_cfg,
-        target_histogram=_target_histogram(args.target, args.bins),
-        tolerance=args.tolerance)
+        target_histogram=_target_histogram(args.target, args.bins))
     scenes = synthgen.plan_corpus(corpus_cfg)
     dataset = synthgen.corpus_dataset(corpus_cfg, scenes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "dataset.json").write_bytes(anno.serialize_dataset(dataset))
     if not args.no_rasters:
-        for image_id, pam, depth_pam in _map_jobs(_render_scene, scenes, args.jobs):
+        for image_id, pam, depth_pam in map_jobs(_render_scene, scenes, args.jobs):
             (out / f"{image_id}.pam").write_bytes(pam)
             (out / f"{image_id}_depth.pam").write_bytes(depth_pam)
-    _write_manifest(out, argv, [args.config], args.seed, started)
-    return 0
+    return [args.config]
 
 
-def _cmd_heatmap(args, argv) -> int:
-    started = time.time()
+def _cmd_heatmap(args):
     if args.action == "encode":
+        if not args.out:
+            args.usage_error("encode requires --out")
         dataset = _read_dataset(args.infile, "native")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -239,12 +241,10 @@ def _cmd_heatmap(args, argv) -> int:
                 }
         (out / "heatmaps.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        _write_manifest(out, argv, [args.infile], args.seed, started)
-        return 0
+        return [args.infile]
     # decode
     if not args.bbox:
-        sys.stderr.write("error: heatmap decode requires --bbox X Y W H\n")
-        return 2
+        args.usage_error("decode requires --bbox X Y W H")
     pair = heatmaps.read_heatmap_pair(Path(args.infile).read_bytes())
     bx, by, bw, bh = args.bbox
     transform = heatmaps.bbox_to_crop(anno.BBox(bx, by, bw, bh))
@@ -255,26 +255,26 @@ def _cmd_heatmap(args, argv) -> int:
         "low_confidence": [bool(b) for b in result.low_confidence],
     }
     _emit(payload, args.out)
-    if args.out:
-        _write_manifest(Path(args.out), argv, [args.infile], args.seed, started)
-    return 0
+    return [args.infile]
 
 
-def _cmd_losscheck(args, argv) -> int:
+def _cmd_losscheck(args):
     cfg = occloss.LossConfig(alpha=args.alpha)
     err = occloss.grad_check(cfg, trials=args.trials, fd_step=args.fd_step,
                              seed=args.seed)
     ok = err < 1e-5
     sys.stdout.write(f"max_relative_error={err:.3e} {'PASS' if ok else 'FAIL'}\n")
-    return 0 if ok else 1
+    if not ok:
+        raise CrowdKitError(f"gradient check failed: max relative error {err:.3e} "
+                            f">= 1e-5")
+    return []
 
 
-def _cmd_eval(args, argv) -> int:
-    started = time.time()
+def _cmd_eval(args):
     gt = _read_dataset(args.gt, "native")
     pred = _read_dataset(args.pred, "native")
     if args.sigmas:
-        sigmas = tuple(json.loads(Path(args.sigmas).read_text(encoding="utf-8")))
+        sigmas = tuple(_read_json(args.sigmas))
     else:
         sigmas = tuple(evaluator.default_sigmas(gt.schema.count))
     cfg = evaluator.OksConfig(sigmas=sigmas)
@@ -282,10 +282,7 @@ def _cmd_eval(args, argv) -> int:
     _emit(report.to_json(), args.out)
     if args.csv:
         _write_report_csv(Path(args.csv), report)
-    if args.out:
-        _write_manifest(Path(args.out), argv,
-                        [args.gt, args.pred, args.sigmas], args.seed, started)
-    return 0
+    return [args.gt, args.pred, args.sigmas]
 
 
 def _write_report_csv(path: Path, report: evaluator.EvalReport) -> None:
@@ -311,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # --seed is accepted everywhere and recorded in the manifest even
         # for commands whose output is a pure function of their inputs
         p.add_argument("--seed", type=int, required=seed_required, default=0)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
         return p
 
     p = command("convert", _cmd_convert, "convert between annotation schemas")
@@ -351,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="uniform",
                    help="'uniform', 'easy', or a JSON file of bin weights")
     p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--tolerance", type=float, default=0.03)
     p.add_argument("--config", help="JSON with SceneConfig overrides")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -384,20 +380,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
+    """Run one subcommand, write its manifest when it was given --out, and
+    return the process exit code."""
+    argv = list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        started = time.time()
+        inputs = args.func(args)
+    except SystemExit as exc:  # usage error (2), or --help (0)
         return int(exc.code or 0)
-    try:
-        return args.func(args, list(argv))
     except CrowdKitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: missing input: {exc.filename}\n")
         return 1
+    if getattr(args, "out", None):
+        _write_manifest(Path(args.out), argv, inputs, args.seed, time.time() - started)
+    return 0
 
 
 def main() -> None:

@@ -8,7 +8,6 @@ score-ordered matching against unmatched ground truths, then a dataset-wide
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,6 +16,7 @@ import numpy as np
 from .annotations import Dataset, PersonInstance, Pose, Visibility
 from .crowd_metrics import LEVELS, crowd_index, partition
 from .errors import AlignmentError, ProtocolError, UndefinedMetricError
+from .seeding import map_jobs
 
 DEFAULT_SIGMA_VALUE = 0.079
 DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -236,12 +236,7 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
 
     tasks = [(img_id, pred_by_id[img_id].persons, gt_by_id[img_id].persons, cfg)
              for img_id in image_ids]
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_image = list(pool.map(_match_image_all_thresholds, tasks,
-                                      chunksize=max(1, len(tasks) // (jobs * 4))))
-    else:
-        per_image = [_match_image_all_thresholds(task) for task in tasks]
+    per_image = map_jobs(_match_image_all_thresholds, tasks, jobs)
     matches: dict[float, dict[str, ImageMatches]] = {t: {} for t in cfg.thresholds}
     for img_id, by_threshold in per_image:
         for t, m in by_threshold.items():

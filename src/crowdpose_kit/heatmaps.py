@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .annotations import BBox, Keypoint, Pose, PoseSchema, Visibility
-from .errors import DimensionError, MaskDecodeError
+from .errors import DimensionError, GeometryError, MaskDecodeError
 
 INPUT_W = 192
 INPUT_H = 256
@@ -59,6 +59,8 @@ def bbox_to_crop(bbox: BBox) -> CropTransform:
     """
     target = INPUT_W / INPUT_H
     w, h = float(bbox.w), float(bbox.h)
+    if not (w > 0 and h > 0):
+        raise GeometryError(f"person box must have positive size, got {w}x{h}")
     cx = bbox.x + w / 2.0
     cy = bbox.y + h / 2.0
     if w / h > target:

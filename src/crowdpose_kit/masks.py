@@ -149,20 +149,14 @@ def scale_nearest(raster: RasterImage, dst_w: int, dst_h: int) -> RasterImage:
     return RasterImage(dst_w, dst_h, raster.pixels[np.ix_(src_y, src_x)])
 
 
-def composite(target: RasterImage, cutout: Cutout, dst_x: int, dst_y: int,
-              dst_w: int, dst_h: int) -> RasterImage:
-    """Paste a scaled cutout over the target; returns a new raster.
+def composite_with_mask(target: RasterImage, cutout: Cutout, dst_x: int, dst_y: int,
+                        dst_w: int, dst_h: int) -> tuple[RasterImage, np.ndarray]:
+    """Paste a scaled cutout over the target; returns a new raster and the
+    bool mask of painted pixels.
 
     The cutout is scaled to (dst_w, dst_h), foreground pixels replace the
     target, and anything falling outside the target is clipped.
     """
-    out, _ = composite_with_mask(target, cutout, dst_x, dst_y, dst_w, dst_h)
-    return out
-
-
-def composite_with_mask(target: RasterImage, cutout: Cutout, dst_x: int, dst_y: int,
-                        dst_w: int, dst_h: int) -> tuple[RasterImage, np.ndarray]:
-    """Like composite, additionally returning the bool mask of painted pixels."""
     scaled = scale_nearest(cutout.raster, int(dst_w), int(dst_h))
     out = target.copy()
     painted = np.zeros((target.height, target.width), dtype=bool)
@@ -184,12 +178,7 @@ def composite_with_mask(target: RasterImage, cutout: Cutout, dst_x: int, dst_y: 
     return out, painted
 
 
-# --- raster I/O: binary PPM (P6) for RGB, PAM (P7) for RGBA and 16-bit depth ---
-
-def write_ppm(raster: RasterImage) -> bytes:
-    header = f"P6\n{raster.width} {raster.height}\n255\n".encode("ascii")
-    return header + raster.pixels[:, :, :3].tobytes()
-
+# --- raster I/O: PAM (P7) for RGBA and 16-bit depth ---
 
 def write_pam(raster: RasterImage) -> bytes:
     header = (f"P7\nWIDTH {raster.width}\nHEIGHT {raster.height}\nDEPTH 4\n"
@@ -241,30 +230,3 @@ def read_depth_pam(data: bytes) -> np.ndarray:
     if raw.size != w * h:
         raise MaskDecodeError("truncated PAM payload")
     return raw.reshape((h, w)).astype(np.float64) / 65535.0
-
-
-def read_ppm(data: bytes) -> RasterImage:
-    if not data.startswith(b"P6"):
-        raise MaskDecodeError("not a binary PPM stream")
-    # Scan the three header integers; exactly one whitespace byte separates
-    # the maxval from the payload, and payload bytes may look like whitespace.
-    pos = 2
-    values = []
-    while len(values) < 3:
-        while pos < len(data) and data[pos] in b" \t\r\n":
-            pos += 1
-        start = pos
-        while pos < len(data) and data[pos] not in b" \t\r\n":
-            pos += 1
-        values.append(int(data[start:pos]))
-    pos += 1  # the single whitespace byte after maxval
-    w, h, maxval = values
-    if maxval != 255:
-        raise MaskDecodeError("expected an 8-bit PPM")
-    rgb = np.frombuffer(data[pos:pos + w * h * 3], dtype=np.uint8)
-    if rgb.size != w * h * 3:
-        raise MaskDecodeError("truncated PPM payload")
-    px = np.empty((h, w, 4), dtype=np.uint8)
-    px[:, :, :3] = rgb.reshape((h, w, 3))
-    px[:, :, 3] = 255
-    return RasterImage(w, h, px)

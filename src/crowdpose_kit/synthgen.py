@@ -147,7 +147,6 @@ class CorpusConfig:
     scenes: int
     scene_cfg: SceneConfig
     target_histogram: tuple[float, ...] = (0.1,) * 10
-    tolerance: float = 0.03
     retry_factor: int = 50
 
     def __post_init__(self):
@@ -159,8 +158,6 @@ class CorpusConfig:
         if self.scenes < len(weights):
             raise ConfigError(f"need at least one scene per bin "
                               f"({len(weights)} bins, {self.scenes} scenes)")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
 
 
 @dataclass
@@ -490,7 +487,6 @@ def corpus_dataset(cfg: CorpusConfig, scenes: list[GeneratedScene]) -> Dataset:
             "scenes": cfg.scenes,
             "bins": len(cfg.target_histogram),
             "seed": cfg.scene_cfg.seed,
-            "tolerance": cfg.tolerance,
         },
         "crowd_index": {s.record.id: s.crowd_index for s in scenes},
         "substreams": {s.record.id: [s.slot, s.attempt] for s in scenes},

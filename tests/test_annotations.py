@@ -1,13 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crowdpose_kit import annotations as anno
 from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, JTA_SCHEMA, BBox, Dataset,
                                        ImageRecord, Keypoint, PersonInstance, Pose,
-                                       Visibility)
-from crowdpose_kit.errors import MappingError, ParseError, SchemaError
+                                       SegmentMask, Visibility)
+from crowdpose_kit.errors import CrowdKitError, MappingError, ParseError, SchemaError
 
 from conftest import make_pose
 
@@ -81,6 +81,71 @@ class TestParseJta:
         assert isinstance(anno.jta_flags_to_visibility(occ, self_occ), Visibility)
 
 
+def valid_native_doc() -> dict:
+    """Two images: a scored person with a polygon mask and one with an RLE mask."""
+    pose = make_pose([(float(k), float(k)) for k in range(14)])
+    persons = (
+        PersonInstance(bbox=BBox(0, 0, 10, 10), pose=pose, score=0.5, track_id=3,
+                       segmentation=SegmentMask(kind="polygons",
+                                                polygons=(((1.0, 2.0), (8.5, 2.0),
+                                                           (5.0, 9.0)),))),
+        PersonInstance(bbox=BBox(2, 2, 6, 6), pose=pose,
+                       segmentation=SegmentMask(kind="rle", rle_size=(4, 4),
+                                                rle_counts=(4, 8, 4))),
+    )
+    ds = Dataset(schema=CROWDPOSE_SCHEMA, meta={"k": [1, 2]},
+                 images=(ImageRecord("a", 20, 20, persons=persons, source="a.pam"),
+                         ImageRecord("b", 30, 10)))
+    return json.loads(anno.serialize_dataset(ds))
+
+
+def _lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _json_paths(node, prefix=()):
+    """Path (key sequence) of every object member and array item in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_native_doc(draw):
+    """A valid native document with one defect: a dropped or retyped member
+    anywhere, a shortened array (keypoint row, bbox, ...), or a non-object
+    top level."""
+    doc = valid_native_doc()
+    action = draw(st.sampled_from(("drop", "retype", "shorten", "top_level")))
+    if action == "top_level":
+        return draw(JSON_SCALARS | st.lists(JSON_VALUES, max_size=3))
+    paths = list(_json_paths(doc))
+    if action == "shorten":
+        paths = [p for p in paths if isinstance(_lookup(doc, p), list) and _lookup(doc, p)]
+    path = draw(st.sampled_from(paths))
+    parent, key = _lookup(doc, path[:-1]), path[-1]
+    if action == "drop":
+        del parent[key]
+    elif action == "retype":
+        parent[key] = draw(JSON_VALUES)
+    else:
+        parent[key] = parent[key][:draw(st.integers(0, len(parent[key]) - 1))]
+    return doc
+
+
 class TestNativeRoundtrip:
     def test_serialize_parse_idempotent(self, rng):
         from conftest import rand_record
@@ -96,6 +161,14 @@ class TestNativeRoundtrip:
         with pytest.raises(ParseError):
             anno.parse_dataset(b'{"format": "other", "schema": {}, "images": []}',
                                "native")
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_native_doc())
+    def test_mutated_document_raises_only_domain_errors(self, doc):
+        try:
+            anno.parse_dataset(json.dumps(doc).encode(), "native")
+        except CrowdKitError:
+            pass
 
     def test_segmentation_survives_roundtrip(self):
         from crowdpose_kit.annotations import SegmentMask

@@ -5,10 +5,11 @@ import pytest
 
 from crowdpose_kit import annotations as anno
 from crowdpose_kit import augment as AUG
+from crowdpose_kit import heatmaps as H
 from crowdpose_kit.cli import dispatch
 from crowdpose_kit.masks import read_pam
 
-from conftest import blob_cutout
+from conftest import blob_cutout, make_pose
 
 
 def run(*argv):
@@ -166,7 +167,70 @@ class TestEvalCommand:
         assert row.split(",")[0] == "1.000"
 
 
+def _native_doc() -> dict:
+    person = anno.PersonInstance(bbox=anno.BBox(0, 0, 10, 10),
+                                 pose=make_pose([(float(k), float(k)) for k in range(14)]))
+    ds = anno.Dataset(schema=anno.CROWDPOSE_SCHEMA,
+                      images=(anno.ImageRecord("a", 20, 20, persons=(person,)),))
+    return json.loads(anno.serialize_dataset(ds))
+
+
+def _without_persons(doc):
+    del doc["images"][0]["persons"]
+    return doc
+
+
+def _short_keypoint_row(doc):
+    doc["images"][0]["persons"][0]["keypoints"][0] = [1.0, 2.0]
+    return doc
+
+
+def _write(path, payload) -> str:
+    """Write bytes or str as is and anything else as JSON; returns the path."""
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return str(path)
+
+
+def _gen(d, *extra):
+    return ["gen", "--seed", "1", "--scenes", "10", "--out", str(d / "g"), *extra]
+
+
+# Inputs that once escaped dispatch with a traceback: argv builder, exit code.
+BAD_INPUTS = {
+    "top_level_array": (lambda d: ["analyze", "--in", _write(d / "a.json", [])], 1),
+    "native_image_without_persons": (lambda d: [
+        "analyze", "--in", _write(d / "a.json", _without_persons(_native_doc()))], 1),
+    "keypoint_row_xy": (lambda d: [
+        "analyze", "--in", _write(d / "a.json", _short_keypoint_row(_native_doc()))], 1),
+    "gen_config_bad_json": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", "{not json")), 1),
+    "gen_config_unknown_key": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"no_such_field": 1})), 1),
+    "gen_bins_0": (lambda d: _gen(d, "--bins", "0"), 1),
+    "gen_target_all_zero": (lambda d: _gen(
+        d, "--target", _write(d / "t.json", [0, 0, 0])), 1),
+    "decode_zero_bbox": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "0", "0", "--in",
+        _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+    "encode_without_out": (lambda d: [
+        "heatmap", "encode", "--in", _write(d / "a.json", _native_doc())], 2),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_bad_input_exits_with_one_error_line(self, name, tmp_path, capsys):
+        build, code = BAD_INPUTS[name]
+        assert run(*build(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    def test_gen_tolerance_is_not_an_option(self, tmp_path, capsys):
+        assert run(*_gen(tmp_path, "--tolerance", "0.03")) == 2
+
     def test_unknown_subcommand_usage_error(self, capsys):
         assert run("frobnicate") == 2
 
@@ -194,3 +258,10 @@ class TestExitCodes:
         assert run("losscheck", "--alpha", "1.5", "--trials", "3",
                    "--seed", "1") == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_losscheck_fail_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr("crowdpose_kit.occloss.grad_check", lambda *a, **kw: 1e-3)
+        assert run("losscheck", "--trials", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "max_relative_error=1.000e-03 FAIL\n"
+        assert captured.err.startswith("error: ")
