@@ -7,17 +7,18 @@ place that maps failures to exit codes: 0 success, 1 domain error
 (`CrowdKitError` or a missing input file), 2 usage error (argparse, which
 also rejects `heatmap encode` without `--out` and `heatmap decode` without
 `--bbox`). Diagnostics go to stderr; data goes to files or stdout only.
-The --jobs flag controls data-parallel width without changing any output
-byte.
+The --jobs flag of `gen` and `augment` controls data-parallel width
+without changing any output byte; `eval` runs in one process and accepts
+--jobs only for compatibility.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -82,6 +83,40 @@ def _read_json(path: str):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# Readers of decoded JSON values: each returns the value in the type the
+# program uses, or None when the JSON value has the wrong type.
+
+def _json_int(value):
+    """A JSON integer (booleans are not integers)."""
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+def _json_float(value):
+    """A JSON number as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _json_list(value, read):
+    """A JSON list with every item read by `read`."""
+    if not isinstance(value, list):
+        return None
+    items = [read(v) for v in value]
+    return None if None in items else items
+
+
+def _json_pair(read):
+    def read_pair(value):
+        items = _json_list(value, read)
+        return tuple(items) if items is not None and len(items) == 2 else None
+    return read_pair
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -101,7 +136,10 @@ def _cmd_convert(args):
             raise ConfigError("conversion to crowdpose expects a 22-keypoint input")
         mapping = None
         if args.mapping:
-            mapping = _read_json(args.mapping)
+            mapping = _json_list(_read_json(args.mapping), _json_int)
+            if mapping is None:
+                raise ConfigError(f"{args.mapping}: expected a JSON list of "
+                                  f"source keypoint indices")
         dataset = anno.convert_dataset_jta_to_crowdpose(dataset, mapping)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -175,34 +213,63 @@ def _render_scene(scene: synthgen.GeneratedScene):
     return scene.record.id, masks.write_pam(raster), masks.write_depth_pam(depth)
 
 
-def _target_histogram(target: str, bins: int) -> tuple[float, ...]:
-    if bins < 1:
-        raise ConfigError(f"--bins must be at least 1, got {bins}")
-    if target == "uniform":
-        return (1.0 / bins,) * bins
-    if target == "easy":
+DEFAULT_BINS = 10
+
+
+def _target_histogram(target: str, bins: int | None) -> tuple[float, ...]:
+    """Bin weights summing to 1. A weights file sets the bin count itself;
+    an explicit --bins must then agree with it."""
+    if target in ("uniform", "easy"):
+        bins = DEFAULT_BINS if bins is None else bins
+        if bins < 1:
+            raise ConfigError(f"--bins must be at least 1, got {bins}")
+        if target == "uniform":
+            return (1.0 / bins,) * bins
         return (1.0,) + (0.0,) * (bins - 1)
-    weights = _read_json(target)
-    if not (isinstance(weights, list)
-            and all(isinstance(w, (int, float)) for w in weights) and sum(weights) > 0):
-        raise ConfigError(f"{target}: expected a JSON list of bin weights with a "
-                          f"positive sum")
-    total = float(sum(weights))
+    weights = _json_list(_read_json(target), _json_float)
+    total = sum(weights) if weights is not None else 0.0
+    if not (weights and min(weights) >= 0 and 0 < total < math.inf):
+        raise ConfigError(f"{target}: expected a JSON list of non-negative bin "
+                          f"weights with a positive, finite sum")
+    if bins is not None and bins != len(weights):
+        raise ConfigError(f"--bins {bins} differs from the {len(weights)} bin "
+                          f"weights in {target}")
     return tuple(w / total for w in weights)
 
 
+# The SceneConfig fields `gen --config` may set, each with a description of
+# its JSON value and the reader for it. `seed` is absent: --seed always wins.
+_SCENE_FIELDS = {
+    "image_w": ("an integer", _json_int),
+    "image_h": ("an integer", _json_int),
+    "person_count_range": ("a pair of integers", _json_pair(_json_int)),
+    "scale_range": ("a pair of numbers", _json_pair(_json_float)),
+    "depth_model": ("a string", lambda v: v if isinstance(v, str) else None),
+    "limb_radius_frac": ("a number", _json_float),
+    "target_crowd_index": ("a number", _json_float),
+    "attach_prob": ("a number", _json_float),
+    "attach_sigma": ("a number", _json_float),
+}
+
+
+def _scene_overrides(path: str) -> dict:
+    overrides = _read_json(path)
+    fields = _SCENE_FIELDS.keys() | {"seed"}
+    if not (isinstance(overrides, dict) and overrides.keys() <= fields):
+        raise ConfigError(f"{path}: expected a JSON object with keys "
+                          f"from {sorted(fields)}")
+    overrides.pop("seed", None)
+    out = {}
+    for key, value in overrides.items():
+        expected, read = _SCENE_FIELDS[key]
+        out[key] = read(value)
+        if out[key] is None:
+            raise ConfigError(f"{path}: {key} must be {expected}, got {value!r}")
+    return out
+
+
 def _cmd_gen(args):
-    overrides = {}
-    if args.config:
-        overrides = _read_json(args.config)
-        fields = {f.name for f in dataclasses.fields(synthgen.SceneConfig)}
-        if not (isinstance(overrides, dict) and overrides.keys() <= fields):
-            raise ConfigError(f"{args.config}: expected a JSON object with keys "
-                              f"from {sorted(fields)}")
-        overrides.pop("seed", None)  # --seed always wins
-        for key in ("person_count_range", "scale_range"):
-            if key in overrides:
-                overrides[key] = tuple(overrides[key])
+    overrides = _scene_overrides(args.config) if args.config else {}
     scene_cfg = synthgen.SceneConfig(seed=args.seed, **overrides)
     corpus_cfg = synthgen.CorpusConfig(
         scenes=args.scenes, scene_cfg=scene_cfg,
@@ -273,12 +340,16 @@ def _cmd_losscheck(args):
 def _cmd_eval(args):
     gt = _read_dataset(args.gt, "native")
     pred = _read_dataset(args.pred, "native")
+    count = gt.schema.count
     if args.sigmas:
-        sigmas = tuple(_read_json(args.sigmas))
+        sigmas = _json_list(_read_json(args.sigmas), _json_float)
+        if not (sigmas and len(sigmas) == count and min(sigmas) > 0):
+            raise ConfigError(f"{args.sigmas}: expected a JSON list of {count} "
+                              f"positive OKS sigmas, one per keypoint")
     else:
-        sigmas = tuple(evaluator.default_sigmas(gt.schema.count))
-    cfg = evaluator.OksConfig(sigmas=sigmas)
-    report = evaluator.eval_by_crowding(pred, gt, cfg, jobs=args.jobs)
+        sigmas = evaluator.default_sigmas(count)
+    cfg = evaluator.OksConfig(sigmas=tuple(sigmas))
+    report = evaluator.eval_by_crowding(pred, gt, cfg)
     _emit(report.to_json(), args.out)
     if args.csv:
         _write_report_csv(Path(args.csv), report)
@@ -347,7 +418,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--target", default="uniform",
                    help="'uniform', 'easy', or a JSON file of bin weights")
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int,
+                   help=f"CrowdIndex histogram bins (default {DEFAULT_BINS}); a "
+                        f"--target file sets the count, and --bins must then "
+                        f"match it")
     p.add_argument("--config", help="JSON with SceneConfig overrides")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -375,7 +449,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", help="JSON list of per-keypoint sigmas")
     p.add_argument("--out")
     p.add_argument("--csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: eval runs in "
+                        "one process")
     return parser
 
 

@@ -4,6 +4,10 @@ The protocol is the standard keypoint-AP recipe: per OKS threshold, greedy
 score-ordered matching against unmatched ground truths, then a dataset-wide
 101-point interpolated precision/recall integral, averaged over thresholds
 0.50:0.05:0.95. Reports carry one AP column per crowding level.
+
+As in COCO's `computeOks`/`evaluateImg` split, each image builds one
+(predictions x ground truths) OKS matrix, and every threshold's matching
+reads rows of it in one shared score order.
 """
 
 from __future__ import annotations
@@ -13,10 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .annotations import Dataset, PersonInstance, Pose, Visibility
+from .annotations import Dataset, PersonInstance, Visibility
 from .crowd_metrics import LEVELS, crowd_index, partition
 from .errors import AlignmentError, ProtocolError, UndefinedMetricError
-from .seeding import map_jobs
 
 DEFAULT_SIGMA_VALUE = 0.079
 DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -47,31 +50,6 @@ class OksConfig:
         return cls(sigmas=tuple(default_sigmas(count)), **kw)
 
 
-def _labeled_indices(pose: Pose) -> list[int]:
-    return [i for i, k in enumerate(pose.keypoints) if k.vis is not Visibility.UNLABELED]
-
-
-def oks(pred: Pose, gt: Pose, gt_scale: float, cfg: OksConfig) -> float:
-    """Object keypoint similarity in [0, 1] over the labeled gt keypoints.
-
-    Per keypoint: exp(-d^2 / (2 * s^2 * k_i^2)) with s^2 = gt_scale (the
-    object area in px^2) and k_i = 2 * sigmas[i].
-    """
-    if len(pred.keypoints) != len(gt.keypoints):
-        raise ProtocolError(f"pose sizes differ: {len(pred.keypoints)} vs "
-                            f"{len(gt.keypoints)}")
-    labeled = _labeled_indices(gt)
-    if not labeled:
-        raise UndefinedMetricError("OKS undefined: gt has no labeled keypoints")
-    total = 0.0
-    for i in labeled:
-        p, g = pred.keypoints[i], gt.keypoints[i]
-        d2 = (p.x - g.x) ** 2 + (p.y - g.y) ** 2
-        k = 2.0 * cfg.sigmas[i]
-        total += np.exp(-d2 / (2.0 * gt_scale * k * k))
-    return float(total / len(labeled))
-
-
 def gt_scale_of(person: PersonInstance, cfg: OksConfig) -> float:
     """Ground-truth scale (area in px^2) per the configured area mode.
 
@@ -95,6 +73,76 @@ def gt_scale_of(person: PersonInstance, cfg: OksConfig) -> float:
     return float(person.bbox.area)
 
 
+def _pose_arrays(persons: Sequence[PersonInstance],
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K, 2) keypoint coordinates and the (N, K) labeled mask."""
+    for p in persons:
+        if len(p.pose.keypoints) != count:
+            raise ProtocolError(f"pose has {len(p.pose.keypoints)} keypoints, "
+                                f"the OKS sigmas cover {count}")
+    xy = np.array([[(k.x, k.y) for k in p.pose.keypoints] for p in persons],
+                  dtype=np.float64).reshape(len(persons), count, 2)
+    labeled = np.array([[k.vis is not Visibility.UNLABELED for k in p.pose.keypoints]
+                        for p in persons], dtype=bool).reshape(len(persons), count)
+    return xy, labeled
+
+
+def oks_matrix(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
+               cfg: OksConfig) -> np.ndarray:
+    """Object keypoint similarity of every prediction to every gt, (P, G).
+
+    Per keypoint: exp(-d^2 / (2 * s^2 * k_i^2)) with s^2 the gt scale (the
+    object area in px^2, see gt_scale_of) and k_i = 2 * sigmas[i], averaged
+    over the gt's labeled keypoints. A gt without labeled keypoints has no
+    OKS: its column is NaN. The terms are added in keypoint order, so each
+    entry equals the one-pair sum term for term.
+    """
+    count = len(cfg.sigmas)
+    pred_xy, _ = _pose_arrays(preds, count)
+    gt_xy, labeled = _pose_arrays(gts, count)
+    scale = np.array([gt_scale_of(g, cfg) for g in gts], dtype=np.float64)
+    k = 2.0 * np.asarray(cfg.sigmas, dtype=np.float64)
+    diff = pred_xy[:, None, :, :] - gt_xy[None, :, :, :]       # (P, G, K, 2)
+    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2                  # (P, G, K)
+    total = np.zeros((len(preds), len(gts)))
+    # dividing by zero (no labeled keypoint, or a zero-area gt) gives NaN
+    # or 0, and neither ever matches
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.exp(-d2 / (2.0 * scale[None, :, None] * k * k))
+        for i in range(count):
+            total += np.where(labeled[:, i], terms[:, :, i], 0.0)
+        return total / labeled.sum(axis=1)
+
+
+def _score_order(preds: Sequence[PersonInstance]) -> list[int]:
+    """Prediction indices by descending score; ties keep input order."""
+    for p in preds:
+        if p.score is None:
+            raise ProtocolError("every prediction must carry a score")
+    return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+
+
+def _match_rows(oks: np.ndarray, order: Sequence[int],
+                threshold: float) -> list[Optional[int]]:
+    """Greedy assignment over rows of an oks_matrix.
+
+    Each prediction, in `order`, takes the unmatched gt with the highest OKS
+    if that OKS reaches the threshold; argmax keeps the first of equal gts.
+    NaN entries never match.
+    """
+    free = np.where(np.isnan(oks), -np.inf, oks)
+    assigned: list[Optional[int]] = [None] * len(oks)
+    if free.shape[1] == 0:
+        return assigned
+    for pi in order:
+        row = free[pi]
+        gi = int(row.argmax())
+        if row[gi] >= threshold:
+            assigned[pi] = gi
+            free[:, gi] = -np.inf
+    return assigned
+
+
 def match_greedy(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
                  threshold: float, cfg: OksConfig) -> list[Optional[int]]:
     """Greedy assignment of predictions to ground truths at one OKS threshold.
@@ -104,25 +152,8 @@ def match_greedy(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
     threshold. Ground truths without labeled keypoints are unmatchable.
     Returns, per prediction (input order), the matched gt index or None.
     """
-    for p in preds:
-        if p.score is None:
-            raise ProtocolError("every prediction must carry a score")
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    matchable = [bool(_labeled_indices(g.pose)) for g in gts]
-    taken = [False] * len(gts)
-    assigned: list[Optional[int]] = [None] * len(preds)
-    for pi in order:
-        best_gt, best_oks = None, -1.0
-        for gi, gt in enumerate(gts):
-            if taken[gi] or not matchable[gi]:
-                continue
-            value = oks(preds[pi].pose, gt.pose, gt_scale_of(gt, cfg), cfg)
-            if value >= threshold and value > best_oks:
-                best_gt, best_oks = gi, value
-        if best_gt is not None:
-            taken[best_gt] = True
-            assigned[pi] = best_gt
-    return assigned
+    order = _score_order(preds)
+    return _match_rows(oks_matrix(preds, gts, cfg), order, threshold)
 
 
 @dataclass
@@ -194,29 +225,19 @@ def _mean_ap(image_ids: Sequence[str],
     return mean, per_threshold
 
 
-def _match_image_all_thresholds(task):
-    image_id, preds, gts, cfg = task
-    gt_count = sum(1 for g in gts if _labeled_indices(g.pose))
-    out = {}
-    for t in cfg.thresholds:
-        assigned = match_greedy(preds, gts, t, cfg)
-        out[t] = ImageMatches(image_id=image_id,
-                              scores=[p.score for p in preds],
-                              matched=[a is not None for a in assigned],
-                              gt_count=gt_count)
-    return image_id, out
-
-
 def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
-                     cfg: OksConfig, jobs: int = 1) -> EvalReport:
+                     cfg: OksConfig) -> EvalReport:
     """AP overall and per crowding level of the ground-truth CrowdIndex.
 
-    Prediction and ground-truth datasets must cover the same image ids.
-    Images whose gt has no persons join the overall pool only (their
-    predictions count as false positives); levels with no images report
-    None. Per-image matching fans out over `jobs` processes; the final
-    aggregation is an ordered merge, so results never depend on jobs.
+    Prediction and ground-truth datasets must cover the same image ids, and
+    the OKS sigmas must cover the gt schema's keypoints. Images whose gt has
+    no persons join the overall pool only (their predictions count as false
+    positives); levels with no images report None.
     """
+    count = gt_dataset.schema.count
+    if len(cfg.sigmas) != count:
+        raise ProtocolError(f"{len(cfg.sigmas)} OKS sigmas for a {count}-keypoint "
+                            f"schema")
     gt_by_id = {img.id: img for img in gt_dataset.images}
     pred_by_id = {img.id: img for img in pred_dataset.images}
     missing = sorted(set(gt_by_id) ^ set(pred_by_id))
@@ -226,21 +247,23 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
     image_ids = [img.id for img in gt_dataset.images]
     levels: dict[str, list[str]] = {level: [] for level in LEVELS}
     instance_counts = {level: 0 for level in LEVELS}
-    for img_id in image_ids:
-        gt_img = gt_by_id[img_id]
-        if not gt_img.persons:
-            continue
-        level = partition(crowd_index(gt_img))
-        levels[level].append(img_id)
-        instance_counts[level] += len(gt_img.persons)
-
-    tasks = [(img_id, pred_by_id[img_id].persons, gt_by_id[img_id].persons, cfg)
-             for img_id in image_ids]
-    per_image = map_jobs(_match_image_all_thresholds, tasks, jobs)
     matches: dict[float, dict[str, ImageMatches]] = {t: {} for t in cfg.thresholds}
-    for img_id, by_threshold in per_image:
-        for t, m in by_threshold.items():
-            matches[t][img_id] = m
+    for img_id in image_ids:
+        gts = gt_by_id[img_id].persons
+        preds = pred_by_id[img_id].persons
+        if gts:
+            level = partition(crowd_index(gt_by_id[img_id]))
+            levels[level].append(img_id)
+            instance_counts[level] += len(gts)
+        order = _score_order(preds)
+        oks = oks_matrix(preds, gts, cfg)
+        scores = [p.score for p in preds]
+        gt_count = sum(1 for g in gts if any(k.labeled for k in g.pose.keypoints))
+        for t in cfg.thresholds:
+            assigned = _match_rows(oks, order, t)
+            matches[t][img_id] = ImageMatches(
+                image_id=img_id, scores=scores,
+                matched=[a is not None for a in assigned], gt_count=gt_count)
 
     ap, per_threshold = _mean_ap(image_ids, matches, cfg.thresholds)
     level_ap: dict[str, Optional[float]] = {}

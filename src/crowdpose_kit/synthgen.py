@@ -125,6 +125,8 @@ class SceneConfig:
     attach_sigma: float = 0.50
 
     def __post_init__(self):
+        if self.image_w < 1 or self.image_h < 1:
+            raise ConfigError(f"bad image size {self.image_w}x{self.image_h}")
         lo, hi = self.person_count_range
         if not (1 <= lo <= hi):
             raise ConfigError(f"bad person count range {self.person_count_range}")

@@ -1,11 +1,19 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crowdpose_kit import annotations as anno
 from crowdpose_kit import augment as AUG
 from crowdpose_kit import heatmaps as H
+from crowdpose_kit import synthgen
 from crowdpose_kit.cli import dispatch
 from crowdpose_kit.masks import read_pam
 
@@ -42,6 +50,13 @@ class TestGen:
         assert manifest["seed"] == 3
         assert manifest["command"][0] == "crowdpose-kit"
         assert "config_digest" in manifest and "tool_version" in manifest
+
+    @pytest.mark.parametrize("bins", [[], ["--bins", "3"]])
+    def test_target_file_sets_bins(self, tmp_path, bins):
+        target = _write(tmp_path / "t.json", [1, 1, 1])
+        assert run(*_gen(tmp_path, "--target", target, "--no-rasters", *bins)) == 0
+        doc = json.loads((tmp_path / "g" / "dataset.json").read_text())
+        assert doc["meta"]["generator"]["bins"] == 3
 
 
 class TestAnalyzeValidate:
@@ -166,6 +181,28 @@ class TestEvalCommand:
         assert header == "AP,AP_Easy,AP_Med,AP_Hard"
         assert row.split(",")[0] == "1.000"
 
+    def test_jobs_do_not_change_report_bytes(self, gen_dir, tmp_path):
+        rng = np.random.default_rng(7)
+        ds = anno.parse_dataset((gen_dir / "dataset.json").read_bytes(), "native")
+        pred = anno.Dataset(schema=ds.schema, images=tuple(
+            replace(img, persons=tuple(
+                replace(p, score=float(rng.uniform(0.1, 1.0)), pose=make_pose(
+                    [(k.x + rng.normal(0, 3), k.y + rng.normal(0, 3))
+                     for k in p.pose.keypoints]))
+                for p in img.persons))
+            for img in ds.images), meta={})
+        pred_file = tmp_path / "pred.json"
+        pred_file.write_bytes(anno.serialize_dataset(pred))
+        reports = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"report_{jobs}.json"
+            assert run("eval", "--gt", str(gen_dir / "dataset.json"),
+                       "--pred", str(pred_file), "--out", str(out),
+                       "--jobs", jobs) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert 0.0 < json.loads(reports[0])["ap"] < 1.0
+
 
 def _native_doc() -> dict:
     person = anno.PersonInstance(bbox=anno.BBox(0, 0, 10, 10),
@@ -198,6 +235,22 @@ def _gen(d, *extra):
     return ["gen", "--seed", "1", "--scenes", "10", "--out", str(d / "g"), *extra]
 
 
+def _eval(d, *extra):
+    scored = _native_doc()
+    scored["images"][0]["persons"][0]["score"] = 0.9
+    return ["eval", "--gt", _write(d / "gt.json", _native_doc()),
+            "--pred", _write(d / "pred.json", scored), "--out", str(d / "r.json"),
+            *extra]
+
+
+def _convert(d, *extra):
+    rows = [[float(i), 0.0, 0, 0] for i in range(22)]
+    doc = {"frames": [{"id": "f0", "width": 64, "height": 48,
+                       "people": [{"keypoints": rows}]}]}
+    return ["convert", "--from", "jta", "--to", "crowdpose",
+            "--in", _write(d / "jta.json", doc), "--out", str(d / "c.json"), *extra]
+
+
 # Inputs that once escaped dispatch with a traceback: argv builder, exit code.
 BAD_INPUTS = {
     "top_level_array": (lambda d: ["analyze", "--in", _write(d / "a.json", [])], 1),
@@ -212,6 +265,24 @@ BAD_INPUTS = {
     "gen_bins_0": (lambda d: _gen(d, "--bins", "0"), 1),
     "gen_target_all_zero": (lambda d: _gen(
         d, "--target", _write(d / "t.json", [0, 0, 0])), 1),
+    "gen_config_count_range_int": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"person_count_range": 5})), 1),
+    "gen_config_count_range_triple": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"person_count_range": [1, 2, 3]})), 1),
+    "gen_config_width_string": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"image_w": "x"})), 1),
+    "gen_config_negative_width": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"image_w": -5})), 1),
+    "gen_target_bins_mismatch": (lambda d: _gen(
+        d, "--target", _write(d / "t.json", [1, 1, 1]), "--bins", "2"), 1),
+    "eval_sigmas_object": (lambda d: _eval(
+        d, "--sigmas", _write(d / "s.json", {"a": 1})), 1),
+    "eval_sigmas_short": (lambda d: _eval(
+        d, "--sigmas", _write(d / "s.json", [1, 2])), 1),
+    "eval_sigmas_long": (lambda d: _eval(
+        d, "--sigmas", _write(d / "s.json", [0.079] * 40)), 1),
+    "convert_mapping_object": (lambda d: _convert(
+        d, "--mapping", _write(d / "m.json", {"a": 1})), 1),
     "decode_zero_bbox": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "0", "0", "--in",
         _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
@@ -265,3 +336,48 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "max_relative_error=1.000e-03 FAIL\n"
         assert captured.err.startswith("error: ")
+
+
+# JSON as Python's json module reads it, NaN and Infinity included. Numbers
+# stay small: a well-typed gen config's cost grows with its person count.
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-100, 100)
+                | st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.text(max_size=6))
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.sampled_from(sorted(
+                          f.name for f in dataclasses.fields(synthgen.SceneConfig)))
+                          | st.text(max_size=6), children, max_size=4)),
+    max_leaves=16)
+
+def _small_gen(d, *extra):
+    return ["gen", "--seed", "1", "--scenes", "3", "--no-rasters", "--out",
+            str(d / "g"), *extra]
+
+
+# The command each JSON input flag is fuzzed through.
+_FILE_FLAGS = {
+    "--config": lambda d: _small_gen(d, "--bins", "1"),
+    "--target": _small_gen,
+    "--sigmas": _eval,
+    "--mapping": _convert,
+}
+
+
+class TestJsonInputFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # lists of 14 positive numbers also reach eval's success path
+    @given(flag=st.sampled_from(sorted(_FILE_FLAGS)),
+           payload=_JSON | st.lists(st.floats(1e-3, 1.0), min_size=14, max_size=14))
+    def test_any_json_exits_cleanly(self, tmp_path, flag, payload):
+        (tmp_path / "in.json").write_text(json.dumps(payload))
+        argv = _FILE_FLAGS[flag](tmp_path) + [flag, str(tmp_path / "in.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = dispatch(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().count("error:") == 1

@@ -1,7 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdpose_kit import evaluator as E
 from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord,
@@ -11,7 +14,7 @@ from crowdpose_kit.errors import (AlignmentError, ProtocolError,
                                   UndefinedMetricError)
 
 import oracles
-from conftest import make_pose, rand_pose
+from conftest import make_pose, rand_pose, rand_record
 
 PAIR_SCHEMA = PoseSchema("pair", ("a", "b"))
 
@@ -24,15 +27,22 @@ def pair_cfg(**kw):
     return E.OksConfig(sigmas=(0.1, 0.1), **kw)
 
 
+def oks_of(pred, gt, gt_scale, cfg):
+    """The one-pair OKS entry of the matrix; gt_scale is the gt bbox area."""
+    box = BBox(0.0, 0.0, gt_scale, 1.0)
+    return E.oks_matrix([PersonInstance(bbox=box, pose=pred)],
+                        [PersonInstance(bbox=box, pose=gt)], cfg)[0, 0]
+
+
 class TestOks:
     def test_exact_match_is_one(self):
         gt = pair_pose([(3, 4), (10, 12)])
-        assert E.oks(gt, gt, gt_scale=25.0, cfg=pair_cfg()) == 1.0
+        assert oks_of(gt, gt, gt_scale=25.0, cfg=pair_cfg()) == 1.0
 
     def test_far_prediction_tends_to_zero(self):
         gt = pair_pose([(0, 0), (1, 1)])
         pred = pair_pose([(1e6, 1e6), (1e6, 1e6)])
-        assert E.oks(pred, gt, gt_scale=25.0, cfg=pair_cfg()) < 1e-12
+        assert oks_of(pred, gt, gt_scale=25.0, cfg=pair_cfg()) < 1e-12
 
     def test_closed_form_distance_sk(self):
         # d = s*k per keypoint -> per-keypoint similarity exp(-1/2)
@@ -41,37 +51,74 @@ class TestOks:
         d = s * k
         gt = pair_pose([(0, 0), (5, 5)])
         pred = pair_pose([(d, 0), (5, 5 + d)])
-        value = E.oks(pred, gt, gt_scale=s * s, cfg=pair_cfg())
+        value = oks_of(pred, gt, gt_scale=s * s, cfg=pair_cfg())
         assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_unlabeled_gt_excluded(self):
         gt = pair_pose([(0, 0), (5, 5)], vis=[Visibility.VISIBLE,
                                               Visibility.UNLABELED])
         pred = pair_pose([(0, 0), (999, 999)])
-        assert E.oks(pred, gt, gt_scale=25.0, cfg=pair_cfg()) == 1.0
+        assert oks_of(pred, gt, gt_scale=25.0, cfg=pair_cfg()) == 1.0
 
     def test_no_labeled_gt_undefined(self):
         gt = pair_pose([(0, 0), (5, 5)], vis=Visibility.UNLABELED)
-        with pytest.raises(UndefinedMetricError):
-            E.oks(gt, gt, gt_scale=25.0, cfg=pair_cfg())
+        assert math.isnan(oks_of(gt, gt, gt_scale=25.0, cfg=pair_cfg()))
 
     def test_translation_invariance_exact(self):
         # dyadic coordinates + integer shift keep every float op exact
         gt = pair_pose([(1.25, 2.5), (7.75, 3.125)])
         pred = pair_pose([(1.5, 2.25), (8.0, 3.5)])
-        base = E.oks(pred, gt, gt_scale=16.0, cfg=pair_cfg())
+        base = oks_of(pred, gt, gt_scale=16.0, cfg=pair_cfg())
         gt2 = pair_pose([(k.x + 32, k.y + 64) for k in gt.keypoints])
         pred2 = pair_pose([(k.x + 32, k.y + 64) for k in pred.keypoints])
-        assert E.oks(pred2, gt2, gt_scale=16.0, cfg=pair_cfg()) == base
+        assert oks_of(pred2, gt2, gt_scale=16.0, cfg=pair_cfg()) == base
 
     def test_scale_covariance(self):
         gt = pair_pose([(1.25, 2.5), (7.75, 3.125)])
         pred = pair_pose([(1.5, 2.25), (8.0, 3.5)])
-        base = E.oks(pred, gt, gt_scale=16.0, cfg=pair_cfg())
+        base = oks_of(pred, gt, gt_scale=16.0, cfg=pair_cfg())
         gt2 = pair_pose([(2 * k.x, 2 * k.y) for k in gt.keypoints])
         pred2 = pair_pose([(2 * k.x, 2 * k.y) for k in pred.keypoints])
-        scaled = E.oks(pred2, gt2, gt_scale=64.0, cfg=pair_cfg())
+        scaled = oks_of(pred2, gt2, gt_scale=64.0, cfg=pair_cfg())
         assert scaled == pytest.approx(base, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_pred=st.integers(0, 5),
+           n_gt=st.integers(1, 5))
+    def test_matrix_equals_scalar_oracle(self, seed, n_pred, n_gt):
+        rng = np.random.default_rng(seed)
+        cfg = E.OksConfig(sigmas=tuple(rng.uniform(0.02, 0.2, 14)))
+        vis_choices = [Visibility.VISIBLE, Visibility.OCCLUDED, Visibility.UNLABELED]
+        gts = []
+        for g in range(n_gt):
+            box = BBox(*rng.uniform(0, 80, 2), *rng.uniform(5, 60, 2))
+            vis = ([Visibility.UNLABELED] * 14 if g == 0 else
+                   [vis_choices[i] for i in rng.integers(0, 3, 14)])
+            gts.append(person(box, rand_pose(rng, box, vis=vis)))
+        preds = []
+        for _ in range(n_pred):
+            base = gts[int(rng.integers(n_gt))]
+            pose = make_pose([(k.x + rng.normal(0, 6), k.y + rng.normal(0, 6))
+                              for k in base.pose.keypoints])
+            preds.append(person(base.bbox, pose, score=0.5))
+        matrix = E.oks_matrix(preds, gts, cfg)
+        assert matrix.shape == (n_pred, n_gt)
+        for pi, p in enumerate(preds):
+            assert math.isnan(matrix[pi, 0])  # gt 0 has no labeled keypoint
+            for gi in range(1, n_gt):
+                g = gts[gi]
+                if all(k.vis is Visibility.UNLABELED for k in g.pose.keypoints):
+                    assert math.isnan(matrix[pi, gi])
+                    continue
+                expected = oracles.oks_scalar(p.pose, g.pose, g.bbox.area, cfg.sigmas)
+                assert matrix[pi, gi] == pytest.approx(expected, abs=1e-12)
+
+    def test_sigma_count_must_match_poses(self):
+        gt = pair_pose([(0, 0), (5, 5)])
+        box = BBox(0, 0, 5, 5)
+        with pytest.raises(ProtocolError):
+            E.oks_matrix([person(box, gt)], [person(box, gt)],
+                         E.OksConfig(sigmas=(0.1, 0.1, 0.1)))
 
     def test_thresholds_validated(self):
         with pytest.raises(ProtocolError):
@@ -258,8 +305,61 @@ class TestEvalByCrowding:
         aps = [a for _, a in report.per_threshold]
         assert all(b <= a + 1e-12 for a, b in zip(aps, aps[1:]))
 
-    def test_jobs_do_not_change_results(self, rng):
-        gt, pred = two_level_datasets(rng, images=16, jitter=0.03)
-        serial = E.eval_by_crowding(pred, gt, crowd_cfg(), jobs=1)
-        parallel = E.eval_by_crowding(pred, gt, crowd_cfg(), jobs=4)
-        assert serial.to_json() == parallel.to_json()
+    def test_sigma_count_checked(self, rng):
+        gt, pred = two_level_datasets(rng, images=2)
+        with pytest.raises(ProtocolError):
+            E.eval_by_crowding(pred, gt, E.OksConfig.for_schema_count(13))
+
+    # the unlabeled gt of img_1 makes crowd_index warn about its ratio
+    @pytest.mark.filterwarnings("ignore:person 0 in image 'img_1'")
+    def test_matches_equal_reference_per_threshold(self, rng, monkeypatch):
+        gt_images, pred_images = [], []
+        for i in range(30):
+            gt_img = rand_record(rng, f"img_{i}", min_persons=1 if i == 1 else 0,
+                                 max_persons=8)
+            if i == 1:  # one gt without a labeled keypoint: never matchable
+                first = gt_img.persons[0]
+                hidden = make_pose([(k.x, k.y) for k in first.pose.keypoints],
+                                   vis=Visibility.UNLABELED)
+                gt_img = replace(gt_img, persons=(replace(first, pose=hidden),
+                                                  *gt_img.persons[1:]))
+            preds = []
+            for _ in range(0 if i % 5 == 0 else int(rng.integers(0, 10))):
+                if gt_img.persons and rng.random() < 0.8:
+                    base = gt_img.persons[int(rng.integers(len(gt_img.persons)))]
+                    pose = make_pose([(k.x + rng.normal(0, 3), k.y + rng.normal(0, 3))
+                                      for k in base.pose.keypoints])
+                    box = base.bbox
+                else:
+                    box = BBox(*rng.uniform(0, 150, 2), *rng.uniform(20, 60, 2))
+                    pose = rand_pose(rng, box)
+                preds.append(person(box, pose, score=float(rng.choice([0.3, 0.6, 0.9]))))
+            gt_images.append(gt_img)
+            pred_images.append(ImageRecord(gt_img.id, 200, 150, persons=tuple(preds)))
+        gt = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(gt_images))
+        pred = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(pred_images))
+        assert any(not img.persons for img in gt.images)
+        assert any(not img.persons for img in pred.images)
+
+        seen = []
+        image_matches = E.ImageMatches
+
+        def record(**fields):
+            seen.append(fields)
+            return image_matches(**fields)
+
+        monkeypatch.setattr(E, "ImageMatches", record)
+        cfg = crowd_cfg()
+        E.eval_by_crowding(pred, gt, cfg)
+        expected = []
+        for gt_img, pred_img in zip(gt.images, pred.images):
+            matchable = sum(1 for g in gt_img.persons
+                            if any(k.labeled for k in g.pose.keypoints))
+            for t in cfg.thresholds:
+                ref = oracles.match_greedy_reference(pred_img.persons, gt_img.persons,
+                                                     t, cfg.sigmas)
+                expected.append({"image_id": gt_img.id,
+                                 "scores": [p.score for p in pred_img.persons],
+                                 "matched": [a is not None for a in ref],
+                                 "gt_count": matchable})
+        assert seen == expected
