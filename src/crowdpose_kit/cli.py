@@ -246,9 +246,6 @@ _SCENE_FIELDS = {
     "scale_range": ("a pair of numbers", _json_pair(_json_float)),
     "depth_model": ("a string", lambda v: v if isinstance(v, str) else None),
     "limb_radius_frac": ("a number", _json_float),
-    "target_crowd_index": ("a number", _json_float),
-    "attach_prob": ("a number", _json_float),
-    "attach_sigma": ("a number", _json_float),
 }
 
 

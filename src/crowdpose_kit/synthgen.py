@@ -4,22 +4,23 @@ Bodies are stick figures rasterized as capsules (limb segments dilated by a
 radius) in distinct flat colors, painted back to front. Visibility flags
 come straight from the geometry: a keypoint is occluded when a nearer
 person's capsule covers its pixel center, self-occluded when only a
-later-drawn limb of the same person does. Corpus generation targets a
-CrowdIndex histogram by rejection-sampling scenes whose density knob tracks
-the requested bin.
+later-drawn limb of the same person does. Flags and rasters share one
+coverage test, `_capsule_sq_dist(...) <= radius * radius`, so they agree by
+construction. `plan_corpus` targets a CrowdIndex histogram by
+rejection-sampling scene layouts whose density knobs (person count,
+attachment probability and spread) track the requested bin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord, Keypoint,
                           PersonInstance, Pose, Visibility)
-from .crowd_metrics import crowd_index, crowd_index_arrays, histogram_bin
+from .crowd_metrics import crowd_index_arrays, histogram_bin
 from .errors import ConfigError, TargetingError
 from .masks import RasterImage
 from .seeding import substream
@@ -108,6 +109,13 @@ BUILTIN_TEMPLATES = (
 )
 
 
+# Upper bounds that keep one scene's arrays small: a raster side of 4096 px
+# is 64 MB of RGBA, and the flag kernel's (14n, 13n) float64 arrays are
+# about 15 MB each at 100 persons.
+MAX_IMAGE_SIDE = 4096
+MAX_PERSONS = 100
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     image_w: int = 160
@@ -116,20 +124,16 @@ class SceneConfig:
     scale_range: tuple[float, float] = (40.0, 90.0)
     depth_model: str = DEPTH_UNIFORM
     limb_radius_frac: float = 0.035
-    target_crowd_index: Optional[float] = None
     seed: int = 0
-    # Density knobs: each person after the first attaches near an earlier
-    # one with probability attach_prob, offset by a Gaussian of
-    # attach_sigma * that person's height; otherwise it places uniformly.
-    attach_prob: float = 0.35
-    attach_sigma: float = 0.50
 
     def __post_init__(self):
-        if self.image_w < 1 or self.image_h < 1:
-            raise ConfigError(f"bad image size {self.image_w}x{self.image_h}")
+        if not (1 <= self.image_w <= MAX_IMAGE_SIDE and 1 <= self.image_h <= MAX_IMAGE_SIDE):
+            raise ConfigError(f"bad image size {self.image_w}x{self.image_h}: each "
+                              f"side must be between 1 and {MAX_IMAGE_SIDE} px")
         lo, hi = self.person_count_range
-        if not (1 <= lo <= hi):
-            raise ConfigError(f"bad person count range {self.person_count_range}")
+        if not (1 <= lo <= hi <= MAX_PERSONS):
+            raise ConfigError(f"bad person count range {self.person_count_range}: "
+                              f"need 1 <= low <= high <= {MAX_PERSONS}")
         slo, shi = self.scale_range
         if not (0 < slo <= shi):
             raise ConfigError(f"bad scale range {self.scale_range}")
@@ -140,8 +144,6 @@ class SceneConfig:
             raise ConfigError("limb_radius_frac must be positive")
         if self.depth_model not in (DEPTH_UNIFORM, DEPTH_GROUND_PLANE):
             raise ConfigError(f"unknown depth model {self.depth_model!r}")
-        if not 0.0 <= self.attach_prob <= 1.0 or self.attach_sigma < 0:
-            raise ConfigError("bad attachment density knobs")
 
 
 @dataclass(frozen=True)
@@ -194,26 +196,21 @@ class SceneLayout:
         return ranks
 
 
-def _sample_layout(rng: np.random.Generator, cfg: SceneConfig,
-                   templates: tuple[PoseTemplate, ...],
-                   count: Optional[int] = None,
-                   attach_prob: Optional[float] = None,
-                   attach_sigma: Optional[float] = None) -> SceneLayout:
-    lo, hi = cfg.person_count_range
-    n = int(count) if count is not None else int(rng.integers(lo, hi + 1))
-    p_att = cfg.attach_prob if attach_prob is None else attach_prob
-    s_att = cfg.attach_sigma if attach_sigma is None else attach_sigma
-
+def _sample_layout(rng: np.random.Generator, cfg: SceneConfig, count: int,
+                   p_attach: float, sigma_attach: float) -> SceneLayout:
+    """Place `count` persons. Each person after the first attaches near an
+    earlier one with probability p_attach, offset by a Gaussian of
+    sigma_attach * that person's height; otherwise it places uniformly."""
     layout = SceneLayout(cfg.image_w, cfg.image_h)
     centers: list[tuple[float, float, float]] = []  # (cx, cy, height)
-    for i in range(n):
-        template = templates[int(rng.integers(len(templates)))]
+    for i in range(count):
+        template = BUILTIN_TEMPLATES[int(rng.integers(len(BUILTIN_TEMPLATES)))]
         height = rng.uniform(*cfg.scale_range)
         width = BODY_WIDTH_FRAC * height
-        if i > 0 and rng.random() < p_att:
+        if i > 0 and rng.random() < p_attach:
             bx, by, bh = centers[int(rng.integers(len(centers)))]
-            cx = bx + rng.normal(0.0, s_att * bh)
-            cy = by + rng.normal(0.0, s_att * bh)
+            cx = bx + rng.normal(0.0, sigma_attach * bh)
+            cy = by + rng.normal(0.0, sigma_attach * bh)
         else:
             cx = rng.uniform(0.0, cfg.image_w)
             cy = rng.uniform(0.0, cfg.image_h)
@@ -235,38 +232,49 @@ def _sample_layout(rng: np.random.Generator, cfg: SceneConfig,
     return layout
 
 
-def _sq_dist_matrix(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Squared distances, (Q, S), from each point to each (S, 2, 2) segment."""
-    a = segs[:, 0, :]                      # (S, 2)
-    ab = segs[:, 1, :] - a                 # (S, 2)
-    denom = np.sum(ab * ab, axis=1)        # (S,)
-    pa = points[:, None, :] - a[None, :, :]          # (Q, S, 2)
-    t = np.sum(pa * ab[None, :, :], axis=2) / np.maximum(denom, 1e-300)
-    t = np.where(denom > 0.0, np.clip(t, 0.0, 1.0), 0.0)
-    e = pa - t[:, :, None] * ab[None, :, :]
-    return np.sum(e * e, axis=2)
+def _capsule_sq_dist(px, py, ax, ay, bx, by):
+    """Squared distance from points (px, py) to segments (ax, ay)-(bx, by).
+
+    px and py are arrays; all arguments broadcast against each other. A
+    point is covered by a capsule when the result is <= radius * radius;
+    the flags and the rasterizer both apply exactly this test. A
+    zero-length segment gets t = 0, the distance to its one point."""
+    abx = bx - ax
+    aby = by - ay
+    denom = abx * abx + aby * aby
+    dx = px - ax
+    dy = py - ay
+    # t is updated in place: with one more temporary per call, rendering
+    # 200 scenes in one process peaked about 7 MB higher in RSS
+    t = dx * abx + dy * aby
+    t /= np.where(denom > 0.0, denom, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = dx - t * abx
+    ey = dy - t * aby
+    return ex * ex + ey * ey
 
 
 def _layout_flags(layout: SceneLayout) -> list[list[Visibility]]:
     """Geometric visibility per keypoint: occluded when a later-drawn
     person's capsule covers the keypoint's pixel center, self-occluded when
-    the topmost own limb there is not one of the keypoint's own limbs.
-
-    Coverage is the squared comparison d^2 <= radius^2 at pixel centers,
-    exactly the test the rasterizer applies."""
+    the topmost own limb there is not one of the keypoint's own limbs."""
     n = len(layout.persons)
-    ranks = np.asarray(layout.ranks())
-    segs = np.concatenate([p.segments() for p in layout.persons])   # (13n, 2, 2)
     edges_per = len(SKELETON_EDGES)
+    kps = np.stack([p.keypoints for p in layout.persons])     # (n, 14, 2)
+    ends = kps[:, _EDGE_INDEX].reshape(-1, 2, 2)                # (13n, 2, 2)
+    radii = np.array([p.radius for p in layout.persons])
+    seg_r2 = np.repeat(radii * radii, edges_per)
     seg_owner = np.repeat(np.arange(n), edges_per)
-    seg_r2 = np.repeat([p.radius ** 2 for p in layout.persons], edges_per)
     edge_idx = np.tile(np.arange(edges_per), n)
 
-    points = np.concatenate([np.floor(p.keypoints) + 0.5 for p in layout.persons])
+    points = (np.floor(kps) + 0.5).reshape(-1, 2)               # (14n, 2)
     point_owner = np.repeat(np.arange(n), 14)
     point_kp = np.tile(np.arange(14), n)
 
-    covered = _sq_dist_matrix(points, segs) <= seg_r2[None, :]       # (Q, S)
+    covered = _capsule_sq_dist(points[:, 0, None], points[:, 1, None],
+                               ends[:, 0, 0], ends[:, 0, 1],
+                               ends[:, 1, 0], ends[:, 1, 1]) <= seg_r2   # (Q, S)
+    ranks = np.asarray(layout.ranks())
     nearer = ranks[seg_owner][None, :] > ranks[point_owner][:, None]
     occluded = np.any(covered & nearer, axis=1)
 
@@ -277,42 +285,31 @@ def _layout_flags(layout: SceneLayout) -> list[list[Visibility]]:
     self_occ = ~occluded & (top_edge >= 0) & \
         ~_IS_OWN_EDGE[point_kp, np.maximum(top_edge, 0)]
 
-    flags: list[list[Visibility]] = []
-    q = 0
-    for _ in range(n):
-        row = []
-        for _k in range(14):
-            if occluded[q]:
-                row.append(Visibility.OCCLUDED)
-            elif self_occ[q]:
-                row.append(Visibility.SELF_OCCLUDED)
-            else:
-                row.append(Visibility.VISIBLE)
-            q += 1
-        flags.append(row)
-    return flags
+    vis = [Visibility.OCCLUDED if o else Visibility.SELF_OCCLUDED if s
+           else Visibility.VISIBLE for o, s in zip(occluded.tolist(), self_occ.tolist())]
+    return [vis[q:q + 14] for q in range(0, len(vis), 14)]
 
 
-def _layout_bbox(person: PersonLayout) -> tuple[float, float, float, float]:
-    segs = person.segments()
-    x0 = float(np.min(segs[:, :, 0])) - person.radius
-    x1 = float(np.max(segs[:, :, 0])) + person.radius
-    y0 = float(np.min(segs[:, :, 1])) - person.radius
-    y1 = float(np.max(segs[:, :, 1])) + person.radius
-    return x0, y0, x1 - x0, y1 - y0
+def _layout_boxes(layout: SceneLayout) -> np.ndarray:
+    """(n, 4) x/y/w/h boxes: each person's keypoint extent padded by its
+    limb radius. Every keypoint is a limb endpoint, so this is the capsule
+    extent of the whole skeleton."""
+    kps = np.stack([p.keypoints for p in layout.persons])     # (n, 14, 2)
+    radii = np.array([p.radius for p in layout.persons])[:, None]
+    lo = kps.min(axis=1) - radii
+    hi = kps.max(axis=1) + radii
+    return np.concatenate([lo, hi - lo], axis=1)
 
 
-def _layout_record(layout: SceneLayout, image_id: str,
-                   flags: Optional[list[list[Visibility]]] = None) -> ImageRecord:
-    if flags is None:
-        flags = _layout_flags(layout)
+def _layout_record(layout: SceneLayout, image_id: str) -> ImageRecord:
+    flags = _layout_flags(layout)
     persons = []
-    for i, person in enumerate(layout.persons):
-        kps = tuple(Keypoint(float(x), float(y), flags[i][k])
-                    for k, (x, y) in enumerate(person.keypoints))
-        x0, y0, w, h = _layout_bbox(person)
+    for i, (person, box) in enumerate(zip(layout.persons,
+                                          _layout_boxes(layout).tolist())):
+        kps = tuple(Keypoint(x, y, flags[i][k])
+                    for k, (x, y) in enumerate(person.keypoints.tolist()))
         persons.append(PersonInstance(
-            bbox=BBox(x0, y0, w, h),
+            bbox=BBox(*box),
             pose=Pose(CROWDPOSE_SCHEMA, kps),
             track_id=i,
         ))
@@ -323,14 +320,13 @@ def _layout_record(layout: SceneLayout, image_id: str,
 def _layout_crowd_index(layout: SceneLayout) -> float:
     """CrowdIndex straight from the layout, skipping record construction.
 
-    Boxes come from _layout_bbox and the count goes through the same array
+    Boxes come from _layout_boxes and the count goes through the same array
     core as crowd_index(record), so screening and the stored value agree
     bit for bit."""
     n = len(layout.persons)
-    boxes = np.array([_layout_bbox(p) for p in layout.persons], dtype=np.float64)
     points = np.concatenate([p.keypoints for p in layout.persons])
     owners = np.repeat(np.arange(n), 14)
-    return crowd_index_arrays(boxes, points, owners)
+    return crowd_index_arrays(_layout_boxes(layout), points, owners)
 
 
 def person_color(index: int) -> tuple[int, int, int]:
@@ -362,17 +358,8 @@ def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
                 continue
             px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
             py = np.arange(y0, y1 + 1, dtype=np.float64) + 0.5
-            abx, aby = b[0] - a[0], b[1] - a[1]
-            denom = abx * abx + aby * aby
-            dx = px[None, :] - a[0]
-            dy = py[:, None] - a[1]
-            if denom > 0.0:
-                t = np.clip((dx * abx + dy * aby) / denom, 0.0, 1.0)
-            else:
-                t = np.zeros((py.size, px.size))
-            ex = dx - t * abx
-            ey = dy - t * aby
-            inside = ex * ex + ey * ey <= r * r
+            inside = _capsule_sq_dist(px[None, :], py[:, None],
+                                      a[0], a[1], b[0], b[1]) <= r * r
             raster.pixels[y0:y1 + 1, x0:x1 + 1][inside] = color
             depth[y0:y1 + 1, x0:x1 + 1][inside] = person.z
     return raster, depth
@@ -387,29 +374,6 @@ class GeneratedScene:
     attempt: int = 0
 
 
-def generate_scene(rng: np.random.Generator, cfg: SceneConfig,
-                   templates: tuple[PoseTemplate, ...] = BUILTIN_TEMPLATES,
-                   image_id: str = "scene_00000") -> tuple[ImageRecord, RasterImage]:
-    """One annotated scene plus its raster; annotation and raster agree."""
-    if not templates:
-        raise ConfigError("need at least one pose template")
-    if cfg.target_crowd_index is None:
-        layout = _sample_layout(rng, cfg, templates)
-    else:
-        layout = None
-        for _ in range(1000):
-            candidate = _sample_layout(rng, cfg, templates)
-            if abs(_layout_crowd_index(candidate) - cfg.target_crowd_index) <= 0.05:
-                layout = candidate
-                break
-        if layout is None:
-            raise TargetingError(f"no scene within 0.05 of CrowdIndex "
-                                 f"{cfg.target_crowd_index} in 1000 draws")
-    record = _layout_record(layout, image_id)
-    raster, _ = render_layout(layout)
-    return record, raster
-
-
 def _quotas(weights: tuple[float, ...], scenes: int) -> list[int]:
     base = [int(math.floor(w * scenes)) for w in weights]
     remainders = [w * scenes - b for w, b in zip(weights, base)]
@@ -421,22 +385,20 @@ def _quotas(weights: tuple[float, ...], scenes: int) -> list[int]:
 
 def _density_for_bin(bin_index: int, bins: int, rng: np.random.Generator,
                      cfg: SceneConfig) -> tuple[int, float, float]:
-    """Density knobs (count, attach_prob, attach_sigma) aiming at one bin."""
+    """Density knobs (count, p_attach, sigma_attach) aiming at one bin."""
     t = (bin_index + 0.5) / bins
     t = min(max(t + rng.normal(0.0, 0.08), 0.0), 1.0)
     lo, hi = cfg.person_count_range
     count = int(round(1 + t * (hi - 1) + rng.normal(0.0, 1.2)))
     count = min(max(count, lo), hi)
-    attach_prob = min(max(0.05 + 1.1 * t, 0.0), 0.95)
+    p_attach = min(max(0.05 + 1.1 * t, 0.0), 0.95)
     # Log-normal spread keeps partial-overlap offsets reachable at every t;
     # without it high targets jump straight from mid C to full containment.
-    attach_sigma = max(0.85 * (1.0 - t) + 0.05, 0.03) * math.exp(rng.normal(0.0, 0.4))
-    return count, attach_prob, attach_sigma
+    sigma_attach = max(0.85 * (1.0 - t) + 0.05, 0.03) * math.exp(rng.normal(0.0, 0.4))
+    return count, p_attach, sigma_attach
 
 
-def plan_corpus(cfg: CorpusConfig,
-                templates: tuple[PoseTemplate, ...] = BUILTIN_TEMPLATES
-                ) -> list[GeneratedScene]:
+def plan_corpus(cfg: CorpusConfig) -> list[GeneratedScene]:
     """Rejection-sample scene layouts until each bin quota is filled.
 
     Raises TargetingError (with the achieved histogram) once the global
@@ -463,19 +425,17 @@ def plan_corpus(cfg: CorpusConfig,
                         f"exhausted {budget} candidate scenes with "
                         f"{len(scenes)}/{cfg.scenes} accepted", achieved=achieved)
                 rng = substream(seed, "corpus", slot, attempt)
-                count, p_att, s_att = _density_for_bin(bin_index, bins, rng,
-                                                       cfg.scene_cfg)
-                layout = _sample_layout(rng, cfg.scene_cfg, templates, count=count,
-                                        attach_prob=p_att, attach_sigma=s_att)
+                count, p_attach, sigma_attach = _density_for_bin(bin_index, bins, rng,
+                                                                 cfg.scene_cfg)
+                layout = _sample_layout(rng, cfg.scene_cfg, count, p_attach, sigma_attach)
                 c = _layout_crowd_index(layout)
                 spent += 1
                 if histogram_bin(c, bins) == bin_index:
                     accepted = (layout, c, attempt)
                 attempt += 1
             layout, c, attempt_used = accepted
-            record = _layout_record(layout, image_id)
-            scenes.append(GeneratedScene(record=record, layout=layout,
-                                         crowd_index=crowd_index(record),
+            scenes.append(GeneratedScene(record=_layout_record(layout, image_id),
+                                         layout=layout, crowd_index=c,
                                          slot=slot, attempt=attempt_used))
             slot += 1
     return scenes
@@ -495,33 +455,3 @@ def corpus_dataset(cfg: CorpusConfig, scenes: list[GeneratedScene]) -> Dataset:
     }
     return Dataset(schema=CROWDPOSE_SCHEMA,
                    images=tuple(s.record for s in scenes), meta=meta)
-
-
-def generate_corpus(cfg: CorpusConfig,
-                    templates: tuple[PoseTemplate, ...] = BUILTIN_TEMPLATES) -> Dataset:
-    """Annotated dataset whose CrowdIndex histogram matches the target."""
-    return corpus_dataset(cfg, plan_corpus(cfg, templates))
-
-
-def keypoint_density_map(dataset: Dataset, keypoint_name: str, bins: int) -> np.ndarray:
-    """2D histogram of one keypoint type over normalized bbox-local coords.
-
-    Positions are clipped into [0, 1] before binning, so the grid total
-    equals the labeled keypoint count.
-    """
-    if bins < 2:
-        raise ConfigError(f"need at least 2 bins per axis, got {bins}")
-    if keypoint_name not in dataset.schema.keypoint_names:
-        raise ConfigError(f"schema {dataset.schema.name!r} has no keypoint "
-                          f"{keypoint_name!r}")
-    k = dataset.schema.keypoint_names.index(keypoint_name)
-    grid = np.zeros((bins, bins), dtype=np.int64)
-    for img in dataset.images:
-        for person in img.persons:
-            kp = person.pose.keypoints[k]
-            if kp.vis is Visibility.UNLABELED:
-                continue
-            u = min(max((kp.x - person.bbox.x) / person.bbox.w, 0.0), 1.0)
-            v = min(max((kp.y - person.bbox.y) / person.bbox.h, 0.0), 1.0)
-            grid[min(int(v * bins), bins - 1), min(int(u * bins), bins - 1)] += 1
-    return grid

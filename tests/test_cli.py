@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from crowdpose_kit import annotations as anno
 from crowdpose_kit import augment as AUG
+from crowdpose_kit import cli
 from crowdpose_kit import heatmaps as H
 from crowdpose_kit import synthgen
 from crowdpose_kit.cli import dispatch
@@ -50,6 +51,20 @@ class TestGen:
         assert manifest["seed"] == 3
         assert manifest["command"][0] == "crowdpose-kit"
         assert "config_digest" in manifest and "tool_version" in manifest
+
+    @pytest.mark.parametrize("key", sorted(cli._SCENE_FIELDS))
+    def test_every_config_key_changes_output(self, tmp_path, key):
+        # a valid non-default value per `gen --config` key; a knob that
+        # leaves dataset.json unchanged has no effect and should not exist
+        value = {"image_w": 200, "image_h": 100, "person_count_range": [2, 6],
+                 "scale_range": [30.0, 60.0], "depth_model": "ground_plane",
+                 "limb_radius_frac": 0.05}[key]
+        argv = ["gen", "--seed", "1", "--scenes", "10", "--bins", "2", "--no-rasters"]
+        assert run(*argv, "--out", str(tmp_path / "default")) == 0
+        config = _write(tmp_path / "c.json", {key: value})
+        assert run(*argv, "--config", config, "--out", str(tmp_path / "knob")) == 0
+        assert ((tmp_path / "knob" / "dataset.json").read_bytes()
+                != (tmp_path / "default" / "dataset.json").read_bytes())
 
     @pytest.mark.parametrize("bins", [[], ["--bins", "3"]])
     def test_target_file_sets_bins(self, tmp_path, bins):
@@ -273,6 +288,15 @@ BAD_INPUTS = {
         d, "--config", _write(d / "c.json", {"image_w": "x"})), 1),
     "gen_config_negative_width": (lambda d: _gen(
         d, "--config", _write(d / "c.json", {"image_w": -5})), 1),
+    # one bin accepts every scene, so only the size check can fail these
+    "gen_config_huge_width": (lambda d: _gen(
+        d, "--no-rasters", "--bins", "1",
+        "--config", _write(d / "c.json", {"image_w": 10 ** 30})), 1),
+    "gen_config_huge_count": (lambda d: _gen(
+        d, "--no-rasters", "--bins", "1",
+        "--config", _write(d / "c.json", {"person_count_range": [1, 101]})), 1),
+    "gen_config_attach_prob": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"attach_prob": 0.5})), 1),
     "gen_target_bins_mismatch": (lambda d: _gen(
         d, "--target", _write(d / "t.json", [1, 1, 1]), "--bins", "2"), 1),
     "eval_sigmas_object": (lambda d: _eval(

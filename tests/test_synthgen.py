@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from crowdpose_kit import synthgen as S
-from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, Dataset, ImageRecord,
-                                       Visibility, serialize_dataset)
+from crowdpose_kit.annotations import Visibility, serialize_dataset
 from crowdpose_kit.crowd_metrics import crowd_index, histogram_bin
 from crowdpose_kit.errors import ConfigError, TargetingError
 from crowdpose_kit.masks import write_depth_pam, write_pam
@@ -26,6 +25,14 @@ def person_layout(keypoints, z, height=60.0, radius=3.0, template="standing"):
                           keypoints=np.asarray(keypoints, dtype=np.float64))
 
 
+def sample_layout(rng, cfg, count, p_attach=0.35, sigma_attach=0.5):
+    return S._sample_layout(rng, cfg, count, p_attach, sigma_attach)
+
+
+def corpus(corpus_cfg):
+    return S.corpus_dataset(corpus_cfg, S.plan_corpus(corpus_cfg))
+
+
 def standing_keypoints(cx, cy, height=60.0):
     base = np.asarray(S.BUILTIN_TEMPLATES[0].keypoints, dtype=np.float64)
     width = S.BODY_WIDTH_FRAC * height
@@ -36,12 +43,11 @@ def standing_keypoints(cx, cy, height=60.0):
 
 
 class TestSceneFlags:
-    def test_single_person_never_occluded(self, rng):
-        cfg = small_cfg(person_count_range=(1, 1))
+    def test_single_person_never_occluded(self):
+        cfg = small_cfg()
         for i in range(20):
-            record, _ = S.generate_scene(substream(i, "solo"), cfg)
-            for kp in record.persons[0].pose.keypoints:
-                assert kp.vis is not Visibility.OCCLUDED
+            layout = sample_layout(substream(i, "solo"), cfg, count=1)
+            assert Visibility.OCCLUDED not in S._layout_flags(layout)[0]
 
     def test_forced_two_person_occlusion(self):
         far = person_layout(standing_keypoints(50, 60), z=0.2)
@@ -61,24 +67,52 @@ class TestSceneFlags:
         flags = S._layout_flags(layout)
         assert flags[0][6] is Visibility.OCCLUDED
 
+    def test_cover_at_exactly_radius_matches_raster(self):
+        # r ** 2 (libm pow) and r * r differ for this r; a pixel center at
+        # distance exactly r from a nearer capsule is covered in the raster,
+        # so the flags must call it covered too.
+        r = 20.5 - (20.5 - 2.5409547507542456)
+        assert r ** 2 != r * r
+        far = person_layout(np.tile([20.2, 20.3], (14, 1)), z=0.1, radius=1.0)
+        near = person_layout(np.tile([20.5 - r, 20.5], (14, 1)), z=0.9, radius=r)
+        layout = S.SceneLayout(40, 40, [far, near])
+        _, depth = S.render_layout(layout)
+        assert depth[20, 20] == 0.9
+        flags = S._layout_flags(layout)
+        assert flags[0] == [Visibility.OCCLUDED] * 14
+        assert flags == oracles.scene_flags_reference(layout, S.SKELETON_EDGES,
+                                                      S._EDGES_OF_KP)
+
     def test_flags_match_scalar_reference(self, rng):
         cfg = small_cfg(person_count_range=(2, 7))
         for i in range(60):
-            layout = S._sample_layout(substream(i, "ref"), cfg,
-                                      S.BUILTIN_TEMPLATES,
-                                      attach_prob=0.7, attach_sigma=0.4)
+            layout = sample_layout(substream(i, "ref"), cfg, count=2 + i % 6,
+                                   p_attach=0.7, sigma_attach=0.4)
             ours = S._layout_flags(layout)
             ref = oracles.scene_flags_reference(layout, S.SKELETON_EDGES,
                                                 S._EDGES_OF_KP)
             assert ours == ref, f"scene {i}"
 
-    def test_keypoints_near_own_bbox(self, rng):
-        cfg = small_cfg()
-        record, _ = S.generate_scene(substream(1, "bbox"), cfg)
+    def test_keypoints_near_own_bbox(self):
+        layout = sample_layout(substream(1, "bbox"), small_cfg(), count=8)
+        record = S._layout_record(layout, "s")
         for person in record.persons:
             for kp in person.pose.keypoints:
                 assert person.bbox.x <= kp.x <= person.bbox.x + person.bbox.w
                 assert person.bbox.y <= kp.y <= person.bbox.y + person.bbox.h
+
+    def test_boxes_equal_per_segment_extent(self):
+        cfg = small_cfg()
+        for i in range(50):
+            layout = sample_layout(substream(i, "boxes"), cfg, count=1 + i % 8)
+            boxes = S._layout_boxes(layout)
+            for person, box in zip(layout.persons, boxes.tolist()):
+                segs = person.segments()
+                x0 = float(np.min(segs[:, :, 0])) - person.radius
+                x1 = float(np.max(segs[:, :, 0])) + person.radius
+                y0 = float(np.min(segs[:, :, 1])) - person.radius
+                y1 = float(np.max(segs[:, :, 1])) + person.radius
+                assert box == [x0, y0, x1 - x0, y1 - y0]
 
 
 class TestRenderConsistency:
@@ -86,8 +120,8 @@ class TestRenderConsistency:
         cfg = small_cfg(person_count_range=(3, 6))
         for i in range(10):
             rng = substream(i, "render")
-            layout = S._sample_layout(rng, cfg, S.BUILTIN_TEMPLATES,
-                                      attach_prob=0.8, attach_sigma=0.35)
+            layout = sample_layout(rng, cfg, count=3 + i % 4,
+                                   p_attach=0.8, sigma_attach=0.35)
             record = S._layout_record(layout, f"s{i}")
             raster, depth = S.render_layout(layout)
             color_to_person = {S.person_color(j): j
@@ -105,15 +139,15 @@ class TestRenderConsistency:
                     assert occluded == (owner != pi)
 
     def test_determinism_byte_identical(self):
-        cfg = small_cfg()
+        corpus_cfg = S.CorpusConfig(scenes=4, scene_cfg=small_cfg(),
+                                    target_histogram=(0.5, 0.5))
         outs = []
         for _ in range(2):
-            record, raster = S.generate_scene(substream(5, "det"), cfg)
-            _, depth = S.render_layout(
-                S._sample_layout(substream(5, "det2"), cfg, S.BUILTIN_TEMPLATES))
-            ds = Dataset(schema=CROWDPOSE_SCHEMA, images=(record,))
-            outs.append((serialize_dataset(ds), write_pam(raster),
-                         write_depth_pam(depth)))
+            scenes = S.plan_corpus(corpus_cfg)
+            rendered = [S.render_layout(s.layout) for s in scenes]
+            outs.append((serialize_dataset(S.corpus_dataset(corpus_cfg, scenes)),
+                         [(write_pam(raster), write_depth_pam(depth))
+                          for raster, depth in rendered]))
         assert outs[0] == outs[1]
 
     def test_person_colors_distinct(self):
@@ -130,28 +164,19 @@ class TestSceneConfigValidation:
         with pytest.raises(ConfigError):
             S.SceneConfig(person_count_range=(0, 3))
 
+    def test_upper_bounds(self):
+        S.SceneConfig(image_w=S.MAX_IMAGE_SIDE, image_h=S.MAX_IMAGE_SIDE,
+                      person_count_range=(1, S.MAX_PERSONS))
+        for kw in ({"image_w": S.MAX_IMAGE_SIDE + 1}, {"image_h": S.MAX_IMAGE_SIDE + 1},
+                   {"person_count_range": (1, S.MAX_PERSONS + 1)}):
+            with pytest.raises(ConfigError):
+                S.SceneConfig(**kw)
+
     def test_template_validation(self):
         with pytest.raises(ConfigError):
             S.PoseTemplate("bad", tuple([(0.5, 1.5)] * 14), (0.0,) * 14)
         with pytest.raises(ConfigError):
             S.PoseTemplate("short", tuple([(0.5, 0.5)] * 5), (0.0,) * 5)
-
-    def test_empty_templates(self):
-        with pytest.raises(ConfigError):
-            S.generate_scene(substream(0, "e"), small_cfg(), templates=())
-
-
-class TestTargetedScene:
-    def test_target_crowd_index_honored(self):
-        cfg = small_cfg(person_count_range=(2, 8), target_crowd_index=0.5,
-                        attach_prob=0.8, attach_sigma=0.35)
-        record, _ = S.generate_scene(substream(3, "tc"), cfg)
-        assert abs(crowd_index(record) - 0.5) <= 0.05
-
-    def test_unreachable_target(self):
-        cfg = small_cfg(person_count_range=(1, 1), target_crowd_index=0.9)
-        with pytest.raises(TargetingError):
-            S.generate_scene(substream(3, "un"), cfg)
 
 
 class TestCorpus:
@@ -163,7 +188,7 @@ class TestCorpus:
     def test_small_uniform_corpus(self):
         corpus_cfg = S.CorpusConfig(scenes=60, scene_cfg=small_cfg(),
                                     target_histogram=(0.25, 0.25, 0.25, 0.25))
-        dataset = S.generate_corpus(corpus_cfg)
+        dataset = corpus(corpus_cfg)
         assert len(dataset.images) == 60
         counts = [0, 0, 0, 0]
         for img in dataset.images:
@@ -175,7 +200,7 @@ class TestCorpus:
     def test_easy_target_trivial(self):
         corpus_cfg = S.CorpusConfig(scenes=10, scene_cfg=small_cfg(),
                                     target_histogram=(1.0,))
-        dataset = S.generate_corpus(corpus_cfg)
+        dataset = corpus(corpus_cfg)
         assert len(dataset.images) == 10
 
     def test_unreachable_reports_achieved(self):
@@ -184,14 +209,14 @@ class TestCorpus:
                                     target_histogram=(0.0, 0.0, 0.0, 1.0),
                                     retry_factor=5)
         with pytest.raises(TargetingError) as err:
-            S.generate_corpus(corpus_cfg)
+            corpus(corpus_cfg)
         assert err.value.achieved is not None
 
     def test_corpus_determinism(self):
         corpus_cfg = S.CorpusConfig(scenes=12, scene_cfg=small_cfg(),
                                     target_histogram=(0.5, 0.5))
-        a = serialize_dataset(S.generate_corpus(corpus_cfg))
-        b = serialize_dataset(S.generate_corpus(corpus_cfg))
+        a = serialize_dataset(corpus(corpus_cfg))
+        b = serialize_dataset(corpus(corpus_cfg))
         assert a == b
 
     def test_config_validation(self):
@@ -201,59 +226,3 @@ class TestCorpus:
         with pytest.raises(ConfigError):
             S.CorpusConfig(scenes=1, scene_cfg=small_cfg(),
                            target_histogram=(0.5, 0.5))
-
-
-def uniform_keypoint_dataset(rng, images=40):
-    """Keypoints drawn uniformly inside their own bbox."""
-    from crowdpose_kit.annotations import BBox, PersonInstance
-    from conftest import rand_pose
-    records = []
-    for i in range(images):
-        box = BBox(float(rng.uniform(0, 60)), float(rng.uniform(0, 40)),
-                   float(rng.uniform(30, 80)), float(rng.uniform(40, 90)))
-        persons = tuple(PersonInstance(bbox=box, pose=rand_pose(rng, box))
-                        for _ in range(int(rng.integers(1, 4))))
-        records.append(ImageRecord(f"u{i}", 200, 160, persons=persons))
-    return Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(records))
-
-
-class TestDensityMap:
-    def test_zero_jitter_single_cell(self):
-        template = S._template("frozen", 0.0, list(S.BUILTIN_TEMPLATES[0].keypoints))
-        cfg = small_cfg(person_count_range=(3, 3), scale_range=(60.0, 60.0))
-        layouts = [S._sample_layout(substream(i, "dm"), cfg, (template,))
-                   for i in range(10)]
-        records = tuple(S._layout_record(layout, f"d{i}")
-                        for i, layout in enumerate(layouts))
-        ds = Dataset(schema=CROWDPOSE_SCHEMA, images=records)
-        # bins=7 keeps the symmetric template's u=0.5 off any bin edge
-        for name in ("neck", "left_wrist"):
-            grid = S.keypoint_density_map(ds, name, bins=7)
-            assert grid.sum() == 30
-            assert (grid > 0).sum() == 1
-
-    def test_sum_conservation(self, rng):
-        ds = uniform_keypoint_dataset(rng)
-        labeled = sum(1 for img in ds.images for p in img.persons
-                      for k in p.pose.keypoints
-                      if k.vis is not Visibility.UNLABELED)
-        grid = S.keypoint_density_map(ds, "neck", bins=8)
-        total = sum(S.keypoint_density_map(ds, n, bins=8).sum()
-                    for n in CROWDPOSE_SCHEMA.keypoint_names)
-        assert total == labeled
-
-    def test_uniform_keypoints_roughly_flat(self, rng):
-        # chi-square sanity, not exactness
-        ds = uniform_keypoint_dataset(rng, images=120)
-        grid = S.keypoint_density_map(ds, "neck", bins=4).astype(float)
-        n = grid.sum()
-        expected = n / 16.0
-        chi2 = ((grid - expected) ** 2 / expected).sum()
-        assert chi2 < 60.0  # 15 dof; generous bound
-
-    def test_bad_args(self, rng):
-        ds = uniform_keypoint_dataset(rng, images=2)
-        with pytest.raises(ConfigError):
-            S.keypoint_density_map(ds, "neck", bins=1)
-        with pytest.raises(ConfigError):
-            S.keypoint_density_map(ds, "nose", bins=4)
