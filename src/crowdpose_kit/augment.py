@@ -1,12 +1,12 @@
 """Synthetic occlusion augmentation with cutout pastes.
 
 Three paste flavors: random objects, person body parts, and full bodies.
-Object and full-body cutouts are scaled to a uniform area fraction (default
-8% to 70%) of the target person's box; full-body pastes keep their center
-out of the box's central region so a second complete person never sits in
-the middle of the crop. Combination policies apply two flavors at once
-("and") or exactly one ("or"). Keypoints of any person landing under a
-pasted pixel get their flag moved to occluded; coordinates never change.
+Every cutout is scaled to a uniform area fraction (AREA_FRAC, 8% to 70%) of
+the target person's box; full-body pastes keep their center out of the
+box's central region so a second complete person never sits in the middle
+of the crop. Combination policies apply two flavors at once ("and") or
+exactly one ("or"). Keypoints of any person landing under a pasted pixel
+get their flag moved to occluded; coordinates never change.
 """
 
 from __future__ import annotations
@@ -31,49 +31,31 @@ METHOD_PARTS_AND_OBJECTS = "parts_and_objects"
 METHOD_FULL_AND_OBJECTS = "full_and_objects"
 METHOD_PARTS_OR_OBJECTS = "parts_or_objects"
 METHOD_FULL_OR_OBJECTS = "full_or_objects"
-METHOD_NONE = "none"
 
-METHODS = (METHOD_OBJECTS, METHOD_BODY_PARTS, METHOD_FULL_BODY,
-           METHOD_PARTS_AND_OBJECTS, METHOD_FULL_AND_OBJECTS,
-           METHOD_PARTS_OR_OBJECTS, METHOD_FULL_OR_OBJECTS, METHOD_NONE)
+# method -> (cutout kinds in paste order, whether only one of them is pasted)
+_METHOD_PLANS = {
+    METHOD_OBJECTS: ((CUTOUT_OBJECT,), False),
+    METHOD_BODY_PARTS: ((CUTOUT_BODY_PART,), False),
+    METHOD_FULL_BODY: ((CUTOUT_FULL_BODY,), False),
+    METHOD_PARTS_AND_OBJECTS: ((CUTOUT_BODY_PART, CUTOUT_OBJECT), False),
+    METHOD_FULL_AND_OBJECTS: ((CUTOUT_FULL_BODY, CUTOUT_OBJECT), False),
+    METHOD_PARTS_OR_OBJECTS: ((CUTOUT_BODY_PART, CUTOUT_OBJECT), True),
+    METHOD_FULL_OR_OBJECTS: ((CUTOUT_FULL_BODY, CUTOUT_OBJECT), True),
+}
+METHODS = tuple(_METHOD_PLANS)
 
-FRAC_AREA = "area"      # 8-70% read as an area fraction of the person box
-FRAC_LINEAR = "linear"  # 8-70% read as a linear size fraction (area = f^2)
+AREA_FRAC = (0.08, 0.70)  # pasted area as a fraction of the person box
+PART_FRAC = (0.20, 0.60)  # body-part rectangle as a fraction of its cutout
+OR_PROBABILITY = 0.5      # chance an "or" method takes its person-based kind
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
     method: str = METHOD_OBJECTS
-    area_frac_min: float = 0.08
-    area_frac_max: float = 0.70
-    frac_mode: str = FRAC_AREA
-    part_frac_min: float = 0.20
-    part_frac_max: float = 0.60
-    or_probability: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if not 0.0 < self.area_frac_min <= self.area_frac_max <= 1.0:
-            raise ConfigError("need 0 < area_frac_min <= area_frac_max <= 1")
-        if self.frac_mode not in (FRAC_AREA, FRAC_LINEAR):
-            raise ConfigError(f"unknown frac mode {self.frac_mode!r}")
-        if not 0.0 <= self.or_probability <= 1.0:
-            raise ConfigError("or_probability outside [0, 1]")
-
-    def area_band(self, box_area: float) -> tuple[float, float]:
-        """Admissible pasted-pixel area range for a person box."""
-        lo, hi = self.area_frac_min, self.area_frac_max
-        if self.frac_mode == FRAC_LINEAR:
-            lo, hi = lo * lo, hi * hi
-        return lo * box_area, hi * box_area
-
-    def draw_area(self, rng: np.random.Generator, box_area: float) -> float:
-        frac = rng.uniform(self.area_frac_min, self.area_frac_max)
-        if self.frac_mode == FRAC_LINEAR:
-            frac *= frac
-        return frac * box_area
 
 
 @dataclass
@@ -160,36 +142,19 @@ def _sample_center_roundtrip(rng: np.random.Generator, bbox: BBox,
                       f"{bbox.w}x{bbox.h}")
 
 
-def plan_object_cutout(rng: np.random.Generator, person: BBox,
-                       inventory: CutoutInventory,
-                       cfg: AugmentConfig = AugmentConfig()) -> Placement:
-    """Plan one object paste: area a uniform fraction of the person box,
-    cutout aspect preserved, center uniform inside the box."""
-    if not inventory.objects:
-        raise InventoryError("inventory has no object cutouts")
-    idx = int(rng.integers(len(inventory.objects)))
-    cut = inventory.objects[idx]
-    target = cfg.draw_area(rng, person.area)
-    lo, hi = cfg.area_band(person.area)
-    dst_w, dst_h = _snap_dims(target, cut.raster.width, cut.raster.height, lo, hi)
-    dst_x, dst_y = _sample_center_roundtrip(rng, person, dst_w, dst_h, False)
-    return Placement(idx, CUTOUT_OBJECT, dst_x, dst_y, dst_w, dst_h)
+def _pool(inventory: CutoutInventory, kind: str) -> list[Cutout]:
+    return inventory.objects if kind == CUTOUT_OBJECT else inventory.persons
 
 
-def plan_body_part_cutout(rng: np.random.Generator, person: BBox,
-                          inventory: CutoutInventory,
-                          cfg: AugmentConfig = AugmentConfig()) -> Placement:
-    """Plan a body-part paste: a sub-rectangle (20-60% of the source person
-    cutout's area) placed like an object cutout, position unrestricted."""
-    if not inventory.persons:
-        raise InventoryError("inventory has no person cutouts")
-    idx = int(rng.integers(len(inventory.persons)))
-    cut = inventory.persons[idx]
+def _body_part_rect(rng: np.random.Generator,
+                    cut: Cutout) -> tuple[int, int, int, int]:
+    """A sub-rectangle (x, y, w, h) covering PART_FRAC of the cutout's area;
+    up to 16 positions are drawn until one holds an opaque pixel."""
     cw, ch = cut.raster.width, cut.raster.height
-    part_frac = rng.uniform(cfg.part_frac_min, cfg.part_frac_max)
-    p_lo = cfg.part_frac_min * cw * ch
-    p_hi = cfg.part_frac_max * cw * ch
-    pw, ph = _snap_dims(part_frac * cw * ch, cw, ch, p_lo, p_hi, max_w=cw, max_h=ch)
+    lo, hi = PART_FRAC
+    part_frac = rng.uniform(lo, hi)
+    pw, ph = _snap_dims(part_frac * cw * ch, cw, ch, lo * cw * ch, hi * cw * ch,
+                        max_w=cw, max_h=ch)
     alpha = cut.raster.pixels[:, :, 3]
     px = py = 0
     for _ in range(16):
@@ -197,28 +162,36 @@ def plan_body_part_cutout(rng: np.random.Generator, person: BBox,
         py = int(rng.integers(0, ch - ph + 1))
         if np.any(alpha[py:py + ph, px:px + pw]):
             break
-    target = cfg.draw_area(rng, person.area)
-    lo, hi = cfg.area_band(person.area)
-    dst_w, dst_h = _snap_dims(target, pw, ph, lo, hi)
-    dst_x, dst_y = _sample_center_roundtrip(rng, person, dst_w, dst_h, False)
-    return Placement(idx, CUTOUT_BODY_PART, dst_x, dst_y, dst_w, dst_h,
-                     src_rect=(px, py, pw, ph))
+    return px, py, pw, ph
 
 
-def plan_full_body_cutout(rng: np.random.Generator, person: BBox,
-                          inventory: CutoutInventory,
-                          cfg: AugmentConfig = AugmentConfig()) -> Placement:
-    """Plan a full-body paste; the center avoids the box's central region
-    (middle 50% per axis) so the crop keeps only one complete person."""
-    if not inventory.persons:
-        raise InventoryError("inventory has no person cutouts")
-    idx = int(rng.integers(len(inventory.persons)))
-    cut = inventory.persons[idx]
-    target = cfg.draw_area(rng, person.area)
-    lo, hi = cfg.area_band(person.area)
-    dst_w, dst_h = _snap_dims(target, cut.raster.width, cut.raster.height, lo, hi)
-    dst_x, dst_y = _sample_center_roundtrip(rng, person, dst_w, dst_h, True)
-    return Placement(idx, CUTOUT_FULL_BODY, dst_x, dst_y, dst_w, dst_h)
+def plan_cutout(rng: np.random.Generator, kind: str, person: BBox,
+                inventory: CutoutInventory) -> Placement:
+    """Plan one paste of `kind` over a person box.
+
+    Draws, in order: the cutout index; for a body part, its sub-rectangle
+    of the source person cutout; the pasted area, a uniform AREA_FRAC of
+    the box with the source aspect kept; the center, uniform inside the
+    box and, for a full body, outside its central region.
+    """
+    pool = _pool(inventory, kind)
+    if not pool:
+        group = "object" if kind == CUTOUT_OBJECT else "person"
+        raise InventoryError(f"inventory has no {group} cutouts")
+    idx = int(rng.integers(len(pool)))
+    cut = pool[idx]
+    src_rect = None
+    ref_w, ref_h = cut.raster.width, cut.raster.height
+    if kind == CUTOUT_BODY_PART:
+        src_rect = _body_part_rect(rng, cut)
+        ref_w, ref_h = src_rect[2:]
+    lo, hi = AREA_FRAC
+    target = rng.uniform(lo, hi) * person.area
+    dst_w, dst_h = _snap_dims(target, ref_w, ref_h, lo * person.area,
+                              hi * person.area)
+    dst_x, dst_y = _sample_center_roundtrip(rng, person, dst_w, dst_h,
+                                            kind == CUTOUT_FULL_BODY)
+    return Placement(idx, kind, dst_x, dst_y, dst_w, dst_h, src_rect)
 
 
 @dataclass(frozen=True)
@@ -243,8 +216,7 @@ class AugmentResult:
 
 
 def _cutout_for(placement: Placement, inventory: CutoutInventory) -> Cutout:
-    pool = inventory.objects if placement.kind == CUTOUT_OBJECT else inventory.persons
-    cut = pool[placement.cutout_index]
+    cut = _pool(inventory, placement.kind)[placement.cutout_index]
     if placement.src_rect is None:
         return cut
     px, py, pw, ph = placement.src_rect
@@ -254,31 +226,6 @@ def _cutout_for(placement: Placement, inventory: CutoutInventory) -> Cutout:
                   kind=CUTOUT_BODY_PART)
 
 
-def _plan_all(rng, person_bbox, config, inventory) -> list[Placement]:
-    method = config.method
-    if method == METHOD_OBJECTS:
-        return [plan_object_cutout(rng, person_bbox, inventory, config)]
-    if method == METHOD_BODY_PARTS:
-        return [plan_body_part_cutout(rng, person_bbox, inventory, config)]
-    if method == METHOD_FULL_BODY:
-        return [plan_full_body_cutout(rng, person_bbox, inventory, config)]
-    if method == METHOD_PARTS_AND_OBJECTS:
-        return [plan_body_part_cutout(rng, person_bbox, inventory, config),
-                plan_object_cutout(rng, person_bbox, inventory, config)]
-    if method == METHOD_FULL_AND_OBJECTS:
-        return [plan_full_body_cutout(rng, person_bbox, inventory, config),
-                plan_object_cutout(rng, person_bbox, inventory, config)]
-    if method == METHOD_PARTS_OR_OBJECTS:
-        if rng.random() < config.or_probability:
-            return [plan_body_part_cutout(rng, person_bbox, inventory, config)]
-        return [plan_object_cutout(rng, person_bbox, inventory, config)]
-    if method == METHOD_FULL_OR_OBJECTS:
-        if rng.random() < config.or_probability:
-            return [plan_full_body_cutout(rng, person_bbox, inventory, config)]
-        return [plan_object_cutout(rng, person_bbox, inventory, config)]
-    raise ConfigError(f"method {method!r} plans nothing")
-
-
 def apply_augmentation(rng: np.random.Generator, image: RasterImage,
                        record: ImageRecord, target_person_index: int,
                        config: AugmentConfig,
@@ -286,17 +233,18 @@ def apply_augmentation(rng: np.random.Generator, image: RasterImage,
     """Paste planned cutouts over the target person and update flags.
 
     "And" methods apply both sub-methods, "or" methods exactly one (the
-    person-based branch wins a draw with probability or_probability). Any
+    person-based branch wins a draw with probability OR_PROBABILITY). Any
     keypoint of any person whose floor pixel lands on a pasted pixel moves
     Visible/SelfOccluded -> Occluded; Occluded and Unlabeled stay put.
     Inputs are left unchanged.
     """
-    if config.method == METHOD_NONE:
-        raise ConfigError("method 'none' requested; nothing to apply")
     if not 0 <= target_person_index < len(record.persons):
         raise ConfigError(f"target person index {target_person_index} out of range")
     person_bbox = record.persons[target_person_index].bbox
-    placements = _plan_all(rng, person_bbox, config, inventory)
+    kinds, either = _METHOD_PLANS[config.method]
+    if either:
+        kinds = kinds[:1] if rng.random() < OR_PROBABILITY else kinds[1:]
+    placements = [plan_cutout(rng, kind, person_bbox, inventory) for kind in kinds]
 
     out = image
     painted = np.zeros((image.height, image.width), dtype=bool)
@@ -348,20 +296,28 @@ def save_inventory(directory: Path, inventory: CutoutInventory) -> None:
 
 
 def load_inventory(directory: Path) -> CutoutInventory:
+    """Read an inventory directory. Malformed JSON, an index of the wrong
+    shape or an unreadable cutout file raise InventoryError."""
     directory = Path(directory)
     index_path = directory / "inventory.json"
     if not index_path.is_file():
         raise InventoryError(f"no inventory.json under {directory}")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
     inventory = CutoutInventory()
-    for group, target in (("objects", inventory.objects), ("persons", inventory.persons)):
-        for entry in index.get(group, []):
-            raster = read_pam((directory / entry["pam"]).read_bytes())
-            kps = None
-            if entry.get("keypoints") is not None:
-                kps = tuple(Keypoint(float(x), float(y), Visibility(v))
-                            for x, y, v in entry["keypoints"])
-            bx, by, bw, bh = entry["src_bbox"]
-            target.append(Cutout(raster=raster, src_bbox=BBox(bx, by, bw, bh),
-                                 kind=entry["kind"], keypoints=kps))
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        for group, target in (("objects", inventory.objects),
+                              ("persons", inventory.persons)):
+            for entry in index.get(group, []):
+                raster = read_pam((directory / entry["pam"]).read_bytes())
+                kps = None
+                if entry.get("keypoints") is not None:
+                    kps = tuple(Keypoint(float(x), float(y), Visibility(v))
+                                for x, y, v in entry["keypoints"])
+                bx, by, bw, bh = entry["src_bbox"]
+                target.append(Cutout(raster=raster, src_bbox=BBox(bx, by, bw, bh),
+                                     kind=entry["kind"], keypoints=kps))
+    except (AttributeError, KeyError, OSError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise InventoryError(f"{index_path} is malformed "
+                             f"({type(exc).__name__}: {exc})") from exc
     return inventory

@@ -187,7 +187,7 @@ def _cmd_augment(args):
     if not Path(args.inventory).is_dir():
         raise InventoryError(f"inventory directory not found: {args.inventory}")
     dataset = _read_dataset(args.infile, "native")
-    config = aug.AugmentConfig(method=args.method, seed=args.seed)
+    config = aug.AugmentConfig(method=args.method)
     images_dir = args.images or str(Path(args.infile).parent)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -24,9 +24,6 @@ from .errors import AlignmentError, ProtocolError, UndefinedMetricError
 DEFAULT_SIGMA_VALUE = 0.079
 DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
-AREA_BBOX = "bbox"
-AREA_SEGMENT = "segment"
-
 
 def default_sigmas(count: int) -> np.ndarray:
     return np.full(count, DEFAULT_SIGMA_VALUE, dtype=np.float64)
@@ -35,7 +32,6 @@ def default_sigmas(count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OksConfig:
     sigmas: tuple[float, ...]
-    area_mode: str = AREA_BBOX
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self):
@@ -48,29 +44,6 @@ class OksConfig:
     @classmethod
     def for_schema_count(cls, count: int, **kw) -> "OksConfig":
         return cls(sigmas=tuple(default_sigmas(count)), **kw)
-
-
-def gt_scale_of(person: PersonInstance, cfg: OksConfig) -> float:
-    """Ground-truth scale (area in px^2) per the configured area mode.
-
-    Segment mode sums RLE foreground runs or shoelace polygon areas; the
-    bbox area is the fallback whenever segmentation is absent.
-    """
-    if cfg.area_mode == AREA_SEGMENT and person.segmentation is not None:
-        seg = person.segmentation
-        if seg.kind == "rle":
-            return float(sum(seg.rle_counts[1::2]))
-        total = 0.0
-        for poly in seg.polygons:
-            acc = 0.0
-            for i in range(len(poly)):
-                x0, y0 = poly[i]
-                x1, y1 = poly[(i + 1) % len(poly)]
-                acc += x0 * y1 - x1 * y0
-            total += abs(acc) / 2.0
-        if total > 0.0:
-            return total
-    return float(person.bbox.area)
 
 
 def _pose_arrays(persons: Sequence[PersonInstance],
@@ -91,16 +64,15 @@ def oks_matrix(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
                cfg: OksConfig) -> np.ndarray:
     """Object keypoint similarity of every prediction to every gt, (P, G).
 
-    Per keypoint: exp(-d^2 / (2 * s^2 * k_i^2)) with s^2 the gt scale (the
-    object area in px^2, see gt_scale_of) and k_i = 2 * sigmas[i], averaged
-    over the gt's labeled keypoints. A gt without labeled keypoints has no
-    OKS: its column is NaN. The terms are added in keypoint order, so each
+    Per keypoint: exp(-d^2 / (2 * s^2 * k_i^2)) with s^2 the gt box area in
+    px^2 and k_i = 2 * sigmas[i], averaged over the gt's labeled keypoints.
+    A gt without labeled keypoints has no OKS: its column is NaN. The terms are added in keypoint order, so each
     entry equals the one-pair sum term for term.
     """
     count = len(cfg.sigmas)
     pred_xy, _ = _pose_arrays(preds, count)
     gt_xy, labeled = _pose_arrays(gts, count)
-    scale = np.array([gt_scale_of(g, cfg) for g in gts], dtype=np.float64)
+    scale = np.array([g.bbox.area for g in gts], dtype=np.float64)
     k = 2.0 * np.asarray(cfg.sigmas, dtype=np.float64)
     diff = pred_xy[:, None, :, :] - gt_xy[None, :, :, :]       # (P, G, K, 2)
     d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2                  # (P, G, K)

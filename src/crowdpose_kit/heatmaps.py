@@ -230,6 +230,8 @@ def read_heatmap_pair(data: bytes) -> HeatmapPair:
     if len(data) < 16 or data[:4] != DUMP_MAGIC:
         raise MaskDecodeError("not a heatmap dump")
     k, h, w = struct.unpack("<III", data[4:16])
+    if h == 0 or w == 0:
+        raise MaskDecodeError(f"heatmap dump has an empty {h}x{w} grid")
     plane = k * h * w
     floats = np.frombuffer(data[16:16 + 2 * plane * 4], dtype="<f4")
     if floats.size != 2 * plane:

@@ -8,6 +8,7 @@ results are bit-exact across platforms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -197,23 +198,31 @@ def write_depth_pam(depth: np.ndarray) -> bytes:
 
 
 def _parse_pam_header(data: bytes) -> tuple[dict, int]:
+    """Header fields and the payload offset. WIDTH, HEIGHT, DEPTH and MAXVAL
+    must be positive integers below 10**9 and are returned as ints."""
     end = data.find(b"ENDHDR\n")
     if not data.startswith(b"P7\n") or end < 0:
         raise MaskDecodeError("not a PAM stream")
     fields = {}
-    for line in data[3:end].decode("ascii").splitlines():
+    for line in data[3:end].decode("ascii", errors="replace").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
         fields[key] = value.strip()
+    for key in ("WIDTH", "HEIGHT", "DEPTH", "MAXVAL"):
+        value = fields.get(key, "")
+        if not re.fullmatch(r"0*[1-9][0-9]{0,8}", value):
+            raise MaskDecodeError(f"PAM {key} must be a positive integer below "
+                                  f"10**9, got {value!r}")
+        fields[key] = int(value)
     return fields, end + len(b"ENDHDR\n")
 
 
 def read_pam(data: bytes) -> RasterImage:
     fields, offset = _parse_pam_header(data)
-    w, h = int(fields["WIDTH"]), int(fields["HEIGHT"])
-    if int(fields["DEPTH"]) != 4 or int(fields["MAXVAL"]) != 255:
+    w, h = fields["WIDTH"], fields["HEIGHT"]
+    if fields["DEPTH"] != 4 or fields["MAXVAL"] != 255:
         raise MaskDecodeError("expected an 8-bit RGBA PAM")
     px = np.frombuffer(data[offset:offset + w * h * 4], dtype=np.uint8)
     if px.size != w * h * 4:
@@ -223,8 +232,8 @@ def read_pam(data: bytes) -> RasterImage:
 
 def read_depth_pam(data: bytes) -> np.ndarray:
     fields, offset = _parse_pam_header(data)
-    w, h = int(fields["WIDTH"]), int(fields["HEIGHT"])
-    if int(fields["DEPTH"]) != 1 or int(fields["MAXVAL"]) != 65535:
+    w, h = fields["WIDTH"], fields["HEIGHT"]
+    if fields["DEPTH"] != 1 or fields["MAXVAL"] != 65535:
         raise MaskDecodeError("expected a 16-bit grayscale PAM")
     raw = np.frombuffer(data[offset:offset + w * h * 2], dtype=">u2")
     if raw.size != w * h:

@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from crowdpose_kit import cli
 from crowdpose_kit import heatmaps as H
 from crowdpose_kit import synthgen
 from crowdpose_kit.cli import dispatch
-from crowdpose_kit.masks import read_pam
+from crowdpose_kit.masks import RasterImage, read_pam, write_pam
 
 from conftest import blob_cutout, make_pose
 
@@ -169,6 +171,38 @@ class TestAugmentCommand:
         assert len(log) == 12
         assert any(entry["placements"] for entry in log.values())
 
+    # sha256 of augment_log.json then dataset.json, first 16 hex digits
+    METHOD_DIGESTS = {
+        "objects": "fa7cf346b4c9f2ea",
+        "body_parts": "b5b9c64a606fef51",
+        "full_body": "12a2b3738aa24a44",
+        "parts_and_objects": "4868edff65354907",
+        "full_and_objects": "512cdec8436dbb4b",
+        "parts_or_objects": "55f29957693b4262",
+        "full_or_objects": "3bd330820c8fc8be",
+    }
+
+    def test_method_digests(self, gen_dir, tmp_path):
+        """Pins the planner's draw order: every method's log and dataset."""
+        rng = np.random.default_rng(5)
+        AUG.save_inventory(tmp_path / "inv", AUG.CutoutInventory(
+            objects=[blob_cutout(rng, 14, 12), blob_cutout(rng, 9, 17)],
+            persons=[blob_cutout(rng, 16, 30, kind="full_body"),
+                     blob_cutout(rng, 12, 26, kind="full_body")]))
+        digests = {}
+        for method in self.METHOD_DIGESTS:
+            out = tmp_path / method
+            assert run("augment", "--method", method, "--seed", "4",
+                       "--inventory", str(tmp_path / "inv"),
+                       "--in", str(gen_dir / "dataset.json"),
+                       "--out", str(out)) == 0
+            h = hashlib.sha256()
+            for name in ("augment_log.json", "dataset.json"):
+                h.update((out / name).read_bytes())
+            digests[method] = h.hexdigest()[:16]
+        assert digests == self.METHOD_DIGESTS
+        assert AUG.METHODS == tuple(self.METHOD_DIGESTS)
+
     def test_missing_inventory_exits_1(self, gen_dir, tmp_path, capsys):
         code = run("augment", "--method", "objects", "--seed", "5",
                    "--inventory", str(tmp_path / "nothing"),
@@ -266,6 +300,19 @@ def _convert(d, *extra):
             "--in", _write(d / "jta.json", doc), "--out", str(d / "c.json"), *extra]
 
 
+def _augment(d, inventory_index=None, image_pam=None, method="objects"):
+    """augment over one 20x20 image; either input may be replaced by bytes."""
+    _write(d / "a.json", _native_doc())
+    raster = RasterImage.filled(20, 20, (90, 90, 90, 255))
+    _write(d / "a.pam", image_pam or write_pam(raster))
+    AUG.save_inventory(d / "inv", AUG.CutoutInventory(
+        objects=[blob_cutout(np.random.default_rng(0), 6, 6)]))
+    if inventory_index is not None:
+        _write(d / "inv" / "inventory.json", inventory_index)
+    return ["augment", "--method", method, "--seed", "1", "--in", str(d / "a.json"),
+            "--inventory", str(d / "inv"), "--out", str(d / "aug")]
+
+
 # Inputs that once escaped dispatch with a traceback: argv builder, exit code.
 BAD_INPUTS = {
     "top_level_array": (lambda d: ["analyze", "--in", _write(d / "a.json", [])], 1),
@@ -310,6 +357,15 @@ BAD_INPUTS = {
     "decode_zero_bbox": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "0", "0", "--in",
         _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+    "decode_empty_grid": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--in",
+        _write(d / "x.hm", H.DUMP_MAGIC + struct.pack("<III", 1, 0, 5))], 1),
+    "augment_inventory_bad_json": (lambda d: _augment(d, inventory_index="{not json"), 1),
+    "augment_inventory_objects_int": (lambda d: _augment(
+        d, inventory_index={"objects": 5}), 1),
+    "augment_pam_width_x": (lambda d: _augment(d, image_pam=(
+        b"P7\nWIDTH x\nHEIGHT 20\nDEPTH 4\nMAXVAL 255\nTUPLTYPE RGB_ALPHA\n"
+        b"ENDHDR\n" + bytes(20 * 20 * 4))), 1),
     "encode_without_out": (lambda d: [
         "heatmap", "encode", "--in", _write(d / "a.json", _native_doc())], 2),
 }
@@ -325,6 +381,10 @@ class TestExitCodes:
 
     def test_gen_tolerance_is_not_an_option(self, tmp_path, capsys):
         assert run(*_gen(tmp_path, "--tolerance", "0.03")) == 2
+
+    def test_augment_method_none_usage_error(self, tmp_path, capsys):
+        assert run(*_augment(tmp_path)) == 0
+        assert run(*_augment(tmp_path, method="none")) == 2
 
     def test_unknown_subcommand_usage_error(self, capsys):
         assert run("frobnicate") == 2

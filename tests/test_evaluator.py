@@ -126,25 +126,6 @@ class TestOks:
         with pytest.raises(ProtocolError):
             E.OksConfig(sigmas=(0.0,))
 
-    def test_segment_area_mode(self):
-        from crowdpose_kit.annotations import SegmentMask
-        pose = pair_pose([(1, 1), (2, 2)])
-        rle = SegmentMask(kind="rle", rle_size=(10, 10),
-                          rle_counts=(20, 36, 44))
-        square = SegmentMask(kind="polygons",
-                             polygons=(((0.0, 0.0), (6.0, 0.0), (6.0, 6.0),
-                                        (0.0, 6.0)),))
-        box = BBox(0, 0, 10, 10)
-        cfg = pair_cfg(area_mode=E.AREA_SEGMENT)
-        assert E.gt_scale_of(PersonInstance(bbox=box, pose=pose,
-                                            segmentation=rle), cfg) == 36.0
-        assert E.gt_scale_of(PersonInstance(bbox=box, pose=pose,
-                                            segmentation=square), cfg) == 36.0
-        assert E.gt_scale_of(PersonInstance(bbox=box, pose=pose), cfg) == 100.0
-        assert E.gt_scale_of(PersonInstance(bbox=box, pose=pose,
-                                            segmentation=rle),
-                             pair_cfg()) == 100.0
-
 
 def person(box, pose, score=None):
     return PersonInstance(bbox=box, pose=pose, score=score)

@@ -198,3 +198,17 @@ class TestRasterIO:
     def test_pam_bad_magic(self):
         with pytest.raises(MaskDecodeError):
             M.read_pam(b"P5\nnope")
+
+    @pytest.mark.parametrize("field,value", [
+        ("WIDTH", "x"), ("HEIGHT", "0"), ("DEPTH", "-4"), ("MAXVAL", ""),
+        ("WIDTH", "1" * 12), ("HEIGHT", "2.5"),
+    ])
+    def test_pam_bad_header_number(self, field, value):
+        header = {"WIDTH": "2", "HEIGHT": "2", "DEPTH": "4", "MAXVAL": "255",
+                  field: value}
+        data = ("P7\n" + "".join(f"{k} {v}\n" for k, v in header.items())
+                + "ENDHDR\n").encode() + bytes(16)
+        with pytest.raises(MaskDecodeError):
+            M.read_pam(data)
+        with pytest.raises(MaskDecodeError):
+            M.read_depth_pam(data)
