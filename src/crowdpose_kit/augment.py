@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .annotations import BBox, ImageRecord, Keypoint, Visibility
-from .errors import ConfigError, InventoryError
+from .errors import ConfigError, GeometryError, InventoryError
 from .masks import (CUTOUT_BODY_PART, CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                     RasterImage, composite_with_mask, read_pam, write_pam)
 
@@ -174,6 +174,11 @@ def plan_cutout(rng: np.random.Generator, kind: str, person: BBox,
     the box with the source aspect kept; the center, uniform inside the
     box and, for a full body, outside its central region.
     """
+    if not all(math.isfinite(v) for v in (person.x, person.y, person.x + person.w,
+                                           person.y + person.h, person.area)):
+        raise GeometryError(f"cannot plan a paste on person box {person.x}, "
+                            f"{person.y}, {person.w}x{person.h}: its corners or "
+                            f"area are not finite")
     pool = _pool(inventory, kind)
     if not pool:
         group = "object" if kind == CUTOUT_OBJECT else "person"

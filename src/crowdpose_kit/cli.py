@@ -193,10 +193,9 @@ def _cmd_augment(args):
     out.mkdir(parents=True, exist_ok=True)
     worker = functools.partial(_augment_one, images_dir, args.inventory,
                                args.seed, config)
-    results = map_jobs(worker, dataset.images, args.jobs)
     log = {}
     new_images = []
-    for image_id, pam, record, entry in results:
+    for image_id, pam, record, entry in map_jobs(worker, dataset.images, args.jobs):
         (out / f"{image_id}.pam").write_bytes(pam)
         new_images.append(record)
         log[image_id] = entry
@@ -330,7 +329,7 @@ def _cmd_losscheck(args):
     sys.stdout.write(f"max_relative_error={err:.3e} {'PASS' if ok else 'FAIL'}\n")
     if not ok:
         raise CrowdKitError(f"gradient check failed: max relative error {err:.3e} "
-                            f">= 1e-5")
+                            f"is not below 1e-5")
     return []
 
 

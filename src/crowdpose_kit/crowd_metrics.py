@@ -58,22 +58,24 @@ def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray, owners: np.ndarray
     """Array-core CrowdIndex: boxes (N, 4) as x/y/w/h, labeled keypoint
     coordinates (T, 2) with an owner index per point.
 
-    The in-box test is a pure comparison, so the vectorized count matches a
-    scalar point-in-box loop bit for bit; the ratio sum uses fsum, making
-    the result independent of person order.
+    One (N, T) comparison matrix says which points lie in which box. The
+    in-box test is a pure comparison, so the counts match a scalar
+    point-in-box loop exactly; the counts divide as Python ints and the
+    ratio sum uses fsum, making the result independent of person order.
     """
     n = len(boxes)
+    x, y = points[:, 0], points[:, 1]
+    x0, y0 = boxes[:, 0, None], boxes[:, 1, None]
+    inside = ((x >= x0) & (x <= x0 + boxes[:, 2, None]) &
+              (y >= y0) & (y <= y0 + boxes[:, 3, None]))              # (N, T)
+    n_in = inside.sum(axis=1)
+    n_own = (inside & (owners == np.arange(n)[:, None])).sum(axis=1)
     ratios = []
-    for i in range(n):
-        bx, by, bw, bh = boxes[i]
-        inside = ((points[:, 0] >= bx) & (points[:, 0] <= bx + bw) &
-                  (points[:, 1] >= by) & (points[:, 1] <= by + bh))
-        n_b = int(np.count_nonzero(inside & (owners == i)))
+    for i, (n_a, n_b) in enumerate(zip((n_in - n_own).tolist(), n_own.tolist())):
         if n_b == 0:
             warnings.warn(f"person {i} in image {image_id!r} has no own keypoints "
                           f"inside its bbox; contributes ratio 0", stacklevel=2)
             continue
-        n_a = int(np.count_nonzero(inside & (owners != i)))
         ratios.append(n_a / n_b)
     return min(math.fsum(ratios) / n, 1.0)
 

@@ -10,7 +10,9 @@ wrong-branch predictions are penalized by the loss.
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,7 +72,11 @@ def bbox_to_crop(bbox: BBox) -> CropTransform:
     s = INPUT_W / new_w
     x0 = cx - new_w / 2.0
     y0 = cy - new_h / 2.0
-    return CropTransform(np.array([[s, 0.0, -s * x0], [0.0, s, -s * y0]]))
+    matrix = np.array([[s, 0.0, -s * x0], [0.0, s, -s * y0]])
+    if not np.all(np.isfinite(matrix)):  # a non-finite, huge or subnormal box
+        raise GeometryError(f"person box {bbox.x}, {bbox.y}, {w}x{h} has no "
+                            f"finite crop transform")
+    return CropTransform(matrix)
 
 
 @dataclass
@@ -134,8 +140,10 @@ def encode(pose: Pose, transform: CropTransform,
     received a Gaussian (labeled and with the peak inside the grid);
     everything else leaves both branch channels all-zero.
     """
-    if sigma <= 0:
-        raise DimensionError(f"sigma must be positive, got {sigma}")
+    # 2 * sigma**2 divides the squared distances: it must be a normal float
+    if not (sigma > 0 and sys.float_info.min <= 2.0 * sigma * sigma < math.inf):
+        raise DimensionError(f"sigma must be finite and positive, with 2 * sigma**2 "
+                             f"a normal float, got {sigma}")
     k = len(pose.keypoints)
     pair = HeatmapPair.zeros(k)
     in_bounds = np.zeros(k, dtype=bool)
@@ -183,6 +191,8 @@ def decode(pair: HeatmapPair, transform: CropTransform,
     the stride and the inverse crop transform. Low-confidence keypoints are
     flagged, not dropped.
     """
+    if not math.isfinite(conf_threshold):
+        raise DimensionError(f"confidence threshold must be finite, got {conf_threshold}")
     k, h, w = pair.shape
     inv = transform.inverse()
     if schema is None:
@@ -230,8 +240,8 @@ def read_heatmap_pair(data: bytes) -> HeatmapPair:
     if len(data) < 16 or data[:4] != DUMP_MAGIC:
         raise MaskDecodeError("not a heatmap dump")
     k, h, w = struct.unpack("<III", data[4:16])
-    if h == 0 or w == 0:
-        raise MaskDecodeError(f"heatmap dump has an empty {h}x{w} grid")
+    if k == 0 or h == 0 or w == 0:
+        raise MaskDecodeError(f"heatmap dump has an empty {k}x{h}x{w} stack")
     plane = k * h * w
     floats = np.frombuffer(data[16:16 + 2 * plane * 4], dtype="<f4")
     if floats.size != 2 * plane:

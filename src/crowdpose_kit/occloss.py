@@ -9,6 +9,7 @@ zero, peaks predicted in the wrong branch are penalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class LossConfig:
     n: int = 14  # keypoint count in the denominator
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DimensionError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise DimensionError(f"alpha must be finite and positive, got {self.alpha}")
         if self.n < 1:
             raise DimensionError(f"n must be >= 1, got {self.n}")
         if self.norm_mode not in (MODE_MSE, MODE_L2NORM):
@@ -103,12 +104,13 @@ def grad_check(cfg: LossConfig, trials: int = 100, fd_step: float = 1e-4,
     |analytic - fd| / max(|analytic|, |fd|, 1e-3); the 1e-3 floor sits at
     the typical gradient magnitude, so near-zero cells are still held to an
     absolute deviation of 1e-8 at the 1e-5 acceptance bound instead of
-    dividing FD rounding noise by itself.
+    dividing FD rounding noise by itself. A NaN error, from a loss that
+    overflowed, is returned at once: it fails any bound.
     """
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
-    if fd_step <= 0:
-        raise DimensionError(f"fd_step must be positive, got {fd_step}")
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise DimensionError(f"fd_step must be finite and positive, got {fd_step}")
     k, h, w = shape
     cfg = LossConfig(alpha=cfg.alpha, norm_mode=cfg.norm_mode, n=k)
     rng = substream(seed, "grad_check")
@@ -131,6 +133,8 @@ def grad_check(cfg: LossConfig, trials: int = 100, fd_step: float = 1e-4,
                 fd = (up - down) / (2.0 * fd_step)
                 a = grad.reshape(-1)[idx]
                 rel = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
+                if math.isnan(rel):  # an overflowed loss: nothing was checked
+                    return rel
                 if rel > worst:
                     worst = rel
     return worst

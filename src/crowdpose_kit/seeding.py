@@ -2,7 +2,7 @@
 
 Substreams are derived by hashing the root seed together with string/int
 keys, so per-image (or per-scene) generators are independent of processing
-order and parallel execution width. `map_jobs` returns results in item
+order and parallel execution width. `map_jobs` yields results in item
 order, so outputs never depend on the number of jobs either.
 """
 
@@ -30,11 +30,14 @@ def substream(seed: int, *keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(substream_seed(seed, *keys)))
 
 
-def map_jobs(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], fanned out over `jobs` processes when
-    jobs > 1 and there is more than one item; results keep item order."""
+def map_jobs(fn, items, jobs: int):
+    """Yield fn(item) for each item, in item order, as results arrive;
+    fanned out over `jobs` processes when jobs > 1 and there is more than
+    one item. Callers write each result as it comes, so the results are
+    never all held at once."""
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4))))
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4)))

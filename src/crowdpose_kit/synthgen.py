@@ -8,13 +8,15 @@ later-drawn limb of the same person does. Flags and rasters share one
 coverage test, `_capsule_sq_dist(...) <= radius * radius`, so they agree by
 construction. `plan_corpus` targets a CrowdIndex histogram by
 rejection-sampling scene layouts whose density knobs (person count,
-attachment probability and spread) track the requested bin.
+attachment probability and spread) track the requested bin. Candidates are
+screened on their drawn arrays; only accepted ones become layouts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +110,11 @@ BUILTIN_TEMPLATES = (
         (0.72, 0.95), (0.25, 0.96), (0.49, 0.06), (0.49, 0.22)]),
 )
 
+# Per-template keypoints (7, 14, 2) and jitter (7, 14, 1), indexed by the
+# drawn template number when a layout is sampled.
+_TEMPLATE_BASE = np.array([t.keypoints for t in BUILTIN_TEMPLATES], dtype=np.float64)
+_TEMPLATE_JITTER = np.array([t.jitter for t in BUILTIN_TEMPLATES], dtype=np.float64)[:, :, None]
+
 
 # Upper bounds that keep one scene's arrays small: a raster side of 4096 px
 # is 64 MB of RGBA, and the flag kernel's (14n, 13n) float64 arrays are
@@ -196,40 +203,68 @@ class SceneLayout:
         return ranks
 
 
-def _sample_layout(rng: np.random.Generator, cfg: SceneConfig, count: int,
-                   p_attach: float, sigma_attach: float) -> SceneLayout:
+class _Draws(NamedTuple):
+    """One candidate scene's persons as drawn, before any PersonLayout."""
+    templates: list[int]
+    heights: list[float]
+    zs: list[float]
+    radii: np.ndarray      # (n,)
+    keypoints: np.ndarray  # (n, 14, 2) image px
+
+
+def _draw_persons(rng: np.random.Generator, cfg: SceneConfig, count: int,
+                  p_attach: float, sigma_attach: float) -> _Draws:
     """Place `count` persons. Each person after the first attaches near an
     earlier one with probability p_attach, offset by a Gaussian of
-    sigma_attach * that person's height; otherwise it places uniformly."""
-    layout = SceneLayout(cfg.image_w, cfg.image_h)
-    centers: list[tuple[float, float, float]] = []  # (cx, cy, height)
+    sigma_attach * that person's height; otherwise it places uniformly.
+
+    The loop only draws, per person and in this order: template, height,
+    attachment, center, keypoint noise, depth. The keypoints of all
+    persons are then computed at once from the drawn values."""
+    ground_plane = cfg.depth_model == DEPTH_GROUND_PLANE
+    templates, heights, cxs, cys, zs = [], [], [], [], []
+    noise = np.empty((count, 14, 2))
     for i in range(count):
-        template = BUILTIN_TEMPLATES[int(rng.integers(len(BUILTIN_TEMPLATES)))]
+        templates.append(int(rng.integers(len(BUILTIN_TEMPLATES))))
         height = rng.uniform(*cfg.scale_range)
-        width = BODY_WIDTH_FRAC * height
         if i > 0 and rng.random() < p_attach:
-            bx, by, bh = centers[int(rng.integers(len(centers)))]
-            cx = bx + rng.normal(0.0, sigma_attach * bh)
-            cy = by + rng.normal(0.0, sigma_attach * bh)
+            j = int(rng.integers(i))
+            cx = cxs[j] + rng.normal(0.0, sigma_attach * heights[j])
+            cy = cys[j] + rng.normal(0.0, sigma_attach * heights[j])
         else:
             cx = rng.uniform(0.0, cfg.image_w)
             cy = rng.uniform(0.0, cfg.image_h)
-        centers.append((cx, cy, height))
-        base = np.asarray(template.keypoints, dtype=np.float64)
-        jitter = np.asarray(template.jitter, dtype=np.float64)[:, None]
-        local = base + rng.standard_normal((14, 2)) * jitter
-        kps = np.empty((14, 2))
-        kps[:, 0] = cx - width / 2.0 + local[:, 0] * width
-        kps[:, 1] = cy - height / 2.0 + local[:, 1] * height
-        if cfg.depth_model == DEPTH_GROUND_PLANE:
+        heights.append(height)
+        cxs.append(cx)
+        cys.append(cy)
+        rng.standard_normal((14, 2), out=noise[i])
+        if ground_plane:
             foot_y = cy + height / 2.0
-            z = 0.05 + 0.9 * min(max(foot_y / cfg.image_h, 0.0), 1.0)
+            zs.append(0.05 + 0.9 * min(max(foot_y / cfg.image_h, 0.0), 1.0))
         else:
-            z = rng.uniform(0.05, 1.0)
-        layout.persons.append(PersonLayout(
-            template=template.name, height=height, z=z,
-            radius=max(1.0, cfg.limb_radius_frac * height), keypoints=kps))
-    return layout
+            zs.append(rng.uniform(0.05, 1.0))
+    h = np.array(heights)[:, None]
+    w = BODY_WIDTH_FRAC * h
+    local = _TEMPLATE_BASE[templates] + noise * _TEMPLATE_JITTER[templates]
+    kps = np.empty((count, 14, 2))
+    kps[:, :, 0] = np.array(cxs)[:, None] - w / 2.0 + local[:, :, 0] * w
+    kps[:, :, 1] = np.array(cys)[:, None] - h / 2.0 + local[:, :, 1] * h
+    radii = np.maximum(1.0, cfg.limb_radius_frac * h[:, 0])
+    return _Draws(templates, heights, zs, radii, kps)
+
+
+def _layout_of(cfg: SceneConfig, draws: _Draws) -> SceneLayout:
+    persons = [PersonLayout(template=BUILTIN_TEMPLATES[t].name, height=h, z=z,
+                            radius=r, keypoints=k)
+               for t, h, z, r, k in zip(draws.templates, draws.heights, draws.zs,
+                                        draws.radii.tolist(), draws.keypoints)]
+    return SceneLayout(cfg.image_w, cfg.image_h, persons)
+
+
+def _sample_layout(rng: np.random.Generator, cfg: SceneConfig, count: int,
+                   p_attach: float, sigma_attach: float) -> SceneLayout:
+    """A scene layout of `count` persons drawn by _draw_persons."""
+    return _layout_of(cfg, _draw_persons(rng, cfg, count, p_attach, sigma_attach))
 
 
 def _capsule_sq_dist(px, py, ax, ay, bx, by):
@@ -290,15 +325,19 @@ def _layout_flags(layout: SceneLayout) -> list[list[Visibility]]:
     return [vis[q:q + 14] for q in range(0, len(vis), 14)]
 
 
-def _layout_boxes(layout: SceneLayout) -> np.ndarray:
+def _boxes(kps: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """(n, 4) x/y/w/h boxes: each person's keypoint extent padded by its
     limb radius. Every keypoint is a limb endpoint, so this is the capsule
     extent of the whole skeleton."""
-    kps = np.stack([p.keypoints for p in layout.persons])     # (n, 14, 2)
-    radii = np.array([p.radius for p in layout.persons])[:, None]
-    lo = kps.min(axis=1) - radii
-    hi = kps.max(axis=1) + radii
+    lo = kps.min(axis=1) - radii[:, None]
+    hi = kps.max(axis=1) + radii[:, None]
     return np.concatenate([lo, hi - lo], axis=1)
+
+
+def _layout_boxes(layout: SceneLayout) -> np.ndarray:
+    """_boxes of a layout's persons."""
+    return _boxes(np.stack([p.keypoints for p in layout.persons]),
+                  np.array([p.radius for p in layout.persons]))
 
 
 def _layout_record(layout: SceneLayout, image_id: str) -> ImageRecord:
@@ -317,16 +356,16 @@ def _layout_record(layout: SceneLayout, image_id: str) -> ImageRecord:
                        persons=tuple(persons))
 
 
-def _layout_crowd_index(layout: SceneLayout) -> float:
-    """CrowdIndex straight from the layout, skipping record construction.
+def _candidate_crowd_index(draws: _Draws) -> float:
+    """CrowdIndex of a candidate straight from its draws, skipping layout
+    and record construction.
 
-    Boxes come from _layout_boxes and the count goes through the same array
-    core as crowd_index(record), so screening and the stored value agree
-    bit for bit."""
-    n = len(layout.persons)
-    points = np.concatenate([p.keypoints for p in layout.persons])
-    owners = np.repeat(np.arange(n), 14)
-    return crowd_index_arrays(_layout_boxes(layout), points, owners)
+    The boxes are _layout_boxes' arithmetic and the count goes through the
+    same array core as crowd_index(record), so screening and the stored
+    value agree bit for bit."""
+    kps = draws.keypoints
+    owners = np.repeat(np.arange(len(kps)), 14)
+    return crowd_index_arrays(_boxes(kps, draws.radii), kps.reshape(-1, 2), owners)
 
 
 def person_color(index: int) -> tuple[int, int, int]:
@@ -337,31 +376,42 @@ def person_color(index: int) -> tuple[int, int, int]:
 
 
 BACKGROUND_RGBA = (18, 18, 18, 255)
+_RENDER_BAND_CELLS = 1 << 18
 
 
 def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
     """Rasterize capsules back to front; returns the image and a depth map
-    (0 = background, larger = nearer)."""
+    (0 = background, larger = nearer).
+
+    All limbs of one person share its color and depth, so each person is
+    painted once with the union of its capsules over its clipped window."""
     w, h = layout.width, layout.height
     raster = RasterImage.filled(w, h, BACKGROUND_RGBA)
     depth = np.zeros((h, w), dtype=np.float64)
     for idx in layout.draw_order():
         person = layout.persons[idx]
-        color = np.array([*person_color(idx), 255], dtype=np.uint8)
         r = person.radius
-        for a, b in person.segments():
-            x0 = max(int(math.floor(min(a[0], b[0]) - r - 1.0)), 0)
-            x1 = min(int(math.ceil(max(a[0], b[0]) + r + 1.0)), w - 1)
-            y0 = max(int(math.floor(min(a[1], b[1]) - r - 1.0)), 0)
-            y1 = min(int(math.ceil(max(a[1], b[1]) + r + 1.0)), h - 1)
-            if x0 > x1 or y0 > y1:
-                continue
-            px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
-            py = np.arange(y0, y1 + 1, dtype=np.float64) + 0.5
-            inside = _capsule_sq_dist(px[None, :], py[:, None],
-                                      a[0], a[1], b[0], b[1]) <= r * r
-            raster.pixels[y0:y1 + 1, x0:x1 + 1][inside] = color
-            depth[y0:y1 + 1, x0:x1 + 1][inside] = person.z
+        kps = person.keypoints
+        x0 = max(int(math.floor(kps[:, 0].min() - r - 1.0)), 0)
+        x1 = min(int(math.ceil(kps[:, 0].max() + r + 1.0)), w - 1)
+        y0 = max(int(math.floor(kps[:, 1].min() - r - 1.0)), 0)
+        y1 = min(int(math.ceil(kps[:, 1].max() + r + 1.0)), h - 1)
+        if x0 > x1 or y0 > y1:
+            continue
+        color = np.array([*person_color(idx), 255], dtype=np.uint8)
+        segs = person.segments()[:, :, :, None, None]           # (13, 2, 2, 1, 1)
+        px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
+        # bands of rows keep the (13, rows, cols) temporaries near 2 MB each
+        band = max(1, _RENDER_BAND_CELLS // (len(segs) * len(px)))
+        for b0 in range(y0, y1 + 1, band):
+            b1 = min(b0 + band, y1 + 1)
+            py = np.arange(b0, b1, dtype=np.float64) + 0.5
+            inside = np.any(_capsule_sq_dist(px[None, :], py[:, None],
+                                             segs[:, 0, 0], segs[:, 0, 1],
+                                             segs[:, 1, 0], segs[:, 1, 1]) <= r * r,
+                            axis=0)
+            raster.pixels[b0:b1, x0:x1 + 1][inside] = color
+            depth[b0:b1, x0:x1 + 1][inside] = person.z
     return raster, depth
 
 
@@ -427,11 +477,11 @@ def plan_corpus(cfg: CorpusConfig) -> list[GeneratedScene]:
                 rng = substream(seed, "corpus", slot, attempt)
                 count, p_attach, sigma_attach = _density_for_bin(bin_index, bins, rng,
                                                                  cfg.scene_cfg)
-                layout = _sample_layout(rng, cfg.scene_cfg, count, p_attach, sigma_attach)
-                c = _layout_crowd_index(layout)
+                draws = _draw_persons(rng, cfg.scene_cfg, count, p_attach, sigma_attach)
+                c = _candidate_crowd_index(draws)
                 spent += 1
                 if histogram_bin(c, bins) == bin_index:
-                    accepted = (layout, c, attempt)
+                    accepted = (_layout_of(cfg.scene_cfg, draws), c, attempt)
                 attempt += 1
             layout, c, attempt_used = accepted
             scenes.append(GeneratedScene(record=_layout_record(layout, image_id),

@@ -95,6 +95,28 @@ def crowd_index_bruteforce(record) -> float:
     return min(math.fsum(ratios) / n, 1.0)
 
 
+def crowd_index_arrays_reference(boxes, points, owners):
+    """The array core's contract as a scalar point-in-box loop: boxes are
+    (x, y, w, h) rows, points (x, y) rows with one owner index each.
+    Returns the CrowdIndex and the persons with no own point in their box."""
+    n = len(boxes)
+    ratios = []
+    empty = []
+    for i, (bx, by, bw, bh) in enumerate(boxes):
+        n_a = n_b = 0
+        for (px, py), owner in zip(points, owners):
+            if bx <= px <= bx + bw and by <= py <= by + bh:
+                if owner == i:
+                    n_b += 1
+                else:
+                    n_a += 1
+        if n_b == 0:
+            empty.append(i)
+            continue
+        ratios.append(n_a / n_b)
+    return min(math.fsum(ratios) / n, 1.0), empty
+
+
 def oks_scalar(pred, gt, gt_scale: float, sigmas) -> float:
     values = []
     for i, g in enumerate(gt.keypoints):

@@ -68,6 +68,34 @@ class TestGen:
         assert ((tmp_path / "knob" / "dataset.json").read_bytes()
                 != (tmp_path / "default" / "dataset.json").read_bytes())
 
+    # (seed, depth model) -> first 16 hex digits of the sha256 over the names
+    # and bytes of a 20-scene gen's files, manifest excluded: with rasters
+    # (dataset.json and every PAM), then with --no-rasters
+    GEN_DIGESTS = {
+        (1, "ground_plane"): ("a942b247f8bfb6b0", "f19c74da237b3a77"),
+        (1, "uniform_z"): ("51bdc5b2bd0da28c", "c3767a65ef575e0e"),
+        (7, "ground_plane"): ("8f0ee9386e5c5536", "335bd6bc671c2d88"),
+        (7, "uniform_z"): ("0f123e43fcc8af7c", "c2064279de113414"),
+    }
+
+    @pytest.mark.parametrize("seed, depth", sorted(GEN_DIGESTS))
+    def test_gen_digests(self, tmp_path, seed, depth):
+        """Pins gen's bytes with --jobs 1 and 2 and without rasters."""
+        config = _write(tmp_path / "c.json", {"depth_model": depth})
+        digests = []
+        for extra in (["--jobs", "1"], ["--jobs", "2"], ["--no-rasters"]):
+            out = tmp_path / "".join(extra)
+            assert run("gen", "--seed", str(seed), "--scenes", "20", "--config", config,
+                       "--out", str(out), *extra) == 0
+            h = hashlib.sha256()
+            for path in sorted(out.iterdir()):
+                if path.name != "manifest.json":
+                    h.update(path.name.encode())
+                    h.update(path.read_bytes())
+            digests.append(h.hexdigest()[:16])
+        with_rasters, without = self.GEN_DIGESTS[(seed, depth)]
+        assert digests == [with_rasters, with_rasters, without]
+
     @pytest.mark.parametrize("bins", [[], ["--bins", "3"]])
     def test_target_file_sets_bins(self, tmp_path, bins):
         target = _write(tmp_path / "t.json", [1, 1, 1])
@@ -300,9 +328,13 @@ def _convert(d, *extra):
             "--in", _write(d / "jta.json", doc), "--out", str(d / "c.json"), *extra]
 
 
-def _augment(d, inventory_index=None, image_pam=None, method="objects"):
-    """augment over one 20x20 image; either input may be replaced by bytes."""
-    _write(d / "a.json", _native_doc())
+def _augment(d, inventory_index=None, image_pam=None, method="objects", box=None):
+    """augment over one 20x20 image; either input may be replaced by bytes,
+    and the person's box by another [x, y, w, h]."""
+    doc = _native_doc()
+    if box is not None:
+        doc["images"][0]["persons"][0]["bbox"] = box
+    _write(d / "a.json", doc)
     raster = RasterImage.filled(20, 20, (90, 90, 90, 255))
     _write(d / "a.pam", image_pam or write_pam(raster))
     AUG.save_inventory(d / "inv", AUG.CutoutInventory(
@@ -366,6 +398,43 @@ BAD_INPUTS = {
     "augment_pam_width_x": (lambda d: _augment(d, image_pam=(
         b"P7\nWIDTH x\nHEIGHT 20\nDEPTH 4\nMAXVAL 255\nTUPLTYPE RGB_ALPHA\n"
         b"ENDHDR\n" + bytes(20 * 20 * 4))), 1),
+    "decode_zero_keypoints": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--in",
+        _write(d / "x.hm", H.DUMP_MAGIC + struct.pack("<III", 0, 64, 48))], 1),
+    "decode_bbox_nan": (lambda d: [
+        "heatmap", "decode", "--bbox", "nan", "0", "10", "10", "--in",
+        _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+    # the crop scale 192 / 5e-324 overflows to inf
+    "decode_bbox_subnormal": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "5e-324", "5e-324", "--in",
+        _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+    "decode_threshold_nan": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--threshold", "nan",
+        "--in", _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+    "encode_sigma_inf": (lambda d: [
+        "heatmap", "encode", "--sigma", "inf", "--out", str(d / "hm"),
+        "--in", _write(d / "a.json", _native_doc())], 1),
+    "encode_sigma_nan": (lambda d: [
+        "heatmap", "encode", "--sigma", "nan", "--out", str(d / "hm"),
+        "--in", _write(d / "a.json", _native_doc())], 1),
+    "encode_sigma_underflow": (lambda d: [
+        "heatmap", "encode", "--sigma", "1e-300", "--out", str(d / "hm"),
+        "--in", _write(d / "a.json", _native_doc())], 1),
+    "losscheck_alpha_nan": (lambda d: ["losscheck", "--trials", "1", "--alpha", "nan"], 1),
+    "losscheck_alpha_inf": (lambda d: ["losscheck", "--trials", "1", "--alpha", "inf"], 1),
+    # finite, but the loss overflows: a NaN error must fail the check
+    "losscheck_alpha_huge": (lambda d: [
+        "losscheck", "--trials", "1", "--alpha", "1e308"], 1),
+    "losscheck_fd_step_nan": (lambda d: [
+        "losscheck", "--trials", "1", "--fd-step", "nan"], 1),
+    "losscheck_fd_step_inf": (lambda d: [
+        "losscheck", "--trials", "1", "--fd-step", "inf"], 1),
+    "augment_box_width_nan": (lambda d: _augment(d, box=[0, 0, math.nan, 10]), 1),
+    "augment_box_width_inf": (lambda d: _augment(d, box=[0, 0, math.inf, 10]), 1),
+    "augment_box_area_overflow": (lambda d: _augment(
+        d, box=[0, 0, 1e308, 10]), 1),
+    "augment_box_edge_overflow": (lambda d: _augment(
+        d, box=[1e308, 0, 1e308, 1]), 1),
     "encode_without_out": (lambda d: [
         "heatmap", "encode", "--in", _write(d / "a.json", _native_doc())], 2),
 }

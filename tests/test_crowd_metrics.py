@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crowdpose_kit import crowd_metrics as CM
 from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord,
@@ -15,7 +17,42 @@ def person_at(box, coords, vis=Visibility.VISIBLE):
     return PersonInstance(bbox=box, pose=make_pose(coords, vis=vis))
 
 
+# Half-pixel grid values put many points exactly on box edges; the other
+# floats include infinities and NaN, which no comparison counts as inside.
+_COORD = st.one_of(st.integers(-2, 12).map(lambda v: v / 2.0),
+                   st.floats(width=64))
+
+
+@st.composite
+def crowd_arrays(draw):
+    """(boxes, points, owners) with 1-6 persons and 0-30 points; a person
+    may own no point at all."""
+    n = draw(st.integers(1, 6))
+    boxes = draw(st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD),
+                          min_size=n, max_size=n))
+    points = draw(st.lists(st.tuples(_COORD, _COORD), max_size=30))
+    owners = [draw(st.integers(0, n - 1)) for _ in points]
+    return boxes, points, owners
+
+
 class TestCrowdIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(crowd_arrays())
+    def test_array_core_matches_scalar_loop(self, arrays):
+        boxes, points, owners = arrays
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = CM.crowd_index_arrays(
+                np.array(boxes, dtype=np.float64).reshape(-1, 4),
+                np.array(points, dtype=np.float64).reshape(-1, 2),
+                np.array(owners, dtype=np.int64), image_id="h")
+        want, empty = oracles.crowd_index_arrays_reference(boxes, points, owners)
+        assert got == want
+        # numpy may add a RuntimeWarning for inf + -inf edges; that is not ours
+        assert [str(w.message) for w in caught if w.category is UserWarning] == [
+            f"person {i} in image 'h' has no own keypoints inside its bbox; "
+            f"contributes ratio 0" for i in empty]
+
     def test_single_person_zero(self):
         box = BBox(0, 0, 20, 40)
         rec = ImageRecord("a", 100, 100,

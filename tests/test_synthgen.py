@@ -7,7 +7,7 @@ from crowdpose_kit import synthgen as S
 from crowdpose_kit.annotations import Visibility, serialize_dataset
 from crowdpose_kit.crowd_metrics import crowd_index, histogram_bin
 from crowdpose_kit.errors import ConfigError, TargetingError
-from crowdpose_kit.masks import write_depth_pam, write_pam
+from crowdpose_kit.masks import RasterImage, write_depth_pam, write_pam
 from crowdpose_kit.seeding import substream
 
 import oracles
@@ -115,7 +115,64 @@ class TestSceneFlags:
                 assert box == [x0, y0, x1 - x0, y1 - y0]
 
 
+def render_per_segment(layout):
+    """Reference rasterizer: each limb capsule tested and painted over its
+    own clipped window, limb by limb in paint order."""
+    w, h = layout.width, layout.height
+    raster = RasterImage.filled(w, h, S.BACKGROUND_RGBA)
+    depth = np.zeros((h, w), dtype=np.float64)
+    for idx in layout.draw_order():
+        person = layout.persons[idx]
+        color = np.array([*S.person_color(idx), 255], dtype=np.uint8)
+        r = person.radius
+        for a, b in person.segments():
+            x0 = max(int(math.floor(min(a[0], b[0]) - r - 1.0)), 0)
+            x1 = min(int(math.ceil(max(a[0], b[0]) + r + 1.0)), w - 1)
+            y0 = max(int(math.floor(min(a[1], b[1]) - r - 1.0)), 0)
+            y1 = min(int(math.ceil(max(a[1], b[1]) + r + 1.0)), h - 1)
+            if x0 > x1 or y0 > y1:
+                continue
+            px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
+            py = np.arange(y0, y1 + 1, dtype=np.float64) + 0.5
+            inside = S._capsule_sq_dist(px[None, :], py[:, None],
+                                        a[0], a[1], b[0], b[1]) <= r * r
+            raster.pixels[y0:y1 + 1, x0:x1 + 1][inside] = color
+            depth[y0:y1 + 1, x0:x1 + 1][inside] = person.z
+    return raster, depth
+
+
+def random_layout(rng, w=48, h=40):
+    """Persons scattered in and around a w x h image, with tied depths. The
+    first has a zero-length neck segment; the last lies wholly outside."""
+    persons = []
+    count = int(rng.integers(2, 7))
+    for i in range(count):
+        center = rng.uniform([-15.0, -15.0], [w + 15.0, h + 15.0])
+        radius = 1.0 if rng.random() < 0.3 else float(rng.uniform(1.0, 5.0))
+        if i == count - 1:
+            center = np.array([-40.0, h + 40.0])
+            radius = 2.0
+        kps = center + rng.normal(0.0, 8.0, (14, 2))
+        if i == 0:
+            kps[13] = kps[12]
+        persons.append(person_layout(kps, z=float(rng.choice([0.2, 0.5, 0.9])),
+                                     radius=radius))
+    return S.SceneLayout(w, h, persons)
+
+
 class TestRenderConsistency:
+    @pytest.mark.parametrize("band_cells", [None, 13 * 8])
+    def test_per_person_render_equals_per_segment(self, band_cells, monkeypatch):
+        # a small band budget forces one- or two-row bands through the loop
+        if band_cells is not None:
+            monkeypatch.setattr(S, "_RENDER_BAND_CELLS", band_cells)
+        for i in range(40):
+            layout = random_layout(substream(i, "render_ref"))
+            raster, depth = S.render_layout(layout)
+            ref_raster, ref_depth = render_per_segment(layout)
+            assert np.array_equal(raster.pixels, ref_raster.pixels), f"layout {i}"
+            assert np.array_equal(depth, ref_depth), f"layout {i}"
+
     def test_raster_and_depth_agree_with_flags(self):
         cfg = small_cfg(person_count_range=(3, 6))
         for i in range(10):
@@ -211,6 +268,22 @@ class TestCorpus:
         with pytest.raises(TargetingError) as err:
             corpus(corpus_cfg)
         assert err.value.achieved is not None
+
+    @pytest.mark.parametrize("retry_factor, accepted, achieved", [
+        (1, 6, [4, 2, 0, 0, 0, 0, 0, 0, 0, 0]),
+        (2, 9, [4, 4, 1, 0, 0, 0, 0, 0, 0, 0]),
+        (3, 11, [4, 4, 3, 0, 0, 0, 0, 0, 0, 0]),
+    ])
+    def test_budget_exhaustion_pinned(self, retry_factor, accepted, achieved):
+        """The budget runs out at the same candidate, with the same message
+        and histogram, as the per-candidate screen it replaced."""
+        corpus_cfg = S.CorpusConfig(scenes=40, scene_cfg=S.SceneConfig(seed=3),
+                                    retry_factor=retry_factor)
+        with pytest.raises(TargetingError) as err:
+            S.plan_corpus(corpus_cfg)
+        assert str(err.value) == (f"exhausted {40 * retry_factor} candidate scenes "
+                                  f"with {accepted}/40 accepted")
+        assert err.value.achieved == achieved
 
     def test_corpus_determinism(self):
         corpus_cfg = S.CorpusConfig(scenes=12, scene_cfg=small_cfg(),
