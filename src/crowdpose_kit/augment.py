@@ -265,11 +265,12 @@ def apply_augmentation(rng: np.random.Generator, image: RasterImage,
         new_kps = []
         for ki, kp in enumerate(person.pose.keypoints):
             new_kp = kp
-            if kp.vis in (Visibility.VISIBLE, Visibility.SELF_OCCLUDED):
-                px, py = int(math.floor(kp.x)), int(math.floor(kp.y))
-                if 0 <= px < image.width and 0 <= py < image.height and painted[py, px]:
-                    new_kp = Keypoint(kp.x, kp.y, Visibility.OCCLUDED)
-                    changes.append(FlagChange(pi, ki, kp.vis, Visibility.OCCLUDED))
+            # compared as floats: a NaN or infinite coordinate is off the image
+            if kp.vis in (Visibility.VISIBLE, Visibility.SELF_OCCLUDED) and \
+                    0 <= kp.x < image.width and 0 <= kp.y < image.height and \
+                    painted[int(math.floor(kp.y)), int(math.floor(kp.x))]:
+                new_kp = Keypoint(kp.x, kp.y, Visibility.OCCLUDED)
+                changes.append(FlagChange(pi, ki, kp.vis, Visibility.OCCLUDED))
             new_kps.append(new_kp)
         new_persons.append(replace(person, pose=replace(person.pose,
                                                         keypoints=tuple(new_kps))))

@@ -30,7 +30,8 @@ class GeometryError(CrowdKitError):
 
 
 class MaskDecodeError(CrowdKitError):
-    """Inconsistent RLE payload or empty mask where content is required."""
+    """Undecodable PAM or heatmap payload, or an empty mask where content is
+    required."""
 
 
 class InventoryError(CrowdKitError):
@@ -39,10 +40,6 @@ class InventoryError(CrowdKitError):
 
 class DimensionError(CrowdKitError):
     """Tensor shape mismatch between compared heatmap stacks."""
-
-
-class NonDifferentiableError(CrowdKitError):
-    """Gradient requested at a point where the loss is not differentiable."""
 
 
 class DivergenceError(CrowdKitError):

@@ -32,18 +32,14 @@ def default_sigmas(count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OksConfig:
     sigmas: tuple[float, ...]
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self):
         if any(s <= 0 for s in self.sigmas):
             raise ProtocolError("all OKS sigmas must be positive")
-        t = self.thresholds
-        if any(not 0.0 < x <= 1.0 for x in t) or any(b <= a for a, b in zip(t, t[1:])):
-            raise ProtocolError("thresholds must be strictly increasing in (0, 1]")
 
     @classmethod
-    def for_schema_count(cls, count: int, **kw) -> "OksConfig":
-        return cls(sigmas=tuple(default_sigmas(count)), **kw)
+    def for_schema_count(cls, count: int) -> "OksConfig":
+        return cls(sigmas=tuple(default_sigmas(count)))
 
 
 def _pose_arrays(persons: Sequence[PersonInstance],
@@ -186,11 +182,10 @@ class EvalReport:
         }
 
 
-def _mean_ap(image_ids: Sequence[str],
-             matches: dict[float, dict[str, ImageMatches]],
-             thresholds: Sequence[float]) -> tuple[float, list[tuple[float, float]]]:
+def _mean_ap(image_ids: Sequence[str], matches: dict[float, dict[str, ImageMatches]]
+             ) -> tuple[float, list[tuple[float, float]]]:
     per_threshold = []
-    for t in thresholds:
+    for t in DEFAULT_THRESHOLDS:
         subset = [matches[t][i] for i in image_ids]
         per_threshold.append((t, average_precision(subset)))
     mean = float(np.mean([a for _, a in per_threshold]))
@@ -219,7 +214,7 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
     image_ids = [img.id for img in gt_dataset.images]
     levels: dict[str, list[str]] = {level: [] for level in LEVELS}
     instance_counts = {level: 0 for level in LEVELS}
-    matches: dict[float, dict[str, ImageMatches]] = {t: {} for t in cfg.thresholds}
+    matches: dict[float, dict[str, ImageMatches]] = {t: {} for t in DEFAULT_THRESHOLDS}
     for img_id in image_ids:
         gts = gt_by_id[img_id].persons
         preds = pred_by_id[img_id].persons
@@ -231,17 +226,17 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
         oks = oks_matrix(preds, gts, cfg)
         scores = [p.score for p in preds]
         gt_count = sum(1 for g in gts if any(k.labeled for k in g.pose.keypoints))
-        for t in cfg.thresholds:
+        for t in DEFAULT_THRESHOLDS:
             assigned = _match_rows(oks, order, t)
             matches[t][img_id] = ImageMatches(
                 image_id=img_id, scores=scores,
                 matched=[a is not None for a in assigned], gt_count=gt_count)
 
-    ap, per_threshold = _mean_ap(image_ids, matches, cfg.thresholds)
+    ap, per_threshold = _mean_ap(image_ids, matches)
     level_ap: dict[str, Optional[float]] = {}
     for level in LEVELS:
         if levels[level]:
-            level_ap[level], _ = _mean_ap(levels[level], matches, cfg.thresholds)
+            level_ap[level], _ = _mean_ap(levels[level], matches)
         else:
             level_ap[level] = None
     return EvalReport(

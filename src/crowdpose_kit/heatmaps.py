@@ -14,7 +14,6 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -180,23 +179,20 @@ def _refine(grid: np.ndarray, r: int, c: int) -> tuple[float, float]:
 
 
 def decode(pair: HeatmapPair, transform: CropTransform,
-           conf_threshold: float = DEFAULT_CONF_THRESHOLD,
-           schema: Optional[PoseSchema] = None,
-           refine: bool = True) -> DecodeResult:
+           conf_threshold: float = DEFAULT_CONF_THRESHOLD) -> DecodeResult:
     """Decode branch heatmaps back to image-space keypoints.
 
     Per keypoint the branch with the larger maximum wins (tie goes to
     visible); the argmax is refined by a quarter-cell shift toward the
-    larger axis neighbor (disable with refine=False) and mapped back through
-    the stride and the inverse crop transform. Low-confidence keypoints are
-    flagged, not dropped.
+    larger axis neighbor and mapped back through the stride and the inverse
+    crop transform. Low-confidence keypoints are flagged, not dropped. The
+    pose carries a generated `decoded_{K}` schema.
     """
     if not math.isfinite(conf_threshold):
         raise DimensionError(f"confidence threshold must be finite, got {conf_threshold}")
     k, h, w = pair.shape
     inv = transform.inverse()
-    if schema is None:
-        schema = PoseSchema(f"decoded_{k}", tuple(f"kp_{i:02d}" for i in range(k)))
+    schema = PoseSchema(f"decoded_{k}", tuple(f"kp_{i:02d}" for i in range(k)))
     keypoints = []
     confidences = np.zeros(k, dtype=np.float64)
     branches = []
@@ -210,7 +206,7 @@ def decode(pair: HeatmapPair, transform: CropTransform,
         else:
             grid, peak, label = occ_grid, occ_max, Visibility.OCCLUDED
         r, c = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        hx, hy = _refine(grid, int(r), int(c)) if refine else (float(c), float(r))
+        hx, hy = _refine(grid, int(r), int(c))
         img_xy = inv.apply([[hx * STRIDE, hy * STRIDE]])[0]
         keypoints.append(Keypoint(float(img_xy[0]), float(img_xy[1]), label))
         confidences[i] = peak

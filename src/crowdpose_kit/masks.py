@@ -1,9 +1,9 @@
 """Binary segmentation masks, cutout extraction and alpha compositing.
 
-Masks decode from polygons (even-odd rule at pixel centers) or from
-column-major run-length counts. Cutouts are tight RGBA crops with binary
-alpha; compositing uses nearest-neighbor scaling with floor rounding so
-results are bit-exact across platforms.
+Masks decode from polygons (even-odd rule at pixel centers). Cutouts are
+tight RGBA crops with binary alpha; compositing uses nearest-neighbor
+scaling with floor rounding in integer arithmetic, so results are
+bit-exact across platforms.
 """
 
 from __future__ import annotations
@@ -88,34 +88,6 @@ def decode_polygon(poly_mask: SegmentMask, w: int, h: int) -> np.ndarray:
     return out
 
 
-def decode_rle(rle_mask: SegmentMask) -> np.ndarray:
-    """Decode column-major run lengths (first run is background) to a bool mask."""
-    if rle_mask.kind != "rle":
-        raise MaskDecodeError(f"expected RLE mask, got {rle_mask.kind!r}")
-    h, w = rle_mask.rle_size
-    counts = rle_mask.rle_counts
-    total = int(sum(counts))
-    if total != h * w:
-        raise MaskDecodeError(f"RLE runs sum to {total}, expected {h * w}")
-    values = np.arange(len(counts)) % 2 == 1
-    flat = np.repeat(values, counts)
-    return flat.reshape((w, h)).T
-
-
-def encode_rle(mask: np.ndarray) -> SegmentMask:
-    """Encode a bool mask to column-major run lengths starting with background."""
-    h, w = mask.shape
-    flat = np.asarray(mask, dtype=bool).T.reshape(-1)
-    if flat.size == 0:
-        raise MaskDecodeError("cannot encode an empty mask")
-    change = np.nonzero(flat[1:] != flat[:-1])[0] + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    counts = np.diff(bounds).tolist()
-    if flat[0]:
-        counts = [0] + counts
-    return SegmentMask(kind="rle", rle_size=(h, w), rle_counts=tuple(int(c) for c in counts))
-
-
 def extract_cutout(image: RasterImage, mask: np.ndarray, kind: str,
                    keypoints: Optional[tuple[Keypoint, ...]] = None) -> Cutout:
     """Crop the tight bounding region of the mask; alpha 255 on foreground."""
@@ -141,37 +113,34 @@ def extract_cutout(image: RasterImage, mask: np.ndarray, kind: str,
                   keypoints=local_kps)
 
 
-def scale_nearest(raster: RasterImage, dst_w: int, dst_h: int) -> RasterImage:
-    """Nearest-neighbor resize with floor rounding of the source index."""
-    if dst_w < 1 or dst_h < 1:
-        raise GeometryError(f"target size must be >= 1, got {dst_w}x{dst_h}")
-    src_x = (np.arange(dst_w) * raster.width) // dst_w
-    src_y = (np.arange(dst_h) * raster.height) // dst_h
-    return RasterImage(dst_w, dst_h, raster.pixels[np.ix_(src_y, src_x)])
-
-
 def composite_with_mask(target: RasterImage, cutout: Cutout, dst_x: int, dst_y: int,
                         dst_w: int, dst_h: int) -> tuple[RasterImage, np.ndarray]:
     """Paste a scaled cutout over the target; returns a new raster and the
     bool mask of painted pixels.
 
-    The cutout is scaled to (dst_w, dst_h), foreground pixels replace the
-    target, and anything falling outside the target is clipped.
+    The cutout is scaled to (dst_w, dst_h) at (dst_x, dst_y): target column
+    x takes source column ((x - dst_x) * width) // dst_w, and rows alike.
+    Foreground pixels replace the target. Only the window inside the target
+    is computed, in Python integers, so a paste of any size costs at most
+    the target's pixels.
     """
-    scaled = scale_nearest(cutout.raster, int(dst_w), int(dst_h))
+    dst_x, dst_y, dst_w, dst_h = int(dst_x), int(dst_y), int(dst_w), int(dst_h)
+    if dst_w < 1 or dst_h < 1:
+        raise GeometryError(f"target size must be >= 1, got {dst_w}x{dst_h}")
     out = target.copy()
     painted = np.zeros((target.height, target.width), dtype=bool)
 
-    tx0 = max(int(dst_x), 0)
-    ty0 = max(int(dst_y), 0)
-    tx1 = min(int(dst_x) + int(dst_w), target.width)
-    ty1 = min(int(dst_y) + int(dst_h), target.height)
+    tx0 = max(dst_x, 0)
+    ty0 = max(dst_y, 0)
+    tx1 = min(dst_x + dst_w, target.width)
+    ty1 = min(dst_y + dst_h, target.height)
     if tx0 >= tx1 or ty0 >= ty1:
         return out, painted
 
-    sx0 = tx0 - int(dst_x)
-    sy0 = ty0 - int(dst_y)
-    patch = scaled.pixels[sy0:sy0 + (ty1 - ty0), sx0:sx0 + (tx1 - tx0)]
+    src = cutout.raster
+    src_x = [((x - dst_x) * src.width) // dst_w for x in range(tx0, tx1)]
+    src_y = [((y - dst_y) * src.height) // dst_h for y in range(ty0, ty1)]
+    patch = src.pixels[np.ix_(src_y, src_x)]
     opaque = patch[:, :, 3] > 0
     region = out.pixels[ty0:ty1, tx0:tx1]
     region[opaque] = patch[opaque]
@@ -229,13 +198,3 @@ def read_pam(data: bytes) -> RasterImage:
         raise MaskDecodeError("truncated PAM payload")
     return RasterImage(w, h, px.reshape((h, w, 4)).copy())
 
-
-def read_depth_pam(data: bytes) -> np.ndarray:
-    fields, offset = _parse_pam_header(data)
-    w, h = fields["WIDTH"], fields["HEIGHT"]
-    if fields["DEPTH"] != 1 or fields["MAXVAL"] != 65535:
-        raise MaskDecodeError("expected a 16-bit grayscale PAM")
-    raw = np.frombuffer(data[offset:offset + w * h * 2], dtype=">u2")
-    if raw.size != w * h:
-        raise MaskDecodeError("truncated PAM payload")
-    return raw.reshape((h, w)).astype(np.float64) / 65535.0

@@ -59,61 +59,45 @@ for _k in range(14):
 BODY_WIDTH_FRAC = 0.62  # body-frame width as a fraction of person height
 
 
-@dataclass(frozen=True)
-class PoseTemplate:
-    name: str
-    keypoints: tuple[tuple[float, float], ...]  # 14 normalized (x, y) in [0, 1]^2
-    jitter: tuple[float, ...]                   # per-keypoint std, normalized
-
-    def __post_init__(self):
-        if len(self.keypoints) != 14 or len(self.jitter) != 14:
-            raise ConfigError(f"template {self.name!r} needs 14 keypoints")
-        for x, y in self.keypoints:
-            if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-                raise ConfigError(f"template {self.name!r} coordinates outside [0,1]^2")
-
-
-def _template(name, jitter, coords):
-    return PoseTemplate(name, tuple(coords), (jitter,) * 14)
-
-
+# Built-in pose templates, each a keypoint jitter std and 14 (x, y)
+# keypoints in [0, 1]^2, both in units of the person's body frame.
 # Keypoint order: l_sh, r_sh, l_elb, r_elb, l_wr, r_wr, l_hip, r_hip,
 # l_knee, r_knee, l_ank, r_ank, top_head, neck.
-BUILTIN_TEMPLATES = (
-    _template("standing", 0.012, [
+_TEMPLATES = (
+    (0.012, (  # standing
         (0.64, 0.22), (0.36, 0.22), (0.66, 0.38), (0.34, 0.38), (0.67, 0.53),
         (0.33, 0.53), (0.58, 0.52), (0.42, 0.52), (0.57, 0.74), (0.43, 0.74),
-        (0.57, 0.96), (0.43, 0.96), (0.50, 0.02), (0.50, 0.18)]),
-    _template("walking", 0.015, [
+        (0.57, 0.96), (0.43, 0.96), (0.50, 0.02), (0.50, 0.18))),
+    (0.015, (  # walking
         (0.63, 0.22), (0.37, 0.22), (0.70, 0.38), (0.29, 0.39), (0.76, 0.51),
         (0.22, 0.52), (0.57, 0.52), (0.43, 0.52), (0.64, 0.73), (0.38, 0.75),
-        (0.70, 0.95), (0.30, 0.96), (0.50, 0.02), (0.50, 0.18)]),
-    _template("sitting", 0.015, [
+        (0.70, 0.95), (0.30, 0.96), (0.50, 0.02), (0.50, 0.18))),
+    (0.015, (  # sitting
         (0.63, 0.28), (0.37, 0.28), (0.67, 0.44), (0.33, 0.44), (0.64, 0.58),
         (0.36, 0.58), (0.60, 0.58), (0.40, 0.58), (0.68, 0.64), (0.32, 0.64),
-        (0.66, 0.92), (0.34, 0.92), (0.50, 0.08), (0.50, 0.24)]),
-    _template("yoga", 0.020, [
+        (0.66, 0.92), (0.34, 0.92), (0.50, 0.08), (0.50, 0.24))),
+    (0.020, (  # yoga
         (0.61, 0.26), (0.39, 0.26), (0.66, 0.13), (0.34, 0.13), (0.57, 0.02),
         (0.43, 0.02), (0.57, 0.54), (0.43, 0.54), (0.56, 0.76), (0.30, 0.62),
-        (0.56, 0.97), (0.45, 0.56), (0.50, 0.06), (0.50, 0.22)]),
-    _template("pushup", 0.015, [
+        (0.56, 0.97), (0.45, 0.56), (0.50, 0.06), (0.50, 0.22))),
+    (0.015, (  # pushup
         (0.85, 0.68), (0.84, 0.64), (0.85, 0.82), (0.83, 0.80), (0.86, 0.96),
         (0.82, 0.94), (0.45, 0.62), (0.45, 0.58), (0.26, 0.66), (0.25, 0.62),
-        (0.05, 0.70), (0.04, 0.66), (0.96, 0.62), (0.88, 0.66)]),
-    _template("cheering", 0.018, [
+        (0.05, 0.70), (0.04, 0.66), (0.96, 0.62), (0.88, 0.66))),
+    (0.018, (  # cheering
         (0.63, 0.24), (0.37, 0.24), (0.74, 0.14), (0.26, 0.14), (0.84, 0.03),
         (0.16, 0.03), (0.58, 0.53), (0.42, 0.53), (0.62, 0.74), (0.38, 0.74),
-        (0.65, 0.96), (0.35, 0.96), (0.50, 0.04), (0.50, 0.20)]),
-    _template("fighting", 0.020, [
+        (0.65, 0.96), (0.35, 0.96), (0.50, 0.04), (0.50, 0.20))),
+    (0.020, (  # fighting
         (0.60, 0.26), (0.38, 0.28), (0.76, 0.27), (0.33, 0.40), (0.93, 0.25),
         (0.42, 0.30), (0.56, 0.54), (0.43, 0.55), (0.66, 0.73), (0.34, 0.78),
-        (0.72, 0.95), (0.25, 0.96), (0.49, 0.06), (0.49, 0.22)]),
+        (0.72, 0.95), (0.25, 0.96), (0.49, 0.06), (0.49, 0.22))),
 )
 
-# Per-template keypoints (7, 14, 2) and jitter (7, 14, 1), indexed by the
-# drawn template number when a layout is sampled.
-_TEMPLATE_BASE = np.array([t.keypoints for t in BUILTIN_TEMPLATES], dtype=np.float64)
-_TEMPLATE_JITTER = np.array([t.jitter for t in BUILTIN_TEMPLATES], dtype=np.float64)[:, :, None]
+# Per-template keypoints (7, 14, 2) and jitter (7, 1, 1), indexed by the
+# drawn template number when a person is drawn.
+_TEMPLATE_BASE = np.array([kps for _, kps in _TEMPLATES], dtype=np.float64)
+_TEMPLATE_JITTER = np.array([jitter for jitter, _ in _TEMPLATES])[:, None, None]
 
 
 # Upper bounds that keep one scene's arrays small: a raster side of 4096 px
@@ -173,8 +157,6 @@ class CorpusConfig:
 
 @dataclass
 class PersonLayout:
-    template: str
-    height: float
     z: float                 # larger = nearer to the camera
     radius: float
     keypoints: np.ndarray    # (14, 2) image px
@@ -205,8 +187,6 @@ class SceneLayout:
 
 class _Draws(NamedTuple):
     """One candidate scene's persons as drawn, before any PersonLayout."""
-    templates: list[int]
-    heights: list[float]
     zs: list[float]
     radii: np.ndarray      # (n,)
     keypoints: np.ndarray  # (n, 14, 2) image px
@@ -225,7 +205,7 @@ def _draw_persons(rng: np.random.Generator, cfg: SceneConfig, count: int,
     templates, heights, cxs, cys, zs = [], [], [], [], []
     noise = np.empty((count, 14, 2))
     for i in range(count):
-        templates.append(int(rng.integers(len(BUILTIN_TEMPLATES))))
+        templates.append(int(rng.integers(len(_TEMPLATES))))
         height = rng.uniform(*cfg.scale_range)
         if i > 0 and rng.random() < p_attach:
             j = int(rng.integers(i))
@@ -250,21 +230,13 @@ def _draw_persons(rng: np.random.Generator, cfg: SceneConfig, count: int,
     kps[:, :, 0] = np.array(cxs)[:, None] - w / 2.0 + local[:, :, 0] * w
     kps[:, :, 1] = np.array(cys)[:, None] - h / 2.0 + local[:, :, 1] * h
     radii = np.maximum(1.0, cfg.limb_radius_frac * h[:, 0])
-    return _Draws(templates, heights, zs, radii, kps)
+    return _Draws(zs, radii, kps)
 
 
 def _layout_of(cfg: SceneConfig, draws: _Draws) -> SceneLayout:
-    persons = [PersonLayout(template=BUILTIN_TEMPLATES[t].name, height=h, z=z,
-                            radius=r, keypoints=k)
-               for t, h, z, r, k in zip(draws.templates, draws.heights, draws.zs,
-                                        draws.radii.tolist(), draws.keypoints)]
+    persons = [PersonLayout(z=z, radius=r, keypoints=k)
+               for z, r, k in zip(draws.zs, draws.radii.tolist(), draws.keypoints)]
     return SceneLayout(cfg.image_w, cfg.image_h, persons)
-
-
-def _sample_layout(rng: np.random.Generator, cfg: SceneConfig, count: int,
-                   p_attach: float, sigma_attach: float) -> SceneLayout:
-    """A scene layout of `count` persons drawn by _draw_persons."""
-    return _layout_of(cfg, _draw_persons(rng, cfg, count, p_attach, sigma_attach))
 
 
 def _capsule_sq_dist(px, py, ax, ay, bx, by):

@@ -2,15 +2,20 @@
 
 Everything here is deliberately written as plain scalar Python (loops,
 math.*) with no calls into the package's numerical code paths, so a bug in
-the library cannot hide in its own oracle.
+the library cannot hide in its own oracle. The one exception is
+read_depth_pam, a reader that only tests need: it reuses the package's PAM
+header parser.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
+import numpy as np
+
 from crowdpose_kit.annotations import Visibility
+from crowdpose_kit.errors import MaskDecodeError
+from crowdpose_kit.masks import _parse_pam_header
 
 
 def point_in_polygon(px: float, py: float, poly) -> bool:
@@ -38,19 +43,6 @@ def rasterize_polygons(polys, w: int, h: int):
                     grid[y][x] = True
                     break
     return grid
-
-
-def rle_encode(mask) -> list[int]:
-    """Column-major run lengths starting with background (groupby-based)."""
-    h = len(mask)
-    w = len(mask[0]) if h else 0
-    flat = [bool(mask[y][x]) for x in range(w) for y in range(h)]
-    counts = []
-    for value, run in itertools.groupby(flat):
-        counts.append(sum(1 for _ in run))
-    if flat and flat[0]:
-        counts = [0] + counts
-    return counts
 
 
 def nearest_scale_rgba(pixels, src_w: int, src_h: int, dst_w: int, dst_h: int):
@@ -220,3 +212,17 @@ def scene_flags_reference(layout, skeleton_edges, edges_of_kp):
                 row.append(Visibility.VISIBLE)
         flags.append(row)
     return flags
+
+
+def read_depth_pam(data: bytes) -> np.ndarray:
+    """Depth map in [0, 1] from a 16-bit grayscale PAM; the reader that
+    write_depth_pam's output is checked against. It shares the package's
+    header parser."""
+    fields, offset = _parse_pam_header(data)
+    w, h = fields["WIDTH"], fields["HEIGHT"]
+    if fields["DEPTH"] != 1 or fields["MAXVAL"] != 65535:
+        raise MaskDecodeError("expected a 16-bit grayscale PAM")
+    raw = np.frombuffer(data[offset:offset + w * h * 2], dtype=">u2")
+    if raw.size != w * h:
+        raise MaskDecodeError("truncated PAM payload")
+    return raw.reshape((h, w)).astype(np.float64) / 65535.0

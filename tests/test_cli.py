@@ -328,10 +328,11 @@ def _convert(d, *extra):
             "--in", _write(d / "jta.json", doc), "--out", str(d / "c.json"), *extra]
 
 
-def _augment(d, inventory_index=None, image_pam=None, method="objects", box=None):
+def _augment(d, inventory_index=None, image_pam=None, method="objects", box=None,
+             doc=None):
     """augment over one 20x20 image; either input may be replaced by bytes,
-    and the person's box by another [x, y, w, h]."""
-    doc = _native_doc()
+    the document by another, and the person's box by another [x, y, w, h]."""
+    doc = _native_doc() if doc is None else doc
     if box is not None:
         doc["images"][0]["persons"][0]["bbox"] = box
     _write(d / "a.json", doc)
@@ -455,6 +456,30 @@ class TestExitCodes:
         assert run(*_augment(tmp_path)) == 0
         assert run(*_augment(tmp_path, method="none")) == 2
 
+    @pytest.mark.parametrize("method", ["objects", "full_and_objects", "body_parts"])
+    @pytest.mark.parametrize("box", [[0, 0, 1e300, 1], [0, 0, 1e5, 1e5],
+                                     [-1e5, -1e5, 2e5, 2e5]])
+    def test_augment_huge_box(self, tmp_path, method, box):
+        # built at full size, a 1e300-wide paste overflows numpy and a
+        # 1e5 x 1e5 one needs tens of GB: only the part inside the image is
+        argv = _augment(tmp_path, method=method, box=box)
+        AUG.save_inventory(tmp_path / "inv", AUG.CutoutInventory(
+            objects=[blob_cutout(np.random.default_rng(0), 6, 6)],
+            persons=[blob_cutout(np.random.default_rng(1), 8, 16, kind="full_body")]))
+        assert run(*argv) == 0
+        log = json.loads((tmp_path / "aug" / "augment_log.json").read_text())
+        assert log["a"]["placements"]
+
+    def test_augment_nonfinite_keypoint_keeps_its_flag(self, tmp_path):
+        doc = _native_doc()
+        keypoints = doc["images"][0]["persons"][0]["keypoints"]
+        for k, value in enumerate((math.nan, math.inf, -math.inf)):
+            keypoints[k][0] = value
+        assert run(*_augment(tmp_path, doc=doc)) == 0
+        out = json.loads((tmp_path / "aug" / "dataset.json").read_text())
+        flags = [row[2] for row in out["images"][0]["persons"][0]["keypoints"][:3]]
+        assert flags == ["visible"] * 3
+
     def test_unknown_subcommand_usage_error(self, capsys):
         assert run("frobnicate") == 2
 
@@ -534,3 +559,79 @@ class TestJsonInputFuzz:
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert err.getvalue().count("error:") == 1
+
+
+# The edges of the float range: NaN, the infinities, the largest and
+# smallest magnitudes, and negative zero.
+_EXTREME_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                                   5e-324, -0.0])
+
+
+def _hm_file(d):
+    return _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))
+
+
+# Float flags, each with a function of the work dir and the value as text
+# that returns the argv.
+_FLOAT_FLAGS = {
+    "--sigma": lambda d, v: ["heatmap", "encode", f"--sigma={v}", "--out", str(d / "hm"),
+                             "--in", _write(d / "a.json", _native_doc())],
+    "--threshold": lambda d, v: ["heatmap", "decode", f"--threshold={v}", "--in",
+                                 _hm_file(d), "--bbox", "0", "0", "10", "10"],
+    "--alpha": lambda d, v: ["losscheck", "--trials", "1", f"--alpha={v}"],
+    "--fd-step": lambda d, v: ["losscheck", "--trials", "1", f"--fd-step={v}"],
+    "--bbox X": lambda d, v: ["heatmap", "decode", "--in", _hm_file(d),
+                              "--bbox", v, "0", "10", "10"],
+    "--bbox W": lambda d, v: ["heatmap", "decode", "--in", _hm_file(d),
+                              "--bbox", "0", "0", v, "10"],
+}
+
+# Every command that reads a native document, given the work dir and the
+# document's path.
+_DOC_COMMANDS = {
+    "validate": lambda d, doc: ["validate", "--in", doc],
+    "analyze": lambda d, doc: ["analyze", "--in", doc],
+    "heatmap encode": lambda d, doc: ["heatmap", "encode", "--in", doc,
+                                      "--out", str(d / "hm")],
+    "eval": lambda d, doc: ["eval", "--gt", doc, "--pred", doc],
+    "convert": lambda d, doc: ["convert", "--from", "native", "--to", "native",
+                               "--in", doc, "--out", str(d / "c.json")],
+}
+
+# Float fields of the native document's person entry, as key paths.
+_DOC_FIELDS = ([("bbox", i) for i in range(4)] + [("score",)]
+               + [("keypoints", k, j) for k in range(14) for j in range(2)])
+
+
+def _fuzzed_doc(path, value) -> dict:
+    doc = _native_doc()
+    node = doc["images"][0]["persons"][0]
+    node["score"] = 0.9
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestFloatFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(sorted(_FLOAT_FLAGS) + sorted(_DOC_COMMANDS)
+                                  + ["augment"]),
+           field=st.sampled_from(_DOC_FIELDS), value=_EXTREME_FLOATS)
+    def test_extreme_floats_exit_cleanly(self, tmp_path, target, field, value):
+        if target in _FLOAT_FLAGS:
+            argv = _FLOAT_FLAGS[target](tmp_path, repr(value))
+        elif target == "augment":
+            argv = _augment(tmp_path, doc=_fuzzed_doc(field, value))
+        else:
+            doc = _write(tmp_path / "doc.json", _fuzzed_doc(field, value))
+            argv = _DOC_COMMANDS[target](tmp_path, doc)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = dispatch(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if "PASS" in out.getvalue():
+            error = float(out.getvalue().split("=")[1].split()[0])
+            assert math.isfinite(error) and error < 1e-5

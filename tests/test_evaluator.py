@@ -122,8 +122,6 @@ class TestOks:
 
     def test_thresholds_validated(self):
         with pytest.raises(ProtocolError):
-            E.OksConfig(sigmas=(0.1,), thresholds=(0.9, 0.5))
-        with pytest.raises(ProtocolError):
             E.OksConfig(sigmas=(0.0,))
 
 
@@ -131,8 +129,8 @@ def person(box, pose, score=None):
     return PersonInstance(bbox=box, pose=pose, score=score)
 
 
-def crowd_cfg(**kw):
-    return E.OksConfig.for_schema_count(14, **kw)
+def crowd_cfg():
+    return E.OksConfig.for_schema_count(14)
 
 
 class TestMatchGreedy:
@@ -336,7 +334,7 @@ class TestEvalByCrowding:
         for gt_img, pred_img in zip(gt.images, pred.images):
             matchable = sum(1 for g in gt_img.persons
                             if any(k.labeled for k in g.pose.keypoints))
-            for t in cfg.thresholds:
+            for t in E.DEFAULT_THRESHOLDS:
                 ref = oracles.match_greedy_reference(pred_img.persons, gt_img.persons,
                                                      t, cfg.sigmas)
                 expected.append({"image_id": gt_img.id,

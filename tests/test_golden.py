@@ -103,7 +103,7 @@ def _predictions(dataset: anno.Dataset, rng) -> anno.Dataset:
     return anno.Dataset(schema=dataset.schema, images=tuple(images), meta={})
 
 
-def _decode(corpus, d, *extra):
+def _decode(corpus, *extra):
     """Decode the first three dumps of the corpus at their own boxes."""
     _, hm = corpus
     index = json.loads((hm / "heatmaps.json").read_text())
@@ -127,15 +127,15 @@ def _coco(corpus, d, seed):
     return _write(d / "coco.json", _coco_doc(dataset, np.random.default_rng(seed)))
 
 
-# "command/variant" -> builder(corpus, work dir, seed) of the argv lists to run
+# "command/variant" -> function(corpus, work dir, seed) giving the argv lists
 CASES = {
     "heatmap_encode/default": lambda c, d, s: [[
         "heatmap", "encode", "--in", str(c[0]), "--out", str(d / "out" / "hm")]],
     "heatmap_encode/sigma_3": lambda c, d, s: [[
         "heatmap", "encode", "--sigma", "3", "--in", str(c[0]),
         "--out", str(d / "out" / "hm")]],
-    "heatmap_decode/default": lambda c, d, s: _decode(c, d),
-    "heatmap_decode/threshold_0.9": lambda c, d, s: _decode(c, d, "--threshold", "0.9"),
+    "heatmap_decode/default": lambda c, d, s: _decode(c),
+    "heatmap_decode/threshold_0.9": lambda c, d, s: _decode(c, "--threshold", "0.9"),
     "losscheck/default": lambda c, d, s: [["losscheck", "--trials", "2", "--seed", str(s)]],
     "losscheck/alpha_3": lambda c, d, s: [[
         "losscheck", "--trials", "2", "--alpha", "3", "--seed", str(s)]],
@@ -153,7 +153,7 @@ CASES = {
     "convert/coco": lambda c, d, s: [[
         "convert", "--from", "coco", "--to", "native", "--in", _coco(c, d, s),
         "--out", str(d / "out" / "native.json")]],
-    "eval/csv": lambda c, d, s: _eval(c, d, s),
+    "eval/csv": _eval,
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crowdpose_kit import heatmaps as H
-from crowdpose_kit.annotations import CROWDPOSE_SCHEMA, BBox, Visibility
+from crowdpose_kit.annotations import BBox, Visibility
 from crowdpose_kit.errors import DimensionError
 
 from conftest import make_pose, rand_pose
@@ -127,6 +127,7 @@ class TestDecode:
         assert (result.confidences == 0.0).all()
         assert result.low_confidence.all()
         assert all(b is Visibility.VISIBLE for b in result.branches)  # tie rule
+        assert result.pose.schema.name == "decoded_14"
 
     def test_occluded_branch_label(self):
         pair, _ = H.encode(pose_at_cells([(7, 9)] * 14, vis=Visibility.OCCLUDED),
@@ -154,20 +155,14 @@ class TestDecode:
         assert result.low_confidence.all()
         assert len(result.pose.keypoints) == 14
 
-    def test_schema_passthrough(self):
-        pair = H.HeatmapPair.zeros(14)
-        result = H.decode(pair, crop_for_scale_2(), schema=CROWDPOSE_SCHEMA)
-        assert result.pose.schema is CROWDPOSE_SCHEMA
-
-    def test_refinement_can_be_disabled(self):
+    def test_refinement_shifts_a_quarter_cell(self):
         t = crop_for_scale_2()
-        # peak off the cell center so the quarter shift would move it
+        # peak at cell (11.3, 23.3): argmax (11, 23), larger neighbors at +1
         pose = make_pose([(2 * 11 + 0.6, 2 * 23 + 0.6)] * 14)
         pair, _ = H.encode(pose, t)
-        raw = H.decode(pair, t, refine=False)
-        refined = H.decode(pair, t, refine=True)
-        assert raw.pose.keypoints[0].x == 2 * 11.0  # exact cell coordinate
-        assert refined.pose.keypoints[0].x != raw.pose.keypoints[0].x
+        result = H.decode(pair, t)
+        # cell (11.25, 23.25) is image (22.5, 46.5)
+        assert [(k.x, k.y) for k in result.pose.keypoints] == [(22.5, 46.5)] * 14
 
 
 class TestDumpFormat:

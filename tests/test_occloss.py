@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from crowdpose_kit import occloss as L
-from crowdpose_kit.errors import (DimensionError, DivergenceError,
-                                  NonDifferentiableError)
+from crowdpose_kit.errors import DimensionError, DivergenceError
 from crowdpose_kit.heatmaps import Heatmap, HeatmapPair
 from crowdpose_kit.seeding import substream
 
@@ -21,8 +20,8 @@ def rand_pair(seed):
                        Heatmap(rng.standard_normal((K, HH, WW))))
 
 
-def cfg(alpha=1.5, mode=L.MODE_MSE):
-    return L.LossConfig(alpha=alpha, norm_mode=mode, n=K)
+def cfg(alpha=1.5):
+    return L.LossConfig(alpha=alpha, n=K)
 
 
 class TestLossValue:
@@ -75,13 +74,6 @@ class TestLossValue:
         assert sv.total == pytest.approx(
             (v.visible_term * alpha + v.occluded_term) / K, rel=1e-12)
 
-    def test_l2norm_mode(self):
-        p, g = rand_pair(8), rand_pair(9)
-        v = L.loss(p, g, cfg(mode=L.MODE_L2NORM))
-        diff = p.visible.values - g.visible.values
-        expected_vis = np.sqrt((diff ** 2).sum(axis=(1, 2))).sum()
-        assert v.visible_term == pytest.approx(expected_vis, rel=1e-12)
-
     def test_wrong_branch_penalized(self):
         # ground truth peak in visible branch; prediction puts it in occluded
         g = zeros()
@@ -132,30 +124,6 @@ class TestGradient:
         with pytest.raises(DimensionError):
             L.grad_check(cfg(), trials=0)
 
-    def test_l2_gradient_matches_fd(self):
-        p, g = rand_pair(11), rand_pair(12)
-        c = cfg(mode=L.MODE_L2NORM)
-        grad = L.loss_grad(p, g, c)
-        step = 1e-6
-        rng = substream(13, "cells")
-        for _ in range(40):
-            k = int(rng.integers(K))
-            r = int(rng.integers(HH))
-            w = int(rng.integers(WW))
-            orig = p.visible.values[k, r, w]
-            p.visible.values[k, r, w] = orig + step
-            up = L.loss(p, g, c).total
-            p.visible.values[k, r, w] = orig - step
-            down = L.loss(p, g, c).total
-            p.visible.values[k, r, w] = orig
-            fd = (up - down) / (2 * step)
-            assert grad.visible.values[k, r, w] == pytest.approx(fd, abs=1e-6)
-
-    def test_l2_zero_residual_not_differentiable(self):
-        g = rand_pair(14)
-        with pytest.raises(NonDifferentiableError):
-            L.loss_grad(g, g, cfg(mode=L.MODE_L2NORM))
-
 
 class TestFitDirect:
     def test_init_at_optimum_stays(self):
@@ -184,8 +152,3 @@ class TestFitDirect:
                             Heatmap(init.occluded.values[:2]))
         with pytest.raises(DivergenceError):
             L.fit_direct(g, init2, c, lr=50.0 * L.stable_lr(c, 16, 12), steps=400)
-
-    def test_requires_mse(self):
-        g = rand_pair(18)
-        with pytest.raises(NonDifferentiableError):
-            L.fit_direct(g, g, cfg(mode=L.MODE_L2NORM), lr=0.1, steps=1)

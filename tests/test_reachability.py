@@ -1,0 +1,69 @@
+"""Every top-level name of the package is used by the package itself.
+
+A function, class or public constant that only tests call is weight: it is
+parsed, documented and tested, but no command reaches it. Names that an
+outside caller needs are listed in KEPT with that caller.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import crowdpose_kit
+
+SRC = Path(crowdpose_kit.__file__).parent
+ROOT = SRC.parent.parent
+
+# name -> the caller outside src/ that keeps it
+KEPT = {
+    "save_inventory": "bench/inputs.py",
+    "extract_cutout": "bench/inputs.py",
+    "decode_polygon": "bench/inputs.py",
+    "match_greedy": "tests/test_acceptance.py::test_criterion_7_evaluator_sanity",
+    "fit_direct": "tests/test_acceptance.py::test_criterion_3_direct_fit_convergence",
+    "stable_lr": "tests/test_acceptance.py::test_criterion_3_direct_fit_convergence",
+}
+
+_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets
+                      if isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id)]
+    return names
+
+
+def _uses(tree: ast.Module) -> Counter:
+    """Names read, attributes read and names imported."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            uses.update(alias.name for alias in node.names)
+    return uses
+
+
+def test_every_top_level_name_is_used_in_the_package():
+    defined = {}
+    uses = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in _definitions(tree):
+            defined[name] = path.name
+        uses += _uses(tree)
+    unused = sorted(f"{defined[name]}:{name}" for name in defined
+                    if not uses[name] and name not in KEPT)
+    assert not unused, f"defined but never used in src/: {unused}"
+    for name, caller in KEPT.items():
+        assert name in defined and not uses[name], f"{name} needs no KEPT entry"
+        assert name in (ROOT / caller.partition("::")[0]).read_text(encoding="utf-8")

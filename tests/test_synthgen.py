@@ -20,13 +20,13 @@ def small_cfg(**kw):
     return S.SceneConfig(**defaults)
 
 
-def person_layout(keypoints, z, height=60.0, radius=3.0, template="standing"):
-    return S.PersonLayout(template=template, height=height, z=z, radius=radius,
+def person_layout(keypoints, z, radius=3.0):
+    return S.PersonLayout(z=z, radius=radius,
                           keypoints=np.asarray(keypoints, dtype=np.float64))
 
 
 def sample_layout(rng, cfg, count, p_attach=0.35, sigma_attach=0.5):
-    return S._sample_layout(rng, cfg, count, p_attach, sigma_attach)
+    return S._layout_of(cfg, S._draw_persons(rng, cfg, count, p_attach, sigma_attach))
 
 
 def corpus(corpus_cfg):
@@ -34,7 +34,7 @@ def corpus(corpus_cfg):
 
 
 def standing_keypoints(cx, cy, height=60.0):
-    base = np.asarray(S.BUILTIN_TEMPLATES[0].keypoints, dtype=np.float64)
+    base = S._TEMPLATE_BASE[0]  # standing
     width = S.BODY_WIDTH_FRAC * height
     out = np.empty((14, 2))
     out[:, 0] = cx - width / 2 + base[:, 0] * width
@@ -62,7 +62,7 @@ class TestSceneFlags:
         far = person_layout(standing_keypoints(60, 60), z=0.1)
         hips = standing_keypoints(60, 60)[6]  # left hip pixel of the far person
         near_kps = standing_keypoints(hips[0], hips[1], height=40.0)
-        near = person_layout(near_kps, z=0.8, height=40.0, radius=2.4)
+        near = person_layout(near_kps, z=0.8, radius=2.4)
         layout = S.SceneLayout(160, 120, [far, near])
         flags = S._layout_flags(layout)
         assert flags[0][6] is Visibility.OCCLUDED
@@ -228,12 +228,6 @@ class TestSceneConfigValidation:
                    {"person_count_range": (1, S.MAX_PERSONS + 1)}):
             with pytest.raises(ConfigError):
                 S.SceneConfig(**kw)
-
-    def test_template_validation(self):
-        with pytest.raises(ConfigError):
-            S.PoseTemplate("bad", tuple([(0.5, 1.5)] * 14), (0.0,) * 14)
-        with pytest.raises(ConfigError):
-            S.PoseTemplate("short", tuple([(0.5, 0.5)] * 5), (0.0,) * 5)
 
 
 class TestCorpus:
