@@ -25,6 +25,11 @@ class Visibility(str, enum.Enum):
     UNLABELED = "unlabeled"
 
 
+# Visibility by its tag string; parsers look tags up here rather than
+# calling Visibility(tag) once per keypoint.
+VISIBILITY_BY_TAG = {v.value: v for v in Visibility}
+
+
 # COCO keypoint visibility codes. Code 1 ("labeled but not visible") maps
 # to OCCLUDED, the closest semantic match to JTA's occluded flag.
 COCO_VISIBILITY = {2: Visibility.VISIBLE, 1: Visibility.OCCLUDED, 0: Visibility.UNLABELED}
@@ -352,10 +357,14 @@ def _parse_native(doc) -> Dataset:
     for img in doc["images"]:
         persons = []
         for p in img["persons"]:
-            kps = tuple(
-                Keypoint(float(x), float(y), Visibility(v)) for x, y, v in p["keypoints"]
-            )
-            bx, by, bw, bh = (float(v) for v in p["bbox"])
+            rows = p["keypoints"]
+            try:
+                kps = tuple([Keypoint(float(x), float(y), VISIBILITY_BY_TAG[v])
+                             for x, y, v in rows])
+            except KeyError as exc:  # rows is bound, so only a tag can be missing
+                raise ParseError(f"unknown keypoint visibility tag {exc.args[0]!r}; "
+                                 f"expected one of {sorted(VISIBILITY_BY_TAG)}") from exc
+            bx, by, bw, bh = map(float, p["bbox"])
             persons.append(PersonInstance(
                 bbox=BBox(bx, by, bw, bh),
                 pose=Pose(schema, kps),

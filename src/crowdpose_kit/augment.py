@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .annotations import BBox, ImageRecord, Keypoint, Visibility
+from .annotations import VISIBILITY_BY_TAG, BBox, ImageRecord, Keypoint, Visibility
 from .errors import ConfigError, GeometryError, InventoryError
 from .masks import (CUTOUT_BODY_PART, CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                     RasterImage, composite_with_mask, read_pam, write_pam)
@@ -317,8 +317,8 @@ def load_inventory(directory: Path) -> CutoutInventory:
                 raster = read_pam((directory / entry["pam"]).read_bytes())
                 kps = None
                 if entry.get("keypoints") is not None:
-                    kps = tuple(Keypoint(float(x), float(y), Visibility(v))
-                                for x, y, v in entry["keypoints"])
+                    kps = tuple([Keypoint(float(x), float(y), VISIBILITY_BY_TAG[v])
+                                 for x, y, v in entry["keypoints"]])
                 bx, by, bw, bh = entry["src_bbox"]
                 target.append(Cutout(raster=raster, src_bbox=BBox(bx, by, bw, bh),
                                      kind=entry["kind"], keypoints=kps))

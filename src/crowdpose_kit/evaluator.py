@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .annotations import Dataset, PersonInstance, Visibility
-from .crowd_metrics import LEVELS, crowd_index, partition
+from .crowd_metrics import LEVELS, crowd_index_arrays, partition
 from .errors import AlignmentError, ProtocolError, UndefinedMetricError
 
 DEFAULT_SIGMA_VALUE = 0.079
@@ -49,11 +49,31 @@ def _pose_arrays(persons: Sequence[PersonInstance],
         if len(p.pose.keypoints) != count:
             raise ProtocolError(f"pose has {len(p.pose.keypoints)} keypoints, "
                                 f"the OKS sigmas cover {count}")
-    xy = np.array([[(k.x, k.y) for k in p.pose.keypoints] for p in persons],
+    # flat lists convert faster than nested ones
+    xy = np.array([c for p in persons for k in p.pose.keypoints for c in (k.x, k.y)],
                   dtype=np.float64).reshape(len(persons), count, 2)
-    labeled = np.array([[k.vis is not Visibility.UNLABELED for k in p.pose.keypoints]
-                        for p in persons], dtype=bool).reshape(len(persons), count)
+    labeled = np.array([k.vis is not Visibility.UNLABELED
+                        for p in persons for k in p.pose.keypoints],
+                       dtype=bool).reshape(len(persons), count)
     return xy, labeled
+
+
+def _oks_arrays(pred_xy: np.ndarray, gt_xy: np.ndarray, labeled: np.ndarray,
+                scale: np.ndarray, sigmas: Sequence[float]) -> np.ndarray:
+    """oks_matrix on arrays: (P, K, 2) and (G, K, 2) coordinates, the gts'
+    (G, K) labeled mask and (G,) box areas."""
+    k = 2.0 * np.asarray(sigmas, dtype=np.float64)
+    total = np.zeros((len(pred_xy), len(gt_xy)))
+    # dividing by zero (no labeled keypoint, or a zero-area gt) gives NaN
+    # or 0, and neither ever matches; an infinite or huge coordinate gives
+    # an infinite or NaN distance, which never matches either
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diff = pred_xy[:, None, :, :] - gt_xy[None, :, :, :]       # (P, G, K, 2)
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2                  # (P, G, K)
+        terms = np.where(labeled, np.exp(-d2 / (2.0 * scale[None, :, None] * k * k)), 0.0)
+        for i in range(len(k)):
+            total += terms[:, :, i]
+        return total / labeled.sum(axis=1)
 
 
 def oks_matrix(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
@@ -69,17 +89,7 @@ def oks_matrix(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
     pred_xy, _ = _pose_arrays(preds, count)
     gt_xy, labeled = _pose_arrays(gts, count)
     scale = np.array([g.bbox.area for g in gts], dtype=np.float64)
-    k = 2.0 * np.asarray(cfg.sigmas, dtype=np.float64)
-    diff = pred_xy[:, None, :, :] - gt_xy[None, :, :, :]       # (P, G, K, 2)
-    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2                  # (P, G, K)
-    total = np.zeros((len(preds), len(gts)))
-    # dividing by zero (no labeled keypoint, or a zero-area gt) gives NaN
-    # or 0, and neither ever matches
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.exp(-d2 / (2.0 * scale[None, :, None] * k * k))
-        for i in range(count):
-            total += np.where(labeled[:, i], terms[:, :, i], 0.0)
-        return total / labeled.sum(axis=1)
+    return _oks_arrays(pred_xy, gt_xy, labeled, scale, cfg.sigmas)
 
 
 def _score_order(preds: Sequence[PersonInstance]) -> list[int]:
@@ -134,15 +144,16 @@ class ImageMatches:
     gt_count: int  # matchable ground truths
 
 
+_RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+
+
 def average_precision(per_image: Sequence[ImageMatches]) -> float:
     """101-point interpolated AP over one threshold's dataset-wide matches."""
     total_gt = sum(m.gt_count for m in per_image)
     if total_gt == 0:
         raise UndefinedMetricError("AP undefined without ground-truth instances")
-    rows = []
-    for m in per_image:
-        for idx, (score, hit) in enumerate(zip(m.scores, m.matched)):
-            rows.append((-score, m.image_id, idx, hit))
+    rows = [(-score, m.image_id, idx, hit) for m in per_image
+            for idx, (score, hit) in enumerate(zip(m.scores, m.matched))]
     rows.sort()
     if not rows:
         return 0.0
@@ -151,14 +162,14 @@ def average_precision(per_image: Sequence[ImageMatches]) -> float:
     fp = np.cumsum(1.0 - hits)
     recall = tp / total_gt
     precision = tp / (tp + fp)
-    # precision envelope, then sample at 101 recall points
-    for i in range(precision.size - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
+    # precision envelope, sampled at the 101 recall points; a point past the
+    # last recall adds nothing
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, _RECALL_POINTS, side="left")
+    # a running sum in recall order: np.sum's pairwise order rounds differently
     out = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        idx = np.searchsorted(recall, r, side="left")
-        if idx < precision.size:
-            out += precision[idx]
+    for p in envelope[idx[idx < envelope.size]].tolist():
+        out += p
     return out / 101.0
 
 
@@ -218,14 +229,20 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
     for img_id in image_ids:
         gts = gt_by_id[img_id].persons
         preds = pred_by_id[img_id].persons
+        order = _score_order(preds)
+        pred_xy, _ = _pose_arrays(preds, count)
+        # one set of gt arrays feeds both the CrowdIndex and the OKS
+        gt_xy, labeled = _pose_arrays(gts, count)
+        boxes = np.array([(g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h) for g in gts],
+                         dtype=np.float64).reshape(len(gts), 4)
         if gts:
-            level = partition(crowd_index(gt_by_id[img_id]))
+            level = partition(crowd_index_arrays(
+                boxes, gt_xy[labeled], np.nonzero(labeled)[0], image_id=img_id))
             levels[level].append(img_id)
             instance_counts[level] += len(gts)
-        order = _score_order(preds)
-        oks = oks_matrix(preds, gts, cfg)
+        oks = _oks_arrays(pred_xy, gt_xy, labeled, boxes[:, 2] * boxes[:, 3], cfg.sigmas)
         scores = [p.score for p in preds]
-        gt_count = sum(1 for g in gts if any(k.labeled for k in g.pose.keypoints))
+        gt_count = int(labeled.any(axis=1).sum())
         for t in DEFAULT_THRESHOLDS:
             assigned = _match_rows(oks, order, t)
             matches[t][img_id] = ImageMatches(

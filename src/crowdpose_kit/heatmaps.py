@@ -146,16 +146,20 @@ def encode(pose: Pose, transform: CropTransform,
     k = len(pose.keypoints)
     pair = HeatmapPair.zeros(k)
     in_bounds = np.zeros(k, dtype=bool)
-    for i, kp in enumerate(pose.keypoints):
-        if kp.vis is Visibility.UNLABELED:
-            continue
-        crop_xy = transform.apply([[kp.x, kp.y]])[0]
-        hx, hy = crop_xy[0] / STRIDE, crop_xy[1] / STRIDE
-        if not (0.0 <= hx <= HEATMAP_W - 1 and 0.0 <= hy <= HEATMAP_H - 1):
-            continue
-        in_bounds[i] = True
-        branch = pair.visible if kp.vis in _VISIBLE_BRANCH_TAGS else pair.occluded
-        _write_gaussian(branch.values[i], hx, hy, sigma)
+    # a huge finite coordinate transforms to infinity, outside the grid
+    with np.errstate(over="ignore"):
+        for i, kp in enumerate(pose.keypoints):
+            # a non-finite coordinate can never land in the grid
+            if kp.vis is Visibility.UNLABELED or not (math.isfinite(kp.x) and
+                                                      math.isfinite(kp.y)):
+                continue
+            crop_xy = transform.apply([[kp.x, kp.y]])[0]
+            hx, hy = crop_xy[0] / STRIDE, crop_xy[1] / STRIDE
+            if not (0.0 <= hx <= HEATMAP_W - 1 and 0.0 <= hy <= HEATMAP_H - 1):
+                continue
+            in_bounds[i] = True
+            branch = pair.visible if kp.vis in _VISIBLE_BRANCH_TAGS else pair.occluded
+            _write_gaussian(branch.values[i], hx, hy, sigma)
     return pair, in_bounds
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from crowdpose_kit.annotations import Visibility
-from crowdpose_kit.errors import MaskDecodeError
+from crowdpose_kit.errors import MaskDecodeError, UndefinedMetricError
 from crowdpose_kit.masks import _parse_pam_header
 
 
@@ -147,6 +147,35 @@ def match_greedy_reference(preds, gts, threshold: float, sigmas):
             used.add(gi)
             result[pi] = gi
     return result
+
+
+def average_precision_reference(per_image) -> float:
+    """The scalar 101-point AP that evaluator.average_precision replaced:
+    a sort over (-score, image id, index), a backward envelope loop, and
+    one searchsorted per recall point added in recall order."""
+    total_gt = sum(m.gt_count for m in per_image)
+    if total_gt == 0:
+        raise UndefinedMetricError("AP undefined without ground-truth instances")
+    rows = []
+    for m in per_image:
+        for idx, (score, hit) in enumerate(zip(m.scores, m.matched)):
+            rows.append((-score, m.image_id, idx, hit))
+    rows.sort()
+    if not rows:
+        return 0.0
+    hits = np.array([r[3] for r in rows], dtype=np.float64)
+    tp = np.cumsum(hits)
+    fp = np.cumsum(1.0 - hits)
+    recall = tp / total_gt
+    precision = tp / (tp + fp)
+    for i in range(precision.size - 2, -1, -1):
+        precision[i] = max(precision[i], precision[i + 1])
+    out = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        idx = np.searchsorted(recall, r, side="left")
+        if idx < precision.size:
+            out += precision[idx]
+    return out / 101.0
 
 
 def _seg_cover_sq(px: float, py: float, ax: float, ay: float,

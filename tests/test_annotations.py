@@ -157,6 +157,16 @@ class TestNativeRoundtrip:
         assert anno.parse_dataset(again, "native").images[0].persons[0].pose \
             .keypoints[0].x == ds.images[0].persons[0].pose.keypoints[0].x
 
+    def test_unknown_visibility_tag_is_named(self, rng):
+        from conftest import rand_record
+        ds = Dataset(schema=CROWDPOSE_SCHEMA, images=(rand_record(rng),), meta={})
+        doc = json.loads(anno.serialize_dataset(ds))
+        doc["images"][0]["persons"][0]["keypoints"][3][2] = "bogus"
+        with pytest.raises(ParseError) as err:
+            anno.parse_dataset(json.dumps(doc).encode(), "native")
+        assert "'bogus'" in str(err.value)
+        assert all(repr(v.value) in str(err.value) for v in Visibility)
+
     def test_format_tag_required(self):
         with pytest.raises(ParseError):
             anno.parse_dataset(b'{"format": "other", "schema": {}, "images": []}',

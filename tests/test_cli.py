@@ -5,11 +5,12 @@ import io
 import json
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crowdpose_kit import annotations as anno
@@ -299,6 +300,11 @@ def _short_keypoint_row(doc):
     return doc
 
 
+def _bogus_visibility(doc):
+    doc["images"][0]["persons"][0]["keypoints"][0][2] = "bogus"
+    return doc
+
+
 def _write(path, payload) -> str:
     """Write bytes or str as is and anything else as JSON; returns the path."""
     if isinstance(payload, bytes):
@@ -353,6 +359,8 @@ BAD_INPUTS = {
         "analyze", "--in", _write(d / "a.json", _without_persons(_native_doc()))], 1),
     "keypoint_row_xy": (lambda d: [
         "analyze", "--in", _write(d / "a.json", _short_keypoint_row(_native_doc()))], 1),
+    "native_visibility_bogus": (lambda d: [
+        "analyze", "--in", _write(d / "a.json", _bogus_visibility(_native_doc()))], 1),
     "gen_config_bad_json": (lambda d: _gen(
         d, "--config", _write(d / "c.json", "{not json")), 1),
     "gen_config_unknown_key": (lambda d: _gen(
@@ -614,6 +622,10 @@ def _fuzzed_doc(path, value) -> dict:
 
 
 class TestFloatFuzz:
+    # an infinite or huge keypoint once printed numpy warnings from both
+    @example(target="heatmap encode", field=("keypoints", 0, 0), value=math.inf)
+    @example(target="heatmap encode", field=("keypoints", 0, 1), value=1e308)
+    @example(target="eval", field=("keypoints", 0, 0), value=-math.inf)
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(target=st.sampled_from(sorted(_FLOAT_FLAGS) + sorted(_DOC_COMMANDS)
@@ -628,10 +640,15 @@ class TestFloatFuzz:
             doc = _write(tmp_path / "doc.json", _fuzzed_doc(field, value))
             argv = _DOC_COMMANDS[target](tmp_path, doc)
         err, out = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = dispatch(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        # a successful run prints no numpy warning lines
+        if code == 0:
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if "PASS" in out.getvalue():
             error = float(out.getvalue().split("=")[1].split()[0])
             assert math.isfinite(error) and error < 1e-5

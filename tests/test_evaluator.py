@@ -211,6 +211,27 @@ class TestAveragePrecision:
         without = [matches("a", [(0.9, True), (0.7, True)], 2)]
         assert E.average_precision(without) >= E.average_precision(with_fp)
 
+    @settings(max_examples=300, deadline=None)
+    @given(images=st.lists(st.tuples(
+        # few distinct scores, so ties within and across images are common
+        st.lists(st.tuples(st.sampled_from([0.2, 0.5, 0.5000000000000001, 0.9])
+                           | st.floats(0.0, 1.0), st.booleans()), max_size=12),
+        st.integers(0, 4)), min_size=1, max_size=6),
+        hits=st.sampled_from([None, True, False]))
+    def test_equals_scalar_reference_exactly(self, images, hits):
+        per_image = []
+        for j, (rows, extra_gts) in enumerate(images):
+            if hits is not None:
+                rows = [(score, hits) for score, _ in rows]
+            per_image.append(matches(f"i{j}", rows, sum(h for _, h in rows) + extra_gts))
+        try:
+            expected = oracles.average_precision_reference(per_image)
+        except UndefinedMetricError:
+            with pytest.raises(UndefinedMetricError):
+                E.average_precision(per_image)
+            return
+        assert E.average_precision(per_image) == expected
+
 
 def two_level_datasets(rng, images=40, jitter=0.0):
     """Ground truth and prediction datasets spanning easy and hard images."""

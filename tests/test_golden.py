@@ -122,6 +122,41 @@ def _eval(corpus, d, seed):
              str(d / "out" / "report.json"), "--csv", str(d / "out" / "report.csv")]]
 
 
+def _edge_gt(dataset: anno.Dataset) -> anno.Dataset:
+    """The corpus with one extra gt person per image: every third image gets
+    one without labeled keypoints (no OKS, a NaN column), the next one whose
+    box holds none of its own keypoints (CrowdIndex ratio 0 with a warning)."""
+    unlabeled = anno.Keypoint(0.0, 0.0, anno.Visibility.UNLABELED)
+    images = []
+    for i, img in enumerate(dataset.images):
+        persons = img.persons
+        if persons and i % 3 == 0:
+            p = persons[0]
+            persons += (replace(p, pose=replace(
+                p.pose, keypoints=(unlabeled,) * len(p.pose.keypoints))),)
+        elif persons and i % 3 == 1:
+            p = persons[0]
+            persons += (replace(p, bbox=replace(p.bbox, x=float(img.width) + 50.0)),)
+        images.append(replace(img, persons=persons))
+    return replace(dataset, images=tuple(images))
+
+
+def _eval_edge(corpus, d, seed):
+    """eval on _edge_gt with prediction scores rounded to one decimal, so
+    scores tie within and across images."""
+    dataset = _edge_gt(anno.parse_dataset(corpus[0].read_bytes(), "native"))
+    pred = _predictions(dataset, np.random.default_rng(seed))
+    pred = replace(pred, images=tuple(
+        replace(img, persons=tuple(replace(p, score=round(p.score, 1))
+                                   for p in img.persons))
+        for img in pred.images))
+    gt, pred_path = d / "gt.json", d / "pred.json"
+    gt.write_bytes(anno.serialize_dataset(dataset))
+    pred_path.write_bytes(anno.serialize_dataset(pred))
+    return [["eval", "--gt", str(gt), "--pred", str(pred_path), "--out",
+             str(d / "out" / "report.json"), "--csv", str(d / "out" / "report.csv")]]
+
+
 def _coco(corpus, d, seed):
     dataset = anno.parse_dataset(corpus[0].read_bytes(), "native")
     return _write(d / "coco.json", _coco_doc(dataset, np.random.default_rng(seed)))
@@ -154,6 +189,7 @@ CASES = {
         "convert", "--from", "coco", "--to", "native", "--in", _coco(c, d, s),
         "--out", str(d / "out" / "native.json")]],
     "eval/csv": _eval,
+    "eval/edge": _eval_edge,
 }
 
 
