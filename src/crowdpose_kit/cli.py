@@ -7,15 +7,15 @@ place that maps failures to exit codes: 0 success, 1 domain error
 (`CrowdKitError` or a missing input file), 2 usage error (argparse, which
 also rejects `heatmap encode` without `--out` and `heatmap decode` without
 `--bbox`). Diagnostics go to stderr; data goes to files or stdout only.
-The --jobs flag of `gen` and `augment` controls data-parallel width
-without changing any output byte; `eval` runs in one process and accepts
---jobs only for compatibility.
+`gen --jobs` fans rasterization out over processes without changing any
+output byte; it is the only command that does. `augment` and `eval` run in
+one process and accept --jobs only for compatibility, because a process
+pool made each of them slower (README gives the measurements).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -160,18 +160,11 @@ def _cmd_analyze(args):
     return [args.infile]
 
 
-@functools.lru_cache(maxsize=4)
-def _inventory_cached(directory: str) -> aug.CutoutInventory:
-    return aug.load_inventory(Path(directory))
-
-
-def _augment_one(images_dir: str, inventory_dir: str, seed: int,
+def _augment_one(images_dir: str, inventory: aug.CutoutInventory, seed: int,
                  config: aug.AugmentConfig, record: anno.ImageRecord):
     raster = masks.read_pam((Path(images_dir) / f"{record.id}.pam").read_bytes())
-    inventory = _inventory_cached(inventory_dir)
     if not record.persons:
-        return record.id, masks.write_pam(raster), record, {"placements": [],
-                                                            "flag_changes": []}
+        return masks.write_pam(raster), record, {"placements": [], "flag_changes": []}
     rng = substream(seed, "augment", record.id)
     target = int(rng.integers(len(record.persons)))
     result = aug.apply_augmentation(rng, raster, record, target, config, inventory)
@@ -180,25 +173,25 @@ def _augment_one(images_dir: str, inventory_dir: str, seed: int,
         "placements": [p.to_json() for p in result.placements],
         "flag_changes": [c.to_json() for c in result.flag_changes],
     }
-    return record.id, masks.write_pam(result.image), result.record, log
+    return masks.write_pam(result.image), result.record, log
 
 
 def _cmd_augment(args):
     if not Path(args.inventory).is_dir():
         raise InventoryError(f"inventory directory not found: {args.inventory}")
     dataset = _read_dataset(args.infile, "native")
+    inventory = aug.load_inventory(Path(args.inventory))
     config = aug.AugmentConfig(method=args.method)
     images_dir = args.images or str(Path(args.infile).parent)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    worker = functools.partial(_augment_one, images_dir, args.inventory,
-                               args.seed, config)
     log = {}
     new_images = []
-    for image_id, pam, record, entry in map_jobs(worker, dataset.images, args.jobs):
-        (out / f"{image_id}.pam").write_bytes(pam)
+    for image in dataset.images:
+        pam, record, entry = _augment_one(images_dir, inventory, args.seed, config, image)
+        (out / f"{image.id}.pam").write_bytes(pam)
         new_images.append(record)
-        log[image_id] = entry
+        log[image.id] = entry
     augmented = anno.Dataset(schema=dataset.schema, images=tuple(new_images),
                              meta=dict(dataset.meta))
     (out / "dataset.json").write_bytes(anno.serialize_dataset(augmented))
@@ -407,7 +400,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images",
                    help="directory of <id>.pam rasters (default: beside --in)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: augment runs "
+                        "in one process")
 
     p = command("gen", _cmd_gen, "generate a synthetic annotated crowd corpus",
                 seed_required=True)

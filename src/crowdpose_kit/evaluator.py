@@ -12,6 +12,7 @@ reads rows of it in one shared score order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -92,11 +93,16 @@ def oks_matrix(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
     return _oks_arrays(pred_xy, gt_xy, labeled, scale, cfg.sigmas)
 
 
-def _score_order(preds: Sequence[PersonInstance]) -> list[int]:
-    """Prediction indices by descending score; ties keep input order."""
-    for p in preds:
+def _score_order(preds: Sequence[PersonInstance], image_id: str = "") -> list[int]:
+    """Prediction indices by descending score; ties keep input order.
+
+    A NaN score has no rank (it compares false with every score), so the
+    order, and the AP, would depend on the input order: it is refused."""
+    for i, p in enumerate(preds):
         if p.score is None:
             raise ProtocolError("every prediction must carry a score")
+        if math.isnan(p.score):
+            raise ProtocolError(f"prediction {i} of image {image_id!r} has a NaN score")
     return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
 
 
@@ -229,7 +235,7 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
     for img_id in image_ids:
         gts = gt_by_id[img_id].persons
         preds = pred_by_id[img_id].persons
-        order = _score_order(preds)
+        order = _score_order(preds, img_id)
         pred_xy, _ = _pose_arrays(preds, count)
         # one set of gt arrays feeds both the CrowdIndex and the OKS
         gt_xy, labeled = _pose_arrays(gts, count)
@@ -240,7 +246,9 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
                 boxes, gt_xy[labeled], np.nonzero(labeled)[0], image_id=img_id))
             levels[level].append(img_id)
             instance_counts[level] += len(gts)
-        oks = _oks_arrays(pred_xy, gt_xy, labeled, boxes[:, 2] * boxes[:, 3], cfg.sigmas)
+        # Python products: a huge box's area is inf without a numpy warning
+        area = np.array([g.bbox.area for g in gts], dtype=np.float64)
+        oks = _oks_arrays(pred_xy, gt_xy, labeled, area, cfg.sigmas)
         scores = [p.score for p in preds]
         gt_count = int(labeled.any(axis=1).sum())
         for t in DEFAULT_THRESHOLDS:

@@ -114,23 +114,6 @@ class HeatmapPair:
         return cls(Heatmap.zeros(k, h, w), Heatmap.zeros(k, h, w))
 
 
-def _write_gaussian(grid: np.ndarray, hx: float, hy: float, sigma: float) -> None:
-    h, w = grid.shape
-    reach = 3.0 * sigma
-    x0 = max(int(np.floor(hx - reach)), 0)
-    x1 = min(int(np.ceil(hx + reach)), w - 1)
-    y0 = max(int(np.floor(hy - reach)), 0)
-    y1 = min(int(np.ceil(hy + reach)), h - 1)
-    if x0 > x1 or y0 > y1:
-        return
-    xs = np.arange(x0, x1 + 1, dtype=np.float64)
-    ys = np.arange(y0, y1 + 1, dtype=np.float64)
-    d2 = (xs[None, :] - hx) ** 2 + (ys[:, None] - hy) ** 2
-    patch = np.exp(-d2 / (2.0 * sigma * sigma))
-    patch[d2 > reach * reach] = 0.0
-    np.maximum(grid[y0:y1 + 1, x0:x1 + 1], patch, out=grid[y0:y1 + 1, x0:x1 + 1])
-
-
 def encode(pose: Pose, transform: CropTransform,
            sigma: float = DEFAULT_SIGMA) -> tuple[HeatmapPair, np.ndarray]:
     """Encode a pose into ground-truth branch heatmaps.
@@ -144,22 +127,43 @@ def encode(pose: Pose, transform: CropTransform,
         raise DimensionError(f"sigma must be finite and positive, with 2 * sigma**2 "
                              f"a normal float, got {sigma}")
     k = len(pose.keypoints)
-    pair = HeatmapPair.zeros(k)
+    # one buffer; its two halves are the visible and the occluded branch
+    grids = np.zeros((2, k, HEATMAP_H, HEATMAP_W), dtype=np.float64)
+    pair = HeatmapPair(Heatmap(grids[0]), Heatmap(grids[1]))
     in_bounds = np.zeros(k, dtype=bool)
+    # a non-finite coordinate can never land in the grid
+    usable = [i for i, kp in enumerate(pose.keypoints)
+              if kp.vis is not Visibility.UNLABELED
+              and math.isfinite(kp.x) and math.isfinite(kp.y)]
+    if not usable:
+        return pair, in_bounds
     # a huge finite coordinate transforms to infinity, outside the grid
     with np.errstate(over="ignore"):
-        for i, kp in enumerate(pose.keypoints):
-            # a non-finite coordinate can never land in the grid
-            if kp.vis is Visibility.UNLABELED or not (math.isfinite(kp.x) and
-                                                      math.isfinite(kp.y)):
-                continue
-            crop_xy = transform.apply([[kp.x, kp.y]])[0]
-            hx, hy = crop_xy[0] / STRIDE, crop_xy[1] / STRIDE
-            if not (0.0 <= hx <= HEATMAP_W - 1 and 0.0 <= hy <= HEATMAP_H - 1):
-                continue
-            in_bounds[i] = True
-            branch = pair.visible if kp.vis in _VISIBLE_BRANCH_TAGS else pair.occluded
-            _write_gaussian(branch.values[i], hx, hy, sigma)
+        crop = transform.apply([(pose.keypoints[i].x, pose.keypoints[i].y)
+                                for i in usable])
+    hx, hy = crop[:, 0] / STRIDE, crop[:, 1] / STRIDE
+    inside = (0.0 <= hx) & (hx <= HEATMAP_W - 1) & (0.0 <= hy) & (hy <= HEATMAP_H - 1)
+    idx = np.array(usable)[inside]
+    in_bounds[idx] = True
+    hx, hy = hx[inside], hy[inside]
+    branch = np.array([pose.keypoints[i].vis not in _VISIBLE_BRANCH_TAGS
+                       for i in idx.tolist()], dtype=np.intp)
+    # Each Gaussian is cut to [floor(h - reach), ceil(h + reach)] per axis,
+    # which fits in `span` cells. A window of that span, clamped into the
+    # grid, holds it; its extra cells lie more than reach away and get 0.
+    reach = 3.0 * sigma
+    span = 2 * math.ceil(reach) + 2
+    span_x, span_y = min(span, HEATMAP_W), min(span, HEATMAP_H)
+    x0 = np.clip(np.floor(hx - reach), 0, HEATMAP_W - span_x).astype(np.intp)
+    y0 = np.clip(np.floor(hy - reach), 0, HEATMAP_H - span_y).astype(np.intp)
+    xs = x0[:, None] + np.arange(span_x)                 # (n, span_x)
+    ys = y0[:, None] + np.arange(span_y)                 # (n, span_y)
+    d2 = ((xs.astype(np.float64) - hx[:, None]) ** 2)[:, None, :] + \
+        ((ys.astype(np.float64) - hy[:, None]) ** 2)[:, :, None]
+    patch = np.exp(-d2 / (2.0 * sigma * sigma))
+    patch[d2 > reach * reach] = 0.0
+    grids[branch[:, None, None], idx[:, None, None], ys[:, :, None],
+          xs[:, None, :]] = patch
     return pair, in_bounds
 
 
@@ -169,17 +173,6 @@ class DecodeResult:
     confidences: np.ndarray          # (K,)
     branches: tuple[Visibility, ...]  # VISIBLE or OCCLUDED per keypoint
     low_confidence: np.ndarray        # (K,) bool
-
-
-def _refine(grid: np.ndarray, r: int, c: int) -> tuple[float, float]:
-    h, w = grid.shape
-    x = float(c)
-    y = float(r)
-    if 0 < c < w - 1:
-        x += 0.25 * np.sign(grid[r, c + 1] - grid[r, c - 1])
-    if 0 < r < h - 1:
-        y += 0.25 * np.sign(grid[r + 1, c] - grid[r - 1, c])
-    return x, y
 
 
 def decode(pair: HeatmapPair, transform: CropTransform,
@@ -197,28 +190,38 @@ def decode(pair: HeatmapPair, transform: CropTransform,
     k, h, w = pair.shape
     inv = transform.inverse()
     schema = PoseSchema(f"decoded_{k}", tuple(f"kp_{i:02d}" for i in range(k)))
-    keypoints = []
-    confidences = np.zeros(k, dtype=np.float64)
-    branches = []
-    for i in range(k):
-        vis_grid = pair.visible.values[i]
-        occ_grid = pair.occluded.values[i]
-        vis_max = float(vis_grid.max())
-        occ_max = float(occ_grid.max())
-        if vis_max >= occ_max:
-            grid, peak, label = vis_grid, vis_max, Visibility.VISIBLE
-        else:
-            grid, peak, label = occ_grid, occ_max, Visibility.OCCLUDED
-        r, c = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        hx, hy = _refine(grid, int(r), int(c))
-        img_xy = inv.apply([[hx * STRIDE, hy * STRIDE]])[0]
-        keypoints.append(Keypoint(float(img_xy[0]), float(img_xy[1]), label))
-        confidences[i] = peak
-        branches.append(label)
+    vis = pair.visible.values.reshape(k, h * w)
+    occ = pair.occluded.values.reshape(k, h * w)
+    rows = np.arange(k)
+    # argmax takes the first maximum, and a NaN as the maximum, like max
+    vis_arg, occ_arg = vis.argmax(axis=1), occ.argmax(axis=1)
+    vis_max, occ_max = vis[rows, vis_arg], occ[rows, occ_arg]
+    use_vis = vis_max >= occ_max
+    confidences = np.where(use_vis, vis_max, occ_max)
+    r, c = np.divmod(np.where(use_vis, vis_arg, occ_arg), w)
+
+    def at(rr, cc):
+        flat = rr * w + cc
+        return np.where(use_vis, vis[rows, flat], occ[rows, flat])
+
+    x, y = c.astype(np.float64), r.astype(np.float64)
+    right, left = np.minimum(c + 1, w - 1), np.maximum(c - 1, 0)
+    down, up = np.minimum(r + 1, h - 1), np.maximum(r - 1, 0)
+    # border rows and columns compute a shift too, then drop it: an
+    # inf - inf there must not warn
+    with np.errstate(invalid="ignore"):
+        x = np.where((0 < c) & (c < w - 1),
+                     x + 0.25 * np.sign(at(r, right) - at(r, left)), x)
+        y = np.where((0 < r) & (r < h - 1),
+                     y + 0.25 * np.sign(at(down, c) - at(up, c)), y)
+    img_xy = inv.apply(np.column_stack([x * STRIDE, y * STRIDE])).tolist()
+    branches = tuple(Visibility.VISIBLE if u else Visibility.OCCLUDED
+                     for u in use_vis.tolist())
     return DecodeResult(
-        pose=Pose(schema, tuple(keypoints)),
+        pose=Pose(schema, tuple(Keypoint(px, py, label)
+                                for (px, py), label in zip(img_xy, branches))),
         confidences=confidences,
-        branches=tuple(branches),
+        branches=branches,
         low_confidence=confidences < conf_threshold,
     )
 

@@ -48,7 +48,8 @@ def _check_shapes(p: HeatmapPair, g: HeatmapPair, cfg: LossConfig) -> None:
 
 def _branch_terms(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     diff = p - g
-    return np.mean(diff * diff, axis=(1, 2))
+    diff *= diff
+    return np.mean(diff, axis=(1, 2))
 
 
 def loss(p: HeatmapPair, g: HeatmapPair, cfg: LossConfig) -> LossValue:
@@ -65,8 +66,13 @@ def loss_grad(p: HeatmapPair, g: HeatmapPair, cfg: LossConfig) -> HeatmapPair:
     _check_shapes(p, g, cfg)
     _, h, w = p.shape
     cells = h * w
-    gvis = 2.0 * (p.visible.values - g.visible.values) / (cfg.n * cells)
-    gocc = 2.0 * cfg.alpha * (p.occluded.values - g.occluded.values) / (cfg.n * cells)
+    # in place, in the order of 2.0 * alpha * (p - g) / (n * cells)
+    gvis = p.visible.values - g.visible.values
+    gvis *= 2.0
+    gvis /= cfg.n * cells
+    gocc = p.occluded.values - g.occluded.values
+    gocc *= 2.0 * cfg.alpha
+    gocc /= cfg.n * cells
     return HeatmapPair(Heatmap(gvis), Heatmap(gocc))
 
 

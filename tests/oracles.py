@@ -2,9 +2,12 @@
 
 Everything here is deliberately written as plain scalar Python (loops,
 math.*) with no calls into the package's numerical code paths, so a bug in
-the library cannot hide in its own oracle. The one exception is
-read_depth_pam, a reader that only tests need: it reuses the package's PAM
-header parser.
+the library cannot hide in its own oracle. The exceptions are
+read_depth_pam, a reader that only tests need, which reuses the package's
+PAM header parser, and the per-keypoint heatmap and loss kernels at the end
+(encode_reference, decode_reference, loss_reference, loss_grad_reference):
+the loop forms that the package's array kernels replaced, kept to require
+bit-identical results. They use the package's data types and CropTransform.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import math
 
 import numpy as np
 
-from crowdpose_kit.annotations import Visibility
+from crowdpose_kit.annotations import Keypoint, Pose, PoseSchema, Visibility
 from crowdpose_kit.errors import MaskDecodeError, UndefinedMetricError
+from crowdpose_kit.heatmaps import (HEATMAP_H, HEATMAP_W, STRIDE, DecodeResult, Heatmap,
+                                    HeatmapPair)
 from crowdpose_kit.masks import _parse_pam_header
 
 
@@ -255,3 +260,106 @@ def read_depth_pam(data: bytes) -> np.ndarray:
     if raw.size != w * h:
         raise MaskDecodeError("truncated PAM payload")
     return raw.reshape((h, w)).astype(np.float64) / 65535.0
+
+
+# --- per-keypoint heatmap and loss kernels ---------------------------------
+
+def _write_gaussian(grid: np.ndarray, hx: float, hy: float, sigma: float) -> None:
+    h, w = grid.shape
+    reach = 3.0 * sigma
+    x0 = max(int(np.floor(hx - reach)), 0)
+    x1 = min(int(np.ceil(hx + reach)), w - 1)
+    y0 = max(int(np.floor(hy - reach)), 0)
+    y1 = min(int(np.ceil(hy + reach)), h - 1)
+    if x0 > x1 or y0 > y1:
+        return
+    xs = np.arange(x0, x1 + 1, dtype=np.float64)
+    ys = np.arange(y0, y1 + 1, dtype=np.float64)
+    d2 = (xs[None, :] - hx) ** 2 + (ys[:, None] - hy) ** 2
+    patch = np.exp(-d2 / (2.0 * sigma * sigma))
+    patch[d2 > reach * reach] = 0.0
+    np.maximum(grid[y0:y1 + 1, x0:x1 + 1], patch, out=grid[y0:y1 + 1, x0:x1 + 1])
+
+
+def encode_reference(pose, transform, sigma: float):
+    """heatmaps.encode one keypoint at a time (sigma already validated)."""
+    k = len(pose.keypoints)
+    pair = HeatmapPair.zeros(k)
+    in_bounds = np.zeros(k, dtype=bool)
+    with np.errstate(over="ignore"):
+        for i, kp in enumerate(pose.keypoints):
+            if kp.vis is Visibility.UNLABELED or not (math.isfinite(kp.x) and
+                                                      math.isfinite(kp.y)):
+                continue
+            crop_xy = transform.apply([[kp.x, kp.y]])[0]
+            hx, hy = crop_xy[0] / STRIDE, crop_xy[1] / STRIDE
+            if not (0.0 <= hx <= HEATMAP_W - 1 and 0.0 <= hy <= HEATMAP_H - 1):
+                continue
+            in_bounds[i] = True
+            visible = kp.vis in (Visibility.VISIBLE, Visibility.SELF_OCCLUDED)
+            branch = pair.visible if visible else pair.occluded
+            _write_gaussian(branch.values[i], hx, hy, sigma)
+    return pair, in_bounds
+
+
+def _refine(grid: np.ndarray, r: int, c: int) -> tuple[float, float]:
+    h, w = grid.shape
+    x = float(c)
+    y = float(r)
+    if 0 < c < w - 1:
+        x += 0.25 * np.sign(grid[r, c + 1] - grid[r, c - 1])
+    if 0 < r < h - 1:
+        y += 0.25 * np.sign(grid[r + 1, c] - grid[r - 1, c])
+    return x, y
+
+
+def decode_reference(pair, transform, conf_threshold: float):
+    """heatmaps.decode one keypoint at a time (threshold already validated)."""
+    k, h, w = pair.shape
+    inv = transform.inverse()
+    schema = PoseSchema(f"decoded_{k}", tuple(f"kp_{i:02d}" for i in range(k)))
+    keypoints = []
+    confidences = np.zeros(k, dtype=np.float64)
+    branches = []
+    for i in range(k):
+        vis_grid = pair.visible.values[i]
+        occ_grid = pair.occluded.values[i]
+        vis_max = float(vis_grid.max())
+        occ_max = float(occ_grid.max())
+        if vis_max >= occ_max:
+            grid, peak, label = vis_grid, vis_max, Visibility.VISIBLE
+        else:
+            grid, peak, label = occ_grid, occ_max, Visibility.OCCLUDED
+        r, c = np.unravel_index(int(np.argmax(grid)), grid.shape)
+        hx, hy = _refine(grid, int(r), int(c))
+        img_xy = inv.apply([[hx * STRIDE, hy * STRIDE]])[0]
+        keypoints.append(Keypoint(float(img_xy[0]), float(img_xy[1]), label))
+        confidences[i] = peak
+        branches.append(label)
+    return DecodeResult(
+        pose=Pose(schema, tuple(keypoints)),
+        confidences=confidences,
+        branches=tuple(branches),
+        low_confidence=confidences < conf_threshold,
+    )
+
+
+def _branch_terms(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    diff = p - g
+    return np.mean(diff * diff, axis=(1, 2))
+
+
+def loss_reference(p, g, alpha: float, n: int) -> tuple[float, float, float]:
+    """occloss.loss as (total, visible_term, occluded_term)."""
+    vis = float(np.sum(_branch_terms(p.visible.values, g.visible.values)))
+    occ = float(np.sum(_branch_terms(p.occluded.values, g.occluded.values)))
+    return (vis + alpha * occ) / n, vis, occ
+
+
+def loss_grad_reference(p, g, alpha: float, n: int):
+    """occloss.loss_grad with its original temporaries."""
+    _, h, w = p.shape
+    cells = h * w
+    gvis = 2.0 * (p.visible.values - g.visible.values) / (n * cells)
+    gocc = 2.0 * alpha * (p.occluded.values - g.occluded.values) / (n * cells)
+    return HeatmapPair(Heatmap(gvis), Heatmap(gocc))

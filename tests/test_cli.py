@@ -232,6 +232,28 @@ class TestAugmentCommand:
         assert digests == self.METHOD_DIGESTS
         assert AUG.METHODS == tuple(self.METHOD_DIGESTS)
 
+    def test_rewritten_inventory_is_read_again(self, gen_dir, tmp_path):
+        """A second run in the same process reads the inventory directory's
+        new contents, as the manifest digest does."""
+        rng = np.random.default_rng(8)
+        first, second = (AUG.CutoutInventory(
+            objects=[blob_cutout(rng, 6 + 8 * i, 5 + 9 * i)],
+            persons=[blob_cutout(rng, 14 + 6 * i, 28 + 8 * i, kind="full_body")])
+            for i in range(2))
+
+        def augment(inventory, inv_dir, out):
+            AUG.save_inventory(tmp_path / inv_dir, inventory)
+            assert run("augment", "--method", "full_and_objects", "--seed", "6",
+                       "--inventory", str(tmp_path / inv_dir),
+                       "--in", str(gen_dir / "dataset.json"),
+                       "--out", str(tmp_path / out)) == 0
+            return (tmp_path / out / "augment_log.json").read_bytes()
+
+        before = augment(first, "inv", "a")
+        rewritten = augment(second, "inv", "b")
+        assert rewritten != before
+        assert rewritten == augment(second, "inv_fresh", "c")
+
     def test_missing_inventory_exits_1(self, gen_dir, tmp_path, capsys):
         code = run("augment", "--method", "objects", "--seed", "5",
                    "--inventory", str(tmp_path / "nothing"),
@@ -318,9 +340,9 @@ def _gen(d, *extra):
     return ["gen", "--seed", "1", "--scenes", "10", "--out", str(d / "g"), *extra]
 
 
-def _eval(d, *extra):
+def _eval(d, *extra, score=0.9):
     scored = _native_doc()
-    scored["images"][0]["persons"][0]["score"] = 0.9
+    scored["images"][0]["persons"][0]["score"] = score
     return ["eval", "--gt", _write(d / "gt.json", _native_doc()),
             "--pred", _write(d / "pred.json", scored), "--out", str(d / "r.json"),
             *extra]
@@ -393,6 +415,8 @@ BAD_INPUTS = {
         d, "--sigmas", _write(d / "s.json", [1, 2])), 1),
     "eval_sigmas_long": (lambda d: _eval(
         d, "--sigmas", _write(d / "s.json", [0.079] * 40)), 1),
+    # a NaN score has no rank, so the AP would depend on the input order
+    "eval_score_nan": (lambda d: _eval(d, score=math.nan), 1),
     "convert_mapping_object": (lambda d: _convert(
         d, "--mapping", _write(d / "m.json", {"a": 1})), 1),
     "decode_zero_bbox": (lambda d: [
@@ -626,6 +650,8 @@ class TestFloatFuzz:
     @example(target="heatmap encode", field=("keypoints", 0, 0), value=math.inf)
     @example(target="heatmap encode", field=("keypoints", 0, 1), value=1e308)
     @example(target="eval", field=("keypoints", 0, 0), value=-math.inf)
+    # a huge box's area overflowed with a numpy warning
+    @example(target="eval", field=("bbox", 2), value=1e308)
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(target=st.sampled_from(sorted(_FLOAT_FLAGS) + sorted(_DOC_COMMANDS)

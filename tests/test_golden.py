@@ -1,4 +1,4 @@
-"""Output digests of the commands that no other digest test pins.
+"""Output digests of every command but `gen`, which TestGen pins.
 
 golden.json maps "command/variant/seed" to the sha256 over the names and
 bytes of every file a run writes (manifests excluded), followed by its
@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 from crowdpose_kit import annotations as anno
+from crowdpose_kit import augment as aug
 from crowdpose_kit.cli import dispatch
+
+from conftest import blob_cutout
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 SEEDS = (1, 2)
@@ -25,14 +28,15 @@ _COCO_CODE = {anno.Visibility.VISIBLE: 2, anno.Visibility.OCCLUDED: 1,
 
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
-    """seed -> (dataset.json, heatmap dump directory) of a 12-scene gen."""
+    """seed -> (dataset.json, heatmap dump directory) of a 12-scene gen,
+    with its rasters beside dataset.json."""
     built = {}
 
     def corpus(seed):
         if seed not in built:
             d = tmp_path_factory.mktemp(f"corpus{seed}")
             assert dispatch(["gen", "--seed", str(seed), "--scenes", "12", "--bins", "3",
-                             "--no-rasters", "--out", str(d / "gen")]) == 0
+                             "--out", str(d / "gen")]) == 0
             assert dispatch(["heatmap", "encode", "--in", str(d / "gen" / "dataset.json"),
                              "--out", str(d / "hm")]) == 0
             built[seed] = d / "gen" / "dataset.json", d / "hm"
@@ -157,6 +161,21 @@ def _eval_edge(corpus, d, seed):
              str(d / "out" / "report.json"), "--csv", str(d / "out" / "report.csv")]]
 
 
+def _augment(corpus, d, seed, jobs):
+    """augment full_and_objects over the corpus rasters with a seeded
+    inventory of objects and keypointed full-body cutouts."""
+    rng = np.random.default_rng(seed)
+    kps = tuple(anno.Keypoint(float(2 + k), float(3 + 2 * k), anno.Visibility.VISIBLE)
+                for k in range(14))
+    aug.save_inventory(d / "inv", aug.CutoutInventory(
+        objects=[blob_cutout(rng, 10 + 4 * i, 8 + 5 * i) for i in range(3)],
+        persons=[blob_cutout(rng, 16 + 4 * i, 34 + 6 * i, kind="full_body",
+                             keypoints=kps) for i in range(2)]))
+    return [["augment", "--method", "full_and_objects", "--seed", str(seed),
+             "--jobs", str(jobs), "--inventory", str(d / "inv"), "--in", str(corpus[0]),
+             "--out", str(d / "out" / "aug")]]
+
+
 def _coco(corpus, d, seed):
     dataset = anno.parse_dataset(corpus[0].read_bytes(), "native")
     return _write(d / "coco.json", _coco_doc(dataset, np.random.default_rng(seed)))
@@ -164,6 +183,8 @@ def _coco(corpus, d, seed):
 
 # "command/variant" -> function(corpus, work dir, seed) giving the argv lists
 CASES = {
+    "augment/full_and_objects_jobs_1": lambda c, d, s: _augment(c, d, s, 1),
+    "augment/full_and_objects_jobs_2": lambda c, d, s: _augment(c, d, s, 2),
     "heatmap_encode/default": lambda c, d, s: [[
         "heatmap", "encode", "--in", str(c[0]), "--out", str(d / "out" / "hm")]],
     "heatmap_encode/sigma_3": lambda c, d, s: [[

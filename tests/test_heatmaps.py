@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crowdpose_kit import heatmaps as H
-from crowdpose_kit.annotations import BBox, Visibility
+from crowdpose_kit.annotations import CROWDPOSE_SCHEMA, BBox, Keypoint, Pose, Visibility
 from crowdpose_kit.errors import DimensionError
 
+import oracles
 from conftest import make_pose, rand_pose
 
 
@@ -180,3 +184,123 @@ class TestDumpFormat:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             H.HeatmapPair(H.Heatmap.zeros(3), H.Heatmap.zeros(4))
+
+
+# --- the array kernels against the per-keypoint reference ------------------
+
+# Boxes with power-of-two crop scales map heatmap cell edges to image
+# coordinates and back exactly; the random ones come within a few ulps.
+_NICE_BOXES = (BBox(0, 0, 96, 128), BBox(-8, 4, 48, 64), BBox(16, -32, 384, 512))
+_BOXES = st.one_of(st.sampled_from(_NICE_BOXES), st.builds(
+    BBox, st.floats(-300, 300), st.floats(-300, 300), st.floats(0.5, 600),
+    st.floats(0.5, 600)))
+# 1e-3 has the smallest reach; 40 and 1e100 reach past the whole grid
+_SIGMAS = st.one_of(st.sampled_from((1e-3, 2.0, 3.0, 40.0, 1e100)),
+                    st.floats(1e-3, 12.0))
+
+
+def _nudge(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, steps)))
+    return value
+
+
+@st.composite
+def encode_cases(draw):
+    """(pose, transform, sigma): keypoints on and a few ulps beside the grid
+    borders, on and between cells, far outside, non-finite or 1e308, with
+    every visibility tag."""
+    transform = H.bbox_to_crop(draw(_BOXES))
+    inv = transform.inverse()
+
+    def coord(axis, last):
+        kind = draw(st.sampled_from(("border", "cell", "any", "special")))
+        if kind == "special":
+            return draw(st.sampled_from((math.nan, math.inf, -math.inf, 1e308, -1e308)))
+        if kind == "border":
+            cell = draw(st.sampled_from((0.0, float(last))))
+        elif kind == "cell":
+            cell = float(draw(st.integers(-1, last + 1)))
+        else:
+            cell = draw(st.floats(-4.0, last + 4.0))
+        crop = [0.0, 0.0]
+        crop[axis] = cell * H.STRIDE
+        return _nudge(float(inv.apply([crop])[0][axis]), draw(st.integers(-2, 2)))
+
+    keypoints = tuple(Keypoint(coord(0, H.HEATMAP_W - 1), coord(1, H.HEATMAP_H - 1),
+                               draw(st.sampled_from(list(Visibility))))
+                      for _ in range(CROWDPOSE_SCHEMA.count))
+    return Pose(CROWDPOSE_SCHEMA, keypoints), transform, draw(_SIGMAS)
+
+
+# few distinct values, so branch maxima and argmax rows tie often
+_CELL = st.one_of(st.sampled_from((0.0, 0.0, 0.5, 1.0, 1.0, -1.0)),
+                  st.sampled_from((math.nan, math.inf, -math.inf)),
+                  st.floats(-2.0, 2.0))
+
+
+@st.composite
+def grid_pairs(draw):
+    """Small pairs, 1-4 keypoints of 1x1 to 5x5 cells, with ties, peaks on
+    border rows and columns, and non-finite cells."""
+    k, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(_CELL, min_size=2 * k * h * w, max_size=2 * k * h * w))
+    grids = np.array(cells, dtype=np.float64).reshape(2, k, h, w)
+    return H.HeatmapPair(H.Heatmap(grids[0].copy()), H.Heatmap(grids[1].copy()))
+
+
+def _pair_bytes(pair):
+    return pair.shape, pair.visible.values.tobytes(), pair.occluded.values.tobytes()
+
+
+def _bits(values) -> bytes:
+    """Float bytes with every NaN made the same NaN: IEEE leaves the sign
+    and payload of a computed NaN open (inf - inf gives a negative one on
+    x86), and every writer prints any NaN as NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def _decoded(result):
+    """Every DecodeResult field, floats as bytes."""
+    kps = result.pose.keypoints
+    return (result.pose.schema, [(type(k.x), type(k.y), k.vis) for k in kps],
+            _bits([(k.x, k.y) for k in kps]),
+            result.confidences.dtype, _bits(result.confidences),
+            result.branches, result.low_confidence.tolist())
+
+
+class TestMatchesPerKeypointReference:
+    @settings(max_examples=300, deadline=None)
+    @given(encode_cases())
+    def test_encode(self, case):
+        pose, transform, sigma = case
+        pair, in_bounds = H.encode(pose, transform, sigma)
+        want, want_in_bounds = oracles.encode_reference(pose, transform, sigma)
+        assert in_bounds.tolist() == want_in_bounds.tolist()
+        assert _pair_bytes(pair) == _pair_bytes(want)
+        assert H.write_heatmap_pair(pair) == H.write_heatmap_pair(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(encode_cases(), st.floats(0.0, 1.0))
+    def test_decode_of_encoded(self, case, threshold):
+        pose, transform, sigma = case
+        pair, _ = H.encode(pose, transform, sigma)
+        assert _decoded(H.decode(pair, transform, threshold)) == _decoded(
+            oracles.decode_reference(pair, transform, threshold))
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_pairs(), _BOXES, st.floats(-1.0, 2.0))
+    def test_decode_of_grids(self, pair, box, threshold):
+        transform = H.bbox_to_crop(box)
+        with np.errstate(invalid="ignore"):  # the reference's inf - inf
+            want = oracles.decode_reference(pair, transform, threshold)
+        assert _decoded(H.decode(pair, transform, threshold)) == _decoded(want)
+
+    @pytest.mark.parametrize("shape", [(14, H.HEATMAP_H, H.HEATMAP_W), (1, 1, 1),
+                                       (3, 1, 4)])
+    def test_decode_of_all_zero_pair(self, shape):
+        pair = H.HeatmapPair.zeros(*shape)
+        transform = crop_for_scale_2()
+        assert _decoded(H.decode(pair, transform)) == _decoded(
+            oracles.decode_reference(pair, transform, H.DEFAULT_CONF_THRESHOLD))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crowdpose_kit import occloss as L
 from crowdpose_kit.errors import DimensionError, DivergenceError
 from crowdpose_kit.heatmaps import Heatmap, HeatmapPair
 from crowdpose_kit.seeding import substream
+
+import oracles
 
 K, HH, WW = 3, 16, 12
 CELLS = HH * WW
@@ -152,3 +155,32 @@ class TestFitDirect:
                             Heatmap(init.occluded.values[:2]))
         with pytest.raises(DivergenceError):
             L.fit_direct(g, init2, c, lr=50.0 * L.stable_lr(c, 16, 12), steps=400)
+
+
+class TestMatchesReference:
+    """loss and loss_grad against their original expressions, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+           scale=st.sampled_from((1e-3, 1.0, 1e3, 1e160)),
+           alpha=st.one_of(st.sampled_from((0.5, 1.5, 3.0)), st.floats(1e-3, 1e3)))
+    def test_loss_and_grad(self, seed, shape, scale, alpha):
+        rng = np.random.default_rng(seed)
+        p, g = (HeatmapPair(Heatmap(scale * rng.standard_normal(shape)),
+                            Heatmap(scale * rng.standard_normal(shape))) for _ in range(2))
+        before = [a.tobytes() for a in (p.visible.values, p.occluded.values,
+                                        g.visible.values, g.occluded.values)]
+        c = L.LossConfig(alpha=alpha, n=shape[0])
+        with np.errstate(over="ignore"):  # 1e160 squared is inf on both sides
+            value = L.loss(p, g, c)
+            want = oracles.loss_reference(p, g, alpha, shape[0])
+            grad = L.loss_grad(p, g, c)
+            want_grad = oracles.loss_grad_reference(p, g, alpha, shape[0])
+        assert (value.total, value.visible_term, value.occluded_term) == want
+        for got, ref in ((grad.visible, want_grad.visible),
+                         (grad.occluded, want_grad.occluded)):
+            assert got.values.dtype == ref.values.dtype
+            assert got.values.tobytes() == ref.values.tobytes()
+        assert before == [a.tobytes() for a in (p.visible.values, p.occluded.values,
+                                                g.visible.values, g.occluded.values)]
