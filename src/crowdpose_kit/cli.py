@@ -7,15 +7,18 @@ place that maps failures to exit codes: 0 success, 1 domain error
 (`CrowdKitError` or a missing input file), 2 usage error (argparse, which
 also rejects `heatmap encode` without `--out` and `heatmap decode` without
 `--bbox`). Diagnostics go to stderr; data goes to files or stdout only.
-`gen --jobs` fans rasterization out over processes without changing any
-output byte; it is the only command that does. `augment` and `eval` run in
-one process and accept --jobs only for compatibility, because a process
-pool made each of them slower (README gives the measurements).
+`gen --jobs` plans and renders runs of scenes in worker processes and
+writes every file in the main process, without changing any output byte;
+it is the only command that fans out. `augment` and `eval` run in one
+process and accept --jobs only for compatibility, because a process pool
+made each of them slower (README gives the measurements).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -200,9 +203,30 @@ def _cmd_augment(args):
     return [args.infile, images_dir, args.inventory]
 
 
-def _render_scene(scene: synthgen.GeneratedScene):
-    raster, depth = synthgen.render_layout(scene.layout)
-    return scene.record.id, masks.write_pam(raster), masks.write_depth_pam(depth)
+def _gen_run(cfg: synthgen.CorpusConfig, rasters: bool, run):
+    """Plan a run of slots and render each accepted scene; yields
+    (scene without layout, candidates spent, PAM bytes, depth PAM bytes)
+    per slot, with None for what the slot did not make."""
+    for scene, spent in synthgen.plan_slots(cfg, run):
+        pam = depth_pam = None
+        if scene is not None:
+            if rasters:
+                raster, depth = synthgen.render_layout(scene.layout)
+                pam, depth_pam = masks.write_pam(raster), masks.write_depth_pam(depth)
+            scene = dataclasses.replace(scene, layout=None)
+        yield scene, spent, pam, depth_pam
+
+
+def _gen_outputs(cfg: synthgen.CorpusConfig, jobs: int, rasters: bool):
+    """_gen_run's outputs for every slot, in slot order. With jobs > 1 the
+    slots are cut into contiguous runs, about four per job so that one slow
+    run does not leave the other workers idle, and map_jobs fans the runs
+    out; otherwise one run is planned in this process."""
+    slots = synthgen.corpus_slots(cfg)
+    parts = min(4 * jobs, len(slots)) if jobs > 1 else 1
+    runs = [slots[len(slots) * i // parts:len(slots) * (i + 1) // parts]
+            for i in range(parts)]
+    return map_jobs(functools.partial(_gen_run, cfg, rasters), runs, jobs)
 
 
 DEFAULT_BINS = 10
@@ -263,15 +287,34 @@ def _cmd_gen(args):
     corpus_cfg = synthgen.CorpusConfig(
         scenes=args.scenes, scene_cfg=scene_cfg,
         target_histogram=_target_histogram(args.target, args.bins))
-    scenes = synthgen.plan_corpus(corpus_cfg)
-    dataset = synthgen.corpus_dataset(corpus_cfg, scenes)
     out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    (out / "dataset.json").write_bytes(anno.serialize_dataset(dataset))
-    if not args.no_rasters:
-        for image_id, pam, depth_pam in map_jobs(_render_scene, scenes, args.jobs):
-            (out / f"{image_id}.pam").write_bytes(pam)
-            (out / f"{image_id}_depth.pam").write_bytes(depth_pam)
+    written = []
+
+    def write(name: str, data: bytes) -> None:
+        written.append(out / name)
+        written[-1].write_bytes(data)
+
+    planned = _gen_outputs(corpus_cfg, args.jobs, not args.no_rasters)
+    try:
+        scenes = []
+        for scene, _, pam, depth_pam in synthgen.within_budget(corpus_cfg, planned):
+            scenes.append(scene)
+            if pam is not None:
+                write(f"{scene.record.id}.pam", pam)
+                write(f"{scene.record.id}_depth.pam", depth_pam)
+        dataset = synthgen.corpus_dataset(corpus_cfg, scenes)
+        write("dataset.json", anno.serialize_dataset(dataset))
+    except BaseException:
+        # a failed gen leaves no output behind, nor any directory it made
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
+    finally:
+        planned.close()
     return [args.config]
 
 
@@ -415,7 +458,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"match it")
     p.add_argument("--config", help="JSON with SceneConfig overrides")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes that plan and render scenes (at most "
+                        "one per CPU); the main process writes every file")
     p.add_argument("--no-rasters", action="store_true",
                    help="skip PAM raster and depth outputs")
 

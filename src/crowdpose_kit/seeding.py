@@ -9,7 +9,9 @@ order, so outputs never depend on the number of jobs either.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
+import os
 
 import numpy as np
 
@@ -21,8 +23,9 @@ def substream_seed(seed: int, *keys) -> np.random.SeedSequence:
     for key in keys:
         h.update(b"\x1f")
         h.update(str(key).encode("utf-8"))
-    words = np.frombuffer(h.digest(), dtype=np.uint32)
-    return np.random.SeedSequence(words.tolist())
+    # SeedSequence takes the uint32 words as they are; a list of Python
+    # ints made it convert them back, five times slower
+    return np.random.SeedSequence(np.frombuffer(h.digest(), dtype=np.uint32))
 
 
 def substream(seed: int, *keys) -> np.random.Generator:
@@ -30,14 +33,30 @@ def substream(seed: int, *keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(substream_seed(seed, *keys)))
 
 
+def _listed(fn, item) -> list:
+    """A worker's task: fn(item)'s outputs as a list, which pickles."""
+    return list(fn(item))
+
+
 def map_jobs(fn, items, jobs: int):
-    """Yield fn(item) for each item, in item order, as results arrive;
-    fanned out over `jobs` processes when jobs > 1 and there is more than
-    one item. Callers write each result as it comes, so the results are
-    never all held at once."""
+    """Yield the outputs of the iterable fn(item) for each item, in item
+    order. With jobs > 1 the items fan out over a pool of
+    min(jobs, items, CPUs) processes, each returning list(fn(item));
+    otherwise each output is made in this process as it is taken. Callers
+    write each output as it comes, so the outputs are never all held at
+    once.
+
+    Closing the generator early cancels the items not yet started and waits
+    for the running ones, so no worker outlives it."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        yield from map(fn, items)
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        for item in items:
+            yield from fn(item)
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 4)))
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        for outputs in pool.map(functools.partial(_listed, fn), items):
+            yield from outputs
+    finally:
+        pool.shutdown(cancel_futures=True)

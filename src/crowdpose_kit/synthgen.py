@@ -10,6 +10,9 @@ construction. `plan_corpus` targets a CrowdIndex histogram by
 rejection-sampling scene layouts whose density knobs (person count,
 attachment probability and spread) track the requested bin. Candidates are
 screened on their drawn arrays; only accepted ones become layouts.
+`plan_slots` plans any contiguous run of corpus slots, so runs can be
+planned in separate processes, and `within_budget` applies the one global
+candidate budget to the results in slot order.
 """
 
 from __future__ import annotations
@@ -390,7 +393,7 @@ def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
 @dataclass
 class GeneratedScene:
     record: ImageRecord
-    layout: SceneLayout
+    layout: SceneLayout | None  # None once gen has rendered it
     crowd_index: float
     slot: int = 0
     attempt: int = 0
@@ -420,47 +423,77 @@ def _density_for_bin(bin_index: int, bins: int, rng: np.random.Generator,
     return count, p_attach, sigma_attach
 
 
+def corpus_slots(cfg: CorpusConfig) -> list[tuple[int, int]]:
+    """(slot, bin) pairs in slot order: each bin's quota of slots in turn."""
+    quotas = _quotas(cfg.target_histogram, cfg.scenes)
+    bins = [b for b, quota in enumerate(quotas) for _ in range(quota)]
+    return list(enumerate(bins))
+
+
+def plan_slots(cfg: CorpusConfig, run: list[tuple[int, int]]):
+    """Rejection-sample each slot of a contiguous run of corpus_slots, in
+    order; yields (scene or None, candidates spent) per slot.
+
+    A slot gives up, yielding None, once floor + attempt reaches the
+    global budget of retry_factor * scenes candidates. The floor is the
+    run's first slot index plus what the run has spent so far: every
+    earlier slot spent at least one candidate, so the floor never exceeds
+    the true spend before the slot, and a slot that the serial budget lets
+    finish is accepted at the same attempt. within_budget applies the true
+    spend."""
+    bins = len(cfg.target_histogram)
+    seed = cfg.scene_cfg.seed
+    budget = cfg.retry_factor * cfg.scenes
+    floor = run[0][0] if run else 0
+    for slot, bin_index in run:
+        scene = None
+        attempt = 0
+        while scene is None and floor + attempt < budget:
+            rng = substream(seed, "corpus", slot, attempt)
+            count, p_attach, sigma_attach = _density_for_bin(bin_index, bins, rng,
+                                                             cfg.scene_cfg)
+            draws = _draw_persons(rng, cfg.scene_cfg, count, p_attach, sigma_attach)
+            c = _candidate_crowd_index(draws)
+            if histogram_bin(c, bins) == bin_index:
+                layout = _layout_of(cfg.scene_cfg, draws)
+                scene = GeneratedScene(record=_layout_record(layout, f"scene_{slot:05d}"),
+                                       layout=layout, crowd_index=c,
+                                       slot=slot, attempt=attempt)
+            attempt += 1
+        floor += attempt
+        yield scene, attempt
+
+
+def within_budget(cfg: CorpusConfig, planned):
+    """Pass through planned items, tuples that start (scene or None, spent),
+    in slot order while the total spend stays within the budget.
+
+    Raises TargetingError (with the achieved histogram) at the first slot
+    that found no scene or pushed the spend past retry_factor * scenes
+    candidates: the slot where the serial planner runs out."""
+    bins = len(cfg.target_histogram)
+    budget = cfg.retry_factor * cfg.scenes
+    achieved = [0] * bins
+    spent = 0
+    for item in planned:
+        scene, cost = item[0], item[1]
+        spent += cost
+        if scene is None or spent > budget:
+            raise TargetingError(
+                f"exhausted {budget} candidate scenes with "
+                f"{sum(achieved)}/{cfg.scenes} accepted", achieved=achieved)
+        achieved[histogram_bin(scene.crowd_index, bins)] += 1
+        yield item
+
+
 def plan_corpus(cfg: CorpusConfig) -> list[GeneratedScene]:
     """Rejection-sample scene layouts until each bin quota is filled.
 
     Raises TargetingError (with the achieved histogram) once the global
     attempt budget of retry_factor * scenes candidates runs out.
     """
-    bins = len(cfg.target_histogram)
-    quotas = _quotas(cfg.target_histogram, cfg.scenes)
-    seed = cfg.scene_cfg.seed
-    budget = cfg.retry_factor * cfg.scenes
-    spent = 0
-    scenes: list[GeneratedScene] = []
-    slot = 0
-    for bin_index, quota in enumerate(quotas):
-        for _ in range(quota):
-            image_id = f"scene_{slot:05d}"
-            accepted = None
-            attempt = 0
-            while accepted is None:
-                if spent >= budget:
-                    achieved = [0] * bins
-                    for s in scenes:
-                        achieved[histogram_bin(s.crowd_index, bins)] += 1
-                    raise TargetingError(
-                        f"exhausted {budget} candidate scenes with "
-                        f"{len(scenes)}/{cfg.scenes} accepted", achieved=achieved)
-                rng = substream(seed, "corpus", slot, attempt)
-                count, p_attach, sigma_attach = _density_for_bin(bin_index, bins, rng,
-                                                                 cfg.scene_cfg)
-                draws = _draw_persons(rng, cfg.scene_cfg, count, p_attach, sigma_attach)
-                c = _candidate_crowd_index(draws)
-                spent += 1
-                if histogram_bin(c, bins) == bin_index:
-                    accepted = (_layout_of(cfg.scene_cfg, draws), c, attempt)
-                attempt += 1
-            layout, c, attempt_used = accepted
-            scenes.append(GeneratedScene(record=_layout_record(layout, image_id),
-                                         layout=layout, crowd_index=c,
-                                         slot=slot, attempt=attempt_used))
-            slot += 1
-    return scenes
+    planned = plan_slots(cfg, corpus_slots(cfg))
+    return [scene for scene, _ in within_budget(cfg, planned)]
 
 
 def corpus_dataset(cfg: CorpusConfig, scenes: list[GeneratedScene]) -> Dataset:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord,
                                        Keypoint, PersonInstance, Pose, Visibility)
 from crowdpose_kit.augment import CutoutInventory
+from crowdpose_kit import seeding
 from crowdpose_kit.masks import (CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                                  RasterImage)
 
@@ -98,3 +101,28 @@ def single_person_dataset(box=BBox(10, 10, 50, 80), image_id="img_0",
     person = PersonInstance(bbox=box, pose=pose, score=score)
     record = ImageRecord(id=image_id, width=width, height=height, persons=(person,))
     return Dataset(schema=CROWDPOSE_SCHEMA, images=(record,))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs
+    the calls in this process, so no worker is started."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool seeding.map_jobs starts, on a
+    host with 4 CPUs."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(seeding.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    return RecordingPool.sizes

@@ -8,10 +8,13 @@ PAM header parser, and the per-keypoint heatmap and loss kernels at the end
 (encode_reference, decode_reference, loss_reference, loss_grad_reference):
 the loop forms that the package's array kernels replaced, kept to require
 bit-identical results. They use the package's data types and CropTransform.
+substream_seed_reference is the substream derivation as it was before
+SeedSequence took the digest words as an array.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -246,6 +249,18 @@ def scene_flags_reference(layout, skeleton_edges, edges_of_kp):
                 row.append(Visibility.VISIBLE)
         flags.append(row)
     return flags
+
+
+def substream_seed_reference(seed: int, *keys) -> np.random.SeedSequence:
+    """seeding.substream_seed with the digest words passed as a list of
+    Python ints."""
+    h = hashlib.sha256()
+    h.update(str(int(seed)).encode("utf-8"))
+    for key in keys:
+        h.update(b"\x1f")
+        h.update(str(key).encode("utf-8"))
+    words = np.frombuffer(h.digest(), dtype=np.uint32)
+    return np.random.SeedSequence(words.tolist())
 
 
 def read_depth_pam(data: bytes) -> np.ndarray:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import struct
 import warnings
 from dataclasses import replace
@@ -96,6 +97,50 @@ class TestGen:
             digests.append(h.hexdigest()[:16])
         with_rasters, without = self.GEN_DIGESTS[(seed, depth)]
         assert digests == [with_rasters, with_rasters, without]
+
+    def test_unreachable_target_fails_alike_at_any_jobs(self, tmp_path, capsys):
+        """One person per scene never reaches the top CrowdIndex bin. Each
+        --jobs exits 1 with the serial message, removes what it wrote and
+        the directories it made, and leaves no worker running."""
+        config = _write(tmp_path / "c.json", {"person_count_range": [1, 1]})
+        target = _write(tmp_path / "t.json", [0] * 9 + [1])
+        errors = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"new{jobs}" / "gen"
+            capsys.readouterr()
+            assert run("gen", "--seed", "1", "--scenes", "20", "--config", config,
+                       "--target", target, "--jobs", jobs, "--out", str(out)) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.parent.exists()
+            assert not multiprocessing.active_children()
+        assert errors == ["error: exhausted 1000 candidate scenes with 0/20 accepted\n"] * 2
+
+    def test_failure_after_written_scenes_removes_them(self, tmp_path, capsys):
+        """A budget that runs out mid-corpus, after some scenes' PAMs were
+        written, leaves the existing --out directory as it was."""
+        config = _write(tmp_path / "c.json", {"person_count_range": [1, 1]})
+        target = _write(tmp_path / "t.json", [1] + [0] * 8 + [1])
+        out = tmp_path / "gen"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        assert run("gen", "--seed", "1", "--scenes", "20", "--config", config,
+                   "--target", target, "--jobs", "2", "--out", str(out)) == 1
+        assert capsys.readouterr().err == ("error: exhausted 1000 candidate scenes "
+                                           "with 10/20 accepted\n")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+    def test_pool_size_is_capped(self, tmp_path, pool_sizes):
+        """--jobs 64 over 10 scenes starts one worker per CPU (4 here), run
+        in this process by the recording pool, with the bytes of --jobs 1."""
+        digests = []
+        for jobs in ("1", "64"):
+            out = tmp_path / jobs
+            assert run("gen", "--seed", "2", "--scenes", "10", "--jobs", jobs,
+                       "--out", str(out)) == 0
+            digests.append([p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "manifest.json"])
+        assert pool_sizes == [4]
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("bins", [[], ["--bins", "3"]])
     def test_target_file_sets_bins(self, tmp_path, bins):

@@ -1,4 +1,4 @@
-"""Output digests of every command but `gen`, which TestGen pins.
+"""Output digests of every command.
 
 golden.json maps "command/variant/seed" to the sha256 over the names and
 bytes of every file a run writes (manifests excluded), followed by its
@@ -181,8 +181,19 @@ def _coco(corpus, d, seed):
     return _write(d / "coco.json", _coco_doc(dataset, np.random.default_rng(seed)))
 
 
+def _gen(d, seed, *extra):
+    """A 24-scene, 3-bin gen: enough slots that every --jobs value splits
+    them into several runs of more than one slot."""
+    return [["gen", "--seed", str(seed), "--scenes", "24", "--bins", "3", *extra,
+             "--out", str(d / "out" / "gen")]]
+
+
 # "command/variant" -> function(corpus, work dir, seed) giving the argv lists
 CASES = {
+    "gen/jobs_1": lambda c, d, s: _gen(d, s, "--jobs", "1"),
+    "gen/jobs_2": lambda c, d, s: _gen(d, s, "--jobs", "2"),
+    "gen/jobs_3": lambda c, d, s: _gen(d, s, "--jobs", "3"),
+    "gen/no_rasters": lambda c, d, s: _gen(d, s, "--no-rasters"),
     "augment/full_and_objects_jobs_1": lambda c, d, s: _augment(c, d, s, 1),
     "augment/full_and_objects_jobs_2": lambda c, d, s: _augment(c, d, s, 2),
     "heatmap_encode/default": lambda c, d, s: [[

@@ -20,6 +20,7 @@ KEPT = {
     "save_inventory": "bench/inputs.py",
     "extract_cutout": "bench/inputs.py",
     "decode_polygon": "bench/inputs.py",
+    "plan_corpus": "bench/inputs.py",
     "match_greedy": "tests/test_acceptance.py::test_criterion_7_evaluator_sanity",
     "fit_direct": "tests/test_acceptance.py::test_criterion_3_direct_fit_convergence",
     "stable_lr": "tests/test_acceptance.py::test_criterion_3_direct_fit_convergence",

@@ -1,0 +1,38 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crowdpose_kit import seeding
+
+import oracles
+
+KEYS = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**70, 2**70), st.lists(KEYS, max_size=4))
+def test_substream_matches_list_seeded_reference(seed, keys):
+    """Passing the digest words as an array seeds the same stream as the
+    list of Python ints it replaced."""
+    got = np.random.PCG64(seeding.substream_seed(seed, *keys)).state
+    want = np.random.PCG64(oracles.substream_seed_reference(seed, *keys)).state
+    assert got == want
+
+
+@pytest.mark.parametrize("jobs, items, size", [
+    (64, 10, 4),    # capped by the CPUs
+    (3, 10, 3),     # by the jobs
+    (64, 2, 2),     # by the items
+    (64, 1, None),  # one item runs in this process
+    (1, 10, None),
+])
+def test_pool_size(pool_sizes, jobs, items, size):
+    out = list(seeding.map_jobs(lambda i: [i, -i], range(items), jobs))
+    assert out == [v for i in range(items) for v in (i, -i)]
+    assert pool_sizes == ([] if size is None else [size])
+
+
+def test_unknown_cpu_count_runs_in_process(pool_sizes, monkeypatch):
+    monkeypatch.setattr(seeding.os, "cpu_count", lambda: None)
+    assert list(seeding.map_jobs(lambda i: [i], range(5), 8)) == list(range(5))
+    assert pool_sizes == []

@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from crowdpose_kit import cli
 from crowdpose_kit import synthgen as S
 from crowdpose_kit.annotations import Visibility, serialize_dataset
 from crowdpose_kit.crowd_metrics import crowd_index, histogram_bin
@@ -263,11 +265,14 @@ class TestCorpus:
             corpus(corpus_cfg)
         assert err.value.achieved is not None
 
-    @pytest.mark.parametrize("retry_factor, accepted, achieved", [
+    # (retry_factor, accepted, achieved) of a 40-scene seed-3 corpus
+    BUDGET_CASES = [
         (1, 6, [4, 2, 0, 0, 0, 0, 0, 0, 0, 0]),
         (2, 9, [4, 4, 1, 0, 0, 0, 0, 0, 0, 0]),
         (3, 11, [4, 4, 3, 0, 0, 0, 0, 0, 0, 0]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("retry_factor, accepted, achieved", BUDGET_CASES)
     def test_budget_exhaustion_pinned(self, retry_factor, accepted, achieved):
         """The budget runs out at the same candidate, with the same message
         and histogram, as the per-candidate screen it replaced."""
@@ -278,6 +283,53 @@ class TestCorpus:
         assert str(err.value) == (f"exhausted {40 * retry_factor} candidate scenes "
                                   f"with {accepted}/40 accepted")
         assert err.value.achieved == achieved
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("retry_factor, accepted, achieved", BUDGET_CASES)
+    def test_budget_exhaustion_across_jobs(self, retry_factor, accepted, achieved, jobs):
+        """gen's fan-out over runs of slots fails where plan_corpus does:
+        each run's own cap never cuts a slot short that the serial budget
+        lets finish, and within_budget applies the serial spend."""
+        corpus_cfg = S.CorpusConfig(scenes=40, scene_cfg=S.SceneConfig(seed=3),
+                                    retry_factor=retry_factor)
+        planned = cli._gen_outputs(corpus_cfg, jobs, False)
+        with pytest.raises(TargetingError) as err:
+            try:
+                for _ in S.within_budget(corpus_cfg, planned):
+                    pass
+            finally:
+                planned.close()
+        assert str(err.value) == (f"exhausted {40 * retry_factor} candidate scenes "
+                                  f"with {accepted}/40 accepted")
+        assert err.value.achieved == achieved
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_budget_edge_across_jobs(self, jobs):
+        """Seed 31's two slots spend 1 and 3 candidates. A budget of exactly
+        4 fills both at every --jobs, a budget of 2 stops at the second:
+        the second run's floor (1) equals its true prefix here, so a floor
+        one too high, or a spend check of >= in place of >, fails."""
+        def outcome(retry_factor):
+            corpus_cfg = S.CorpusConfig(scenes=2, scene_cfg=S.SceneConfig(seed=31),
+                                        target_histogram=(0.5, 0.5),
+                                        retry_factor=retry_factor)
+            planned = cli._gen_outputs(corpus_cfg, jobs, False)
+            try:
+                return [(s.record, s.slot, s.attempt)
+                        for s, _, _, _ in S.within_budget(corpus_cfg, planned)]
+            except TargetingError as err:
+                return str(err), err.achieved
+            finally:
+                planned.close()
+
+        serial = S.plan_corpus(S.CorpusConfig(
+            scenes=2, scene_cfg=S.SceneConfig(seed=31), target_histogram=(0.5, 0.5),
+            retry_factor=2))
+        assert [s.attempt for s in serial] == [0, 2]
+        assert outcome(2) == [(s.record, s.slot, s.attempt) for s in serial]
+        assert outcome(1) == ("exhausted 2 candidate scenes with 1/2 accepted", [1, 0])
+        assert not multiprocessing.active_children()
 
     def test_corpus_determinism(self):
         corpus_cfg = S.CorpusConfig(scenes=12, scene_cfg=small_cfg(),
