@@ -1,19 +1,25 @@
 """Canonical pose annotation model and dataset parsers.
 
 The canonical model is a 4-state visibility flag per keypoint plus boxes,
-optional segmentation and scores, grouped per image. Three JSON input
-flavors are supported: COCO-like (``images``/``annotations`` arrays),
-JTA-like (per-frame arrays with occluded/self-occluded flag pairs) and the
-toolkit's own self-describing native format.
+optional segmentation and scores, grouped per image. A pose holds its
+keypoints as two read-only arrays: (K, 2) coordinates and (K,) visibility
+codes. Three JSON input flavors are supported: COCO-like
+(``images``/``annotations`` arrays), JTA-like (per-frame arrays with
+occluded/self-occluded flag pairs) and the toolkit's own self-describing
+native format. Each parser gathers the keypoints of the whole document and
+converts them to arrays at once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import MappingError, ParseError, SchemaError
 
@@ -25,9 +31,20 @@ class Visibility(str, enum.Enum):
     UNLABELED = "unlabeled"
 
 
-# Visibility by its tag string; parsers look tags up here rather than
-# calling Visibility(tag) once per keypoint.
+# Visibility by its tag string, looked up rather than calling Visibility(tag)
+# once per keypoint.
 VISIBILITY_BY_TAG = {v.value: v for v in Visibility}
+
+# A pose stores each keypoint's Visibility as its code: its index in this
+# order. The parsers map tag strings to codes, the serializer codes to tags.
+VISIBILITY_ORDER = tuple(Visibility)
+_CODE_OF = {v: i for i, v in enumerate(VISIBILITY_ORDER)}
+_CODE_BY_TAG = {v.value: i for v, i in _CODE_OF.items()}
+_TAG_OF_CODE = tuple(v.value for v in VISIBILITY_ORDER)
+CODE_VISIBLE = _CODE_OF[Visibility.VISIBLE]
+CODE_OCCLUDED = _CODE_OF[Visibility.OCCLUDED]
+CODE_SELF_OCCLUDED = _CODE_OF[Visibility.SELF_OCCLUDED]
+CODE_UNLABELED = _CODE_OF[Visibility.UNLABELED]
 
 
 # COCO keypoint visibility codes. Code 1 ("labeled but not visible") maps
@@ -128,10 +145,127 @@ JTA_SCHEMA = PoseSchema(
 _NAME_ALIASES = {"top_head": "head_top", "head_top": "top_head"}
 
 
-@dataclass(frozen=True)
+def _read_only(a, dtype) -> np.ndarray:
+    """`a` itself when it is a read-only array of `dtype` whose memory no
+    writeable array owns; otherwise a read-only copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable
+            and (a.base is None or isinstance(a.base, np.ndarray)
+                 and not a.base.flags.writeable)):
+        a = np.array(a, dtype=dtype)
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, init=False)
 class Pose:
+    """K keypoints as two read-only arrays: `xy`, (K, 2) float64
+    coordinates, and `codes`, (K,) int8 indices into VISIBILITY_ORDER.
+
+    Pose(schema, keypoints) builds the arrays from Keypoint objects;
+    Pose.from_arrays takes them as they are. `keypoints`, a tuple of
+    Keypoint, is built from the arrays on first use. Two poses are equal
+    when their schemas are and their arrays hold the same bytes: -0.0
+    differs from 0.0, and a NaN equals the same NaN.
+    """
+
     schema: PoseSchema
-    keypoints: tuple[Keypoint, ...]
+    xy: np.ndarray = field(init=False)
+    codes: np.ndarray = field(init=False)
+
+    def __init__(self, schema: PoseSchema, keypoints: Sequence[Keypoint]):
+        kps = tuple(keypoints)
+        xy = np.array([(k.x, k.y) for k in kps], dtype=np.float64).reshape(len(kps), 2)
+        codes = np.array([_CODE_OF[k.vis] for k in kps], dtype=np.int8)
+        xy.flags.writeable = codes.flags.writeable = False
+        self.__dict__.update(schema=schema, xy=xy, codes=codes)
+
+    @classmethod
+    def from_arrays(cls, schema: PoseSchema, xy, codes) -> "Pose":
+        """A pose over (K, 2) coordinates and (K,) codes. Read-only arrays
+        of the right dtypes are kept as they are, views included; anything
+        else is copied."""
+        xy, codes = _read_only(xy, np.float64), _read_only(codes, np.int8)
+        if codes.ndim != 1 or xy.shape != (len(codes), 2):
+            raise ValueError(f"pose arrays of shapes {xy.shape} and {codes.shape}; "
+                             f"expected (K, 2) and (K,)")
+        return cls._of(schema, xy, codes)
+
+    @classmethod
+    def _of(cls, schema: PoseSchema, xy: np.ndarray, codes: np.ndarray) -> "Pose":
+        """from_arrays for arrays known to be read-only and well-shaped."""
+        pose = object.__new__(cls)
+        pose.__dict__.update(schema=schema, xy=xy, codes=codes)
+        return pose
+
+    @functools.cached_property
+    def keypoints(self) -> tuple[Keypoint, ...]:
+        return tuple(Keypoint(x, y, VISIBILITY_ORDER[c])
+                     for (x, y), c in zip(self.xy.tolist(), self.codes.tolist()))
+
+    def to_json(self) -> list:
+        """[x, y, tag] rows, the native format's keypoints."""
+        return [[x, y, _TAG_OF_CODE[c]]
+                for (x, y), c in zip(self.xy.tolist(), self.codes.tolist())]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.schema == other.schema
+                and self.codes.tobytes() == other.codes.tobytes()
+                and self.xy.tobytes() == other.xy.tobytes())
+
+    def __hash__(self):
+        return hash((self.schema, self.codes.tobytes(), self.xy.tobytes()))
+
+    def __reduce__(self):
+        # unpickled arrays are writeable; from_arrays makes read-only copies
+        return Pose.from_arrays, (self.schema, self.xy, self.codes)
+
+
+class _PoseTable:
+    """Keypoint rows [x, y, tag] of many poses, gathered in document order;
+    poses() converts them all at once."""
+
+    def __init__(self):
+        self.rows: list = []
+        self.ends: list[int] = []
+
+    def add(self, rows) -> int:
+        """Gather one pose's rows; returns its index."""
+        self.rows += rows
+        self.ends.append(len(self.rows))
+        return len(self.ends) - 1
+
+    def poses(self, schema: PoseSchema) -> list[Pose]:
+        """The gathered poses, in order; each holds read-only views of one
+        coordinate array and one code array. A row that is not a triple, a
+        coordinate that float() refuses or an unknown tag raises."""
+        if set(map(len, self.rows)) - {3}:
+            raise ParseError("a keypoint row is not an [x, y, tag] triple")
+        # one flat list, not zip(*rows): zip would hold an iterator per row
+        flat = list(itertools.chain.from_iterable(self.rows))
+        xy = np.empty((len(self.rows), 2), dtype=np.float64)
+        xy[:, 0] = list(map(float, flat[0::3]))
+        xy[:, 1] = list(map(float, flat[1::3]))
+        try:
+            codes = np.array(list(map(_CODE_BY_TAG.__getitem__, flat[2::3])), dtype=np.int8)
+        except KeyError as exc:
+            raise ParseError(f"unknown keypoint visibility tag {exc.args[0]!r}; "
+                             f"expected one of {sorted(_CODE_BY_TAG)}") from exc
+        xy.flags.writeable = codes.flags.writeable = False
+        return [Pose._of(schema, xy[start:end], codes[start:end])
+                for start, end in zip([0] + self.ends, self.ends)]
+
+    def records(self, schema: PoseSchema, images) -> tuple[ImageRecord, ...]:
+        """Image records from (id, width, height, source, persons) tuples,
+        each person a (pose index, bbox, segmentation, score, track id)
+        tuple."""
+        poses = self.poses(schema)
+        return tuple(
+            ImageRecord(id=img_id, width=width, height=height, source=source,
+                        persons=tuple(PersonInstance(bbox, poses[i], seg, score, track)
+                                      for i, bbox, seg, score, track in persons))
+            for img_id, width, height, source, persons in images)
 
 
 @dataclass(frozen=True)
@@ -260,6 +394,7 @@ def _parse_coco_like(doc) -> Dataset:
         images[img_id] = (img, [])
         order.append(img_id)
 
+    table = _PoseTable()
     for ann in doc.get("annotations", []):
         img_id = str(ann["image_id"])
         if img_id not in images:
@@ -273,78 +408,68 @@ def _parse_coco_like(doc) -> Dataset:
         elif count != schema.count:
             raise SchemaError(f"annotation has {count} keypoints, schema "
                               f"{schema.name!r} expects {schema.count}")
-        kps = []
+        rows = []
         for i in range(count):
             x, y, v = flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]
             vis = COCO_VISIBILITY.get(int(v))
             if vis is None:
                 raise ParseError(f"unknown COCO visibility code {v}")
             if vis is Visibility.UNLABELED:
-                kps.append(Keypoint(0.0, 0.0, vis))
+                rows.append((0.0, 0.0, vis.value))
             else:
-                kps.append(Keypoint(float(x), float(y), vis))
+                rows.append((float(x), float(y), vis.value))
+        pose = table.add(rows)
         bx, by, bw, bh = (float(v) for v in ann["bbox"])
         score = ann.get("score")
-        person = PersonInstance(
-            bbox=BBox(bx, by, bw, bh),
-            pose=Pose(schema, tuple(kps)),
-            segmentation=_segmentation_from_json(ann.get("segmentation")),
-            score=None if score is None else float(score),
-            track_id=None if ann.get("track_id") is None else int(ann["track_id"]),
-        )
-        images[img_id][1].append(person)
+        images[img_id][1].append((
+            pose, BBox(bx, by, bw, bh),
+            _segmentation_from_json(ann.get("segmentation")),
+            None if score is None else float(score),
+            None if ann.get("track_id") is None else int(ann["track_id"]),
+        ))
 
     if schema is None:
         schema = CROWDPOSE_SCHEMA
-    records = []
+    rows = []
     for img_id in order:
         img, persons = images[img_id]
-        records.append(ImageRecord(
-            id=img_id,
-            width=int(img["width"]),
-            height=int(img["height"]),
-            persons=tuple(persons),
-            source=img.get("file_name"),
-        ))
-    return Dataset(schema=schema, images=tuple(records), meta={})
+        rows.append((img_id, int(img["width"]), int(img["height"]), img.get("file_name"),
+                     persons))
+    return Dataset(schema=schema, images=table.records(schema, rows), meta={})
 
 
 def _parse_jta_like(doc) -> Dataset:
     schema = JTA_SCHEMA
-    records = []
+    table = _PoseTable()
+    images = []
     for frame in doc.get("frames", []):
         persons = []
         for entry in frame.get("people", []):
-            kps = []
             rows = entry["keypoints"]
             if len(rows) != schema.count:
                 raise SchemaError(f"JTA person has {len(rows)} keypoints, expected "
                                   f"{schema.count}")
+            kps = []
             for row in rows:
                 x, y, occ, self_occ = row
-                kps.append(Keypoint(float(x), float(y),
-                                    jta_flags_to_visibility(bool(occ), bool(self_occ))))
+                kps.append((float(x), float(y),
+                            jta_flags_to_visibility(bool(occ), bool(self_occ)).value))
+            pose = table.add(kps)
             if "bbox" in entry and entry["bbox"] is not None:
                 bx, by, bw, bh = (float(v) for v in entry["bbox"])
             else:
-                xs = [k.x for k in kps]
-                ys = [k.y for k in kps]
+                xs = [k[0] for k in kps]
+                ys = [k[1] for k in kps]
                 bx, by = min(xs), min(ys)
                 bw = max(max(xs) - bx, 1.0)
                 bh = max(max(ys) - by, 1.0)
-            persons.append(PersonInstance(
-                bbox=BBox(bx, by, bw, bh),
-                pose=Pose(schema, tuple(kps)),
-                track_id=None if entry.get("track_id") is None else int(entry["track_id"]),
+            persons.append((
+                pose, BBox(bx, by, bw, bh), None, None,
+                None if entry.get("track_id") is None else int(entry["track_id"]),
             ))
-        records.append(ImageRecord(
-            id=str(frame["id"]),
-            width=int(frame["width"]),
-            height=int(frame["height"]),
-            persons=tuple(persons),
-            source=frame.get("source"),
-        ))
-    return Dataset(schema=schema, images=tuple(records), meta={})
+        images.append((str(frame["id"]), int(frame["width"]), int(frame["height"]),
+                       frame.get("source"), persons))
+    return Dataset(schema=schema, images=table.records(schema, images), meta={})
 
 
 def _parse_native(doc) -> Dataset:
@@ -353,33 +478,23 @@ def _parse_native(doc) -> Dataset:
                          f"{doc.get('format')!r})")
     sblock = doc["schema"]
     schema = PoseSchema(str(sblock["name"]), tuple(str(n) for n in sblock["keypoint_names"]))
-    records = []
+    table = _PoseTable()
+    images = []
     for img in doc["images"]:
         persons = []
         for p in img["persons"]:
-            rows = p["keypoints"]
-            try:
-                kps = tuple([Keypoint(float(x), float(y), VISIBILITY_BY_TAG[v])
-                             for x, y, v in rows])
-            except KeyError as exc:  # rows is bound, so only a tag can be missing
-                raise ParseError(f"unknown keypoint visibility tag {exc.args[0]!r}; "
-                                 f"expected one of {sorted(VISIBILITY_BY_TAG)}") from exc
+            pose = table.add(p["keypoints"])
             bx, by, bw, bh = map(float, p["bbox"])
-            persons.append(PersonInstance(
-                bbox=BBox(bx, by, bw, bh),
-                pose=Pose(schema, kps),
-                segmentation=_segmentation_from_json(p.get("segmentation")),
-                score=None if p.get("score") is None else float(p["score"]),
-                track_id=None if p.get("track_id") is None else int(p["track_id"]),
+            persons.append((
+                pose, BBox(bx, by, bw, bh),
+                _segmentation_from_json(p.get("segmentation")),
+                None if p.get("score") is None else float(p["score"]),
+                None if p.get("track_id") is None else int(p["track_id"]),
             ))
-        records.append(ImageRecord(
-            id=str(img["id"]),
-            width=int(img["width"]),
-            height=int(img["height"]),
-            persons=tuple(persons),
-            source=img.get("source"),
-        ))
-    return Dataset(schema=schema, images=tuple(records), meta=dict(doc.get("meta", {})))
+        images.append((str(img["id"]), int(img["width"]), int(img["height"]),
+                       img.get("source"), persons))
+    return Dataset(schema=schema, images=table.records(schema, images),
+                   meta=dict(doc.get("meta", {})))
 
 
 _PARSERS = {"coco_like": _parse_coco_like, "jta_like": _parse_jta_like, "native": _parse_native}
@@ -423,7 +538,7 @@ def serialize_dataset(dataset: Dataset) -> bytes:
                         "score": p.score,
                         "track_id": p.track_id,
                         "segmentation": _segmentation_to_json(p.segmentation),
-                        "keypoints": [[k.x, k.y, k.vis.value] for k in p.pose.keypoints],
+                        "keypoints": p.pose.to_json(),
                     }
                     for p in img.persons
                 ],
@@ -459,7 +574,7 @@ def convert_jta_to_crowdpose(pose: Pose, mapping: Optional[Sequence[int]] = None
                           f"{pose.schema.count}")
     if mapping is None:
         mapping = default_jta_to_crowdpose_mapping()
-    mapping = tuple(int(i) for i in mapping)
+    mapping = [int(i) for i in mapping]
     if len(mapping) != CROWDPOSE_SCHEMA.count:
         raise MappingError(f"mapping must have {CROWDPOSE_SCHEMA.count} entries, got "
                            f"{len(mapping)}")
@@ -468,7 +583,7 @@ def convert_jta_to_crowdpose(pose: Pose, mapping: Optional[Sequence[int]] = None
     for idx in mapping:
         if not 0 <= idx < pose.schema.count:
             raise MappingError(f"mapping index {idx} out of range [0, {pose.schema.count})")
-    return Pose(CROWDPOSE_SCHEMA, tuple(pose.keypoints[i] for i in mapping))
+    return Pose.from_arrays(CROWDPOSE_SCHEMA, pose.xy[mapping], pose.codes[mapping])
 
 
 def convert_dataset_jta_to_crowdpose(dataset: Dataset,
@@ -518,6 +633,22 @@ class ValidationReport:
         }
 
 
+def _nonfinite_keypoints(poses: Sequence[Pose]) -> dict[int, list[int]]:
+    """Pose index -> indices of its labeled keypoints with a non-finite
+    coordinate, for the poses that have any; one array pass over all."""
+    if not poses:
+        return {}
+    xy = np.concatenate([p.xy for p in poses])
+    codes = np.concatenate([p.codes for p in poses])
+    rows = np.flatnonzero((codes != CODE_UNLABELED) & ~np.isfinite(xy).all(axis=1))
+    starts = np.cumsum([0] + [len(p.codes) for p in poses])
+    out: dict[int, list[int]] = {}
+    for row, owner in zip(rows.tolist(),
+                          (np.searchsorted(starts, rows, side="right") - 1).tolist()):
+        out.setdefault(owner, []).append(row - int(starts[owner]))
+    return out
+
+
 def validate(dataset: Dataset) -> ValidationReport:
     """Report every invariant violation; the dataset itself is left untouched.
 
@@ -530,7 +661,10 @@ def validate(dataset: Dataset) -> ValidationReport:
     def add(img_id, person_idx, kind, detail):
         report.violations.append(Violation(img_id, person_idx, kind, detail))
 
+    nonfinite = _nonfinite_keypoints([p.pose for img in dataset.images
+                                      for p in img.persons])
     seen_ids = set()
+    ordinal = 0
     for img in dataset.images:
         if img.id in seen_ids:
             add(img.id, None, "duplicate_image_id", f"image id {img.id!r} repeats")
@@ -539,15 +673,14 @@ def validate(dataset: Dataset) -> ValidationReport:
             if not (person.bbox.w > 0 and person.bbox.h > 0):
                 add(img.id, pi, "degenerate_bbox",
                     f"bbox {person.bbox.w}x{person.bbox.h}")
+            length = len(person.pose.codes)
             if person.pose.schema.count != dataset.schema.count or \
-                    len(person.pose.keypoints) != dataset.schema.count:
+                    length != dataset.schema.count:
                 add(img.id, pi, "schema_mismatch",
-                    f"pose length {len(person.pose.keypoints)} vs schema "
-                    f"{dataset.schema.count}")
-            for ki, kp in enumerate(person.pose.keypoints):
-                if kp.vis is not Visibility.UNLABELED and not (
-                        math.isfinite(kp.x) and math.isfinite(kp.y)):
-                    add(img.id, pi, "nonfinite_coordinate", f"keypoint {ki}")
+                    f"pose length {length} vs schema {dataset.schema.count}")
+            for ki in nonfinite.get(ordinal, ()):
+                add(img.id, pi, "nonfinite_coordinate", f"keypoint {ki}")
+            ordinal += 1
             if person.score is not None and not (0.0 <= person.score <= 1.0):
                 add(img.id, pi, "score_out_of_range", f"score {person.score}")
             seg = person.segmentation

@@ -19,7 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .annotations import VISIBILITY_BY_TAG, BBox, ImageRecord, Keypoint, Visibility
+from .annotations import (CODE_OCCLUDED, CODE_SELF_OCCLUDED, CODE_VISIBLE,
+                          VISIBILITY_BY_TAG, VISIBILITY_ORDER, BBox, ImageRecord, Keypoint,
+                          Pose, Visibility)
 from .errors import ConfigError, GeometryError, InventoryError
 from .masks import (CUTOUT_BODY_PART, CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                     RasterImage, composite_with_mask, read_pam, write_pam)
@@ -199,6 +201,11 @@ def plan_cutout(rng: np.random.Generator, kind: str, person: BBox,
     return Placement(idx, kind, dst_x, dst_y, dst_w, dst_h, src_rect)
 
 
+# the codes of the keypoints that a paste can occlude
+_OCCLUDABLE = np.zeros(len(VISIBILITY_ORDER), dtype=bool)
+_OCCLUDABLE[[CODE_VISIBLE, CODE_SELF_OCCLUDED]] = True
+
+
 @dataclass(frozen=True)
 class FlagChange:
     person_index: int
@@ -259,22 +266,30 @@ def apply_augmentation(rng: np.random.Generator, image: RasterImage,
                                         placement.dst_w, placement.dst_h)
         painted |= mask
 
-    changes: list[FlagChange] = []
-    new_persons = []
-    for pi, person in enumerate(record.persons):
-        new_kps = []
-        for ki, kp in enumerate(person.pose.keypoints):
-            new_kp = kp
-            # compared as floats: a NaN or infinite coordinate is off the image
-            if kp.vis in (Visibility.VISIBLE, Visibility.SELF_OCCLUDED) and \
-                    0 <= kp.x < image.width and 0 <= kp.y < image.height and \
-                    painted[int(math.floor(kp.y)), int(math.floor(kp.x))]:
-                new_kp = Keypoint(kp.x, kp.y, Visibility.OCCLUDED)
-                changes.append(FlagChange(pi, ki, kp.vis, Visibility.OCCLUDED))
-            new_kps.append(new_kp)
-        new_persons.append(replace(person, pose=replace(person.pose,
-                                                        keypoints=tuple(new_kps))))
-    new_record = replace(record, persons=tuple(new_persons))
+    # every person's keypoints as rows of one array
+    poses = [p.pose for p in record.persons]
+    sizes = [len(pose.codes) for pose in poses]
+    starts = np.cumsum([0] + sizes).tolist()
+    xy = np.concatenate([pose.xy for pose in poses])
+    codes = np.concatenate([pose.codes for pose in poses])
+    x, y = xy[:, 0], xy[:, 1]
+    # compared as floats: a NaN or infinite coordinate is off the image
+    rows = np.flatnonzero(_OCCLUDABLE[codes] & (0 <= x) & (x < image.width) &
+                          (0 <= y) & (y < image.height))
+    rows = rows[painted[np.floor(y[rows]).astype(np.intp),
+                        np.floor(x[rows]).astype(np.intp)]]
+    owners = np.repeat(np.arange(len(poses)), sizes)[rows].tolist()
+    changes = [FlagChange(pi, row - starts[pi], VISIBILITY_ORDER[code], Visibility.OCCLUDED)
+               for row, pi, code in zip(rows.tolist(), owners, codes[rows].tolist())]
+    codes[rows] = CODE_OCCLUDED
+    codes.flags.writeable = False
+    changed = set(owners)
+    new_persons = tuple(
+        replace(person, pose=Pose.from_arrays(person.pose.schema, person.pose.xy,
+                                              codes[starts[pi]:starts[pi + 1]]))
+        if pi in changed else person
+        for pi, person in enumerate(record.persons))
+    new_record = replace(record, persons=new_persons)
     return AugmentResult(image=out, record=new_record, placements=placements,
                          flag_changes=changes, painted=painted)
 

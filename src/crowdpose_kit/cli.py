@@ -2,11 +2,14 @@
 
 `dispatch` is the one command runner. It times each subcommand and, for
 every run given `--out`, writes a manifest (argv, seed, content digest of
-the inputs the subcommand names, version, duration). It is also the one
-place that maps failures to exit codes: 0 success, 1 domain error
-(`CrowdKitError` or a missing input file), 2 usage error (argparse, which
-also rejects `heatmap encode` without `--out` and `heatmap decode` without
-`--bbox`). Diagnostics go to stderr; data goes to files or stdout only.
+the inputs the subcommand names, version, the Python and numpy versions,
+duration). It is also the one place that maps failures to exit codes: 0
+success, 1 domain error (`CrowdKitError`, or an `OSError` such as a missing
+input file or an output path that collides with a file), 2 usage error
+(argparse, which also rejects `heatmap encode` without `--out` and
+`heatmap decode` without `--bbox`). Diagnostics go to stderr, where the
+CrowdIndex's per-person ratio-0 warnings become one summary line; data goes
+to files or stdout only.
 `gen --jobs` plans and renders runs of scenes in worker processes and
 writes every file in the main process, without changing any output byte;
 it is the only command that fans out. `augment` and `eval` run in one
@@ -22,9 +25,13 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import time
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import annotations as anno
@@ -60,9 +67,11 @@ def _write_manifest(out: Path, argv, inputs, seed, duration_s: float) -> None:
         "seed": seed,
         "config_digest": _digest_paths(inputs),
         "tool_version": __version__,
+        # the RNG streams, and so the outputs, depend on both
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         "duration_s": round(duration_s, 3),
     }
-    if out.suffix:  # file output: manifest next to it
+    if out.suffix or out.is_file():  # file output: manifest next to it
         path = out.with_suffix(out.suffix + ".manifest.json")
     else:
         out.mkdir(parents=True, exist_ok=True)
@@ -309,7 +318,8 @@ def _cmd_gen(args):
     except BaseException:
         # a failed gen leaves no output behind, nor any directory it made
         for path in written:
-            path.unlink(missing_ok=True)
+            if not path.is_dir():  # a directory in a file's place was not written
+                path.unlink(missing_ok=True)
         for d in made:
             d.rmdir()
         raise
@@ -349,7 +359,7 @@ def _cmd_heatmap(args):
     transform = heatmaps.bbox_to_crop(anno.BBox(bx, by, bw, bh))
     result = heatmaps.decode(pair, transform, args.threshold)
     payload = {
-        "keypoints": [[kp.x, kp.y, kp.vis.value] for kp in result.pose.keypoints],
+        "keypoints": result.pose.to_json(),
         "confidences": [float(c) for c in result.confidences],
         "low_confidence": [bool(b) for b in result.low_confidence],
     }
@@ -491,14 +501,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv) -> int:
-    """Run one subcommand, write its manifest when it was given --out, and
-    return the process exit code."""
-    argv = list(argv)
+def _run(argv: list) -> int:
     try:
         args = _build_parser().parse_args(argv)
         started = time.time()
         inputs = args.func(args)
+        if getattr(args, "out", None):
+            _write_manifest(Path(args.out), argv, inputs, args.seed,
+                            time.time() - started)
     except SystemExit as exc:  # usage error (2), or --help (0)
         return int(exc.code or 0)
     except CrowdKitError as exc:
@@ -507,9 +517,34 @@ def dispatch(argv) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: missing input: {exc.filename}\n")
         return 1
-    if getattr(args, "out", None):
-        _write_manifest(Path(args.out), argv, inputs, args.seed, time.time() - started)
+    except OSError as exc:  # e.g. an output path that collides with a file
+        where = f": {exc.filename}" if exc.filename else ""
+        sys.stderr.write(f"error: {exc.strerror or exc}{where}\n")
+        return 1
     return 0
+
+
+_RATIO_ZERO = f".*{re.escape(crowd_metrics.NO_OWN_KEYPOINTS)}"
+
+
+def dispatch(argv) -> int:
+    """Run one subcommand, write its manifest when it was given --out, and
+    return the process exit code. The CrowdIndex's ratio-0 warnings are
+    counted into one note on stderr; any other warning passes through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", _RATIO_ZERO, UserWarning)
+        code = _run(list(argv))
+    ratio_zero = 0
+    for w in caught:
+        if w.category is UserWarning and re.match(_RATIO_ZERO, str(w.message)):
+            ratio_zero += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if ratio_zero:
+        persons = "person" if ratio_zero == 1 else "persons"
+        sys.stderr.write(f"note: {ratio_zero} {persons} with no own keypoints in "
+                         f"their box counted as ratio 0\n")
+    return code
 
 
 def main() -> None:

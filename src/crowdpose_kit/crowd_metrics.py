@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import Dataset, ImageRecord, Visibility
+from .annotations import CODE_UNLABELED, CODE_VISIBLE, Dataset, ImageRecord
 from .errors import UndefinedMetricError
 
 LEVEL_EASY = "easy"
@@ -25,11 +25,8 @@ LEVELS = (LEVEL_EASY, LEVEL_MEDIUM, LEVEL_HARD)
 COUNT_LABELED = "labeled"        # visible + occluded + self-occluded
 COUNT_VISIBLE_ONLY = "visible_only"
 
-
-def _counts(person, count_mode):
-    if count_mode == COUNT_VISIBLE_ONLY:
-        return tuple(k for k in person.pose.keypoints if k.vis is Visibility.VISIBLE)
-    return tuple(k for k in person.pose.keypoints if k.vis is not Visibility.UNLABELED)
+# The text shared by every ratio-0 warning of crowd_index_arrays.
+NO_OWN_KEYPOINTS = "has no own keypoints inside its bbox"
 
 
 def crowd_index(record: ImageRecord, count_mode: str = COUNT_LABELED) -> float:
@@ -44,13 +41,15 @@ def crowd_index(record: ImageRecord, count_mode: str = COUNT_LABELED) -> float:
     if n == 0:
         raise UndefinedMetricError(f"CrowdIndex undefined for image {record.id!r} "
                                    f"with zero persons")
-    counted = [_counts(p, count_mode) for p in record.persons]
-    owners = np.repeat(np.arange(n), [len(kps) for kps in counted])
-    points = np.array([(k.x, k.y) for kps in counted for k in kps],
-                      dtype=np.float64).reshape(-1, 2)
+    poses = [p.pose for p in record.persons]
+    codes = np.concatenate([pose.codes for pose in poses])
+    counted = codes == CODE_VISIBLE if count_mode == COUNT_VISIBLE_ONLY else \
+        codes != CODE_UNLABELED
+    owners = np.repeat(np.arange(n), [len(pose.codes) for pose in poses])
+    points = np.concatenate([pose.xy for pose in poses])
     boxes = np.array([(p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h)
                       for p in record.persons], dtype=np.float64)
-    return crowd_index_arrays(boxes, points, owners, image_id=record.id)
+    return crowd_index_arrays(boxes, points[counted], owners[counted], image_id=record.id)
 
 
 def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray, owners: np.ndarray,
@@ -73,8 +72,8 @@ def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray, owners: np.ndarray
     ratios = []
     for i, (n_a, n_b) in enumerate(zip((n_in - n_own).tolist(), n_own.tolist())):
         if n_b == 0:
-            warnings.warn(f"person {i} in image {image_id!r} has no own keypoints "
-                          f"inside its bbox; contributes ratio 0", stacklevel=2)
+            warnings.warn(f"person {i} in image {image_id!r} {NO_OWN_KEYPOINTS}; "
+                          f"contributes ratio 0", stacklevel=2)
             continue
         ratios.append(n_a / n_b)
     return min(math.fsum(ratios) / n, 1.0)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .annotations import Dataset, PersonInstance, Visibility
+from .annotations import CODE_UNLABELED, Dataset, PersonInstance
 from .crowd_metrics import LEVELS, crowd_index_arrays, partition
 from .errors import AlignmentError, ProtocolError, UndefinedMetricError
 
@@ -47,15 +47,13 @@ def _pose_arrays(persons: Sequence[PersonInstance],
                  count: int) -> tuple[np.ndarray, np.ndarray]:
     """(N, K, 2) keypoint coordinates and the (N, K) labeled mask."""
     for p in persons:
-        if len(p.pose.keypoints) != count:
-            raise ProtocolError(f"pose has {len(p.pose.keypoints)} keypoints, "
+        if len(p.pose.codes) != count:
+            raise ProtocolError(f"pose has {len(p.pose.codes)} keypoints, "
                                 f"the OKS sigmas cover {count}")
-    # flat lists convert faster than nested ones
-    xy = np.array([c for p in persons for k in p.pose.keypoints for c in (k.x, k.y)],
-                  dtype=np.float64).reshape(len(persons), count, 2)
-    labeled = np.array([k.vis is not Visibility.UNLABELED
-                        for p in persons for k in p.pose.keypoints],
-                       dtype=bool).reshape(len(persons), count)
+    if not persons:
+        return np.empty((0, count, 2)), np.empty((0, count), dtype=bool)
+    xy = np.stack([p.pose.xy for p in persons])
+    labeled = np.stack([p.pose.codes for p in persons]) != CODE_UNLABELED
     return xy, labeled
 
 

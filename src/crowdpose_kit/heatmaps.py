@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import BBox, Keypoint, Pose, PoseSchema, Visibility
+from .annotations import (CODE_OCCLUDED, CODE_UNLABELED, CODE_VISIBLE, VISIBILITY_ORDER,
+                          BBox, Pose, PoseSchema, Visibility)
 from .errors import DimensionError, GeometryError, MaskDecodeError
 
 INPUT_W = 192
@@ -29,7 +30,9 @@ STRIDE = 4  # 192/48 == 256/64
 DEFAULT_SIGMA = 2.0
 DEFAULT_CONF_THRESHOLD = 0.7
 
-_VISIBLE_BRANCH_TAGS = (Visibility.VISIBLE, Visibility.SELF_OCCLUDED)
+# the branch (0 visible, 1 occluded) of each labeled visibility code
+_BRANCH_OF_CODE = np.zeros(len(VISIBILITY_ORDER), dtype=np.intp)
+_BRANCH_OF_CODE[CODE_OCCLUDED] = 1
 
 
 @dataclass(frozen=True)
@@ -126,28 +129,25 @@ def encode(pose: Pose, transform: CropTransform,
     if not (sigma > 0 and sys.float_info.min <= 2.0 * sigma * sigma < math.inf):
         raise DimensionError(f"sigma must be finite and positive, with 2 * sigma**2 "
                              f"a normal float, got {sigma}")
-    k = len(pose.keypoints)
+    k = len(pose.codes)
     # one buffer; its two halves are the visible and the occluded branch
     grids = np.zeros((2, k, HEATMAP_H, HEATMAP_W), dtype=np.float64)
     pair = HeatmapPair(Heatmap(grids[0]), Heatmap(grids[1]))
     in_bounds = np.zeros(k, dtype=bool)
     # a non-finite coordinate can never land in the grid
-    usable = [i for i, kp in enumerate(pose.keypoints)
-              if kp.vis is not Visibility.UNLABELED
-              and math.isfinite(kp.x) and math.isfinite(kp.y)]
-    if not usable:
+    usable = np.flatnonzero((pose.codes != CODE_UNLABELED) &
+                            np.isfinite(pose.xy).all(axis=1))
+    if not usable.size:
         return pair, in_bounds
     # a huge finite coordinate transforms to infinity, outside the grid
     with np.errstate(over="ignore"):
-        crop = transform.apply([(pose.keypoints[i].x, pose.keypoints[i].y)
-                                for i in usable])
+        crop = transform.apply(pose.xy[usable])
     hx, hy = crop[:, 0] / STRIDE, crop[:, 1] / STRIDE
     inside = (0.0 <= hx) & (hx <= HEATMAP_W - 1) & (0.0 <= hy) & (hy <= HEATMAP_H - 1)
-    idx = np.array(usable)[inside]
+    idx = usable[inside]
     in_bounds[idx] = True
     hx, hy = hx[inside], hy[inside]
-    branch = np.array([pose.keypoints[i].vis not in _VISIBLE_BRANCH_TAGS
-                       for i in idx.tolist()], dtype=np.intp)
+    branch = _BRANCH_OF_CODE[pose.codes[idx]]
     # Each Gaussian is cut to [floor(h - reach), ceil(h + reach)] per axis,
     # which fits in `span` cells. A window of that span, clamped into the
     # grid, holds it; its extra cells lie more than reach away and get 0.
@@ -214,12 +214,11 @@ def decode(pair: HeatmapPair, transform: CropTransform,
                      x + 0.25 * np.sign(at(r, right) - at(r, left)), x)
         y = np.where((0 < r) & (r < h - 1),
                      y + 0.25 * np.sign(at(down, c) - at(up, c)), y)
-    img_xy = inv.apply(np.column_stack([x * STRIDE, y * STRIDE])).tolist()
-    branches = tuple(Visibility.VISIBLE if u else Visibility.OCCLUDED
-                     for u in use_vis.tolist())
+    img_xy = inv.apply(np.column_stack([x * STRIDE, y * STRIDE]))
+    codes = np.where(use_vis, CODE_VISIBLE, CODE_OCCLUDED)
+    branches = tuple(VISIBILITY_ORDER[c] for c in codes.tolist())
     return DecodeResult(
-        pose=Pose(schema, tuple(Keypoint(px, py, label)
-                                for (px, py), label in zip(img_xy, branches))),
+        pose=Pose.from_arrays(schema, img_xy, codes),
         confidences=confidences,
         branches=branches,
         low_confidence=confidences < conf_threshold,

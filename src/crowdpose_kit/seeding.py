@@ -8,9 +8,10 @@ order, so outputs never depend on the number of jobs either.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
-import functools
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -46,8 +47,10 @@ def map_jobs(fn, items, jobs: int):
     write each output as it comes, so the outputs are never all held at
     once.
 
-    Closing the generator early cancels the items not yet started and waits
-    for the running ones, so no worker outlives it."""
+    The pool holds one submitted item per worker: the next item is
+    submitted when the oldest one's outputs are taken. Closing the
+    generator early therefore waits for at most one running item per
+    worker, and no worker outlives it."""
     items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
@@ -56,7 +59,14 @@ def map_jobs(fn, items, jobs: int):
         return
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     try:
-        for outputs in pool.map(functools.partial(_listed, fn), items):
+        rest = iter(items)
+        window = collections.deque(pool.submit(_listed, fn, item)
+                                   for item in itertools.islice(rest, workers))
+        while window:
+            outputs = window.popleft().result()
+            # refill before the caller takes the outputs, so no worker waits
+            for item in itertools.islice(rest, 1):
+                window.append(pool.submit(_listed, fn, item))
             yield from outputs
     finally:
         pool.shutdown(cancel_futures=True)

@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord, Keypoint,
-                          PersonInstance, Pose, Visibility)
+from .annotations import (CODE_OCCLUDED, CODE_SELF_OCCLUDED, CODE_VISIBLE,
+                          CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord, PersonInstance,
+                          Pose)
 from .crowd_metrics import crowd_index_arrays, histogram_bin
 from .errors import ConfigError, TargetingError
 from .masks import RasterImage
@@ -264,8 +265,8 @@ def _capsule_sq_dist(px, py, ax, ay, bx, by):
     return ex * ex + ey * ey
 
 
-def _layout_flags(layout: SceneLayout) -> list[list[Visibility]]:
-    """Geometric visibility per keypoint: occluded when a later-drawn
+def _layout_flags(layout: SceneLayout) -> np.ndarray:
+    """Geometric visibility codes, (n, 14) int8: occluded when a later-drawn
     person's capsule covers the keypoint's pixel center, self-occluded when
     the topmost own limb there is not one of the keypoint's own limbs."""
     n = len(layout.persons)
@@ -295,9 +296,9 @@ def _layout_flags(layout: SceneLayout) -> list[list[Visibility]]:
     self_occ = ~occluded & (top_edge >= 0) & \
         ~_IS_OWN_EDGE[point_kp, np.maximum(top_edge, 0)]
 
-    vis = [Visibility.OCCLUDED if o else Visibility.SELF_OCCLUDED if s
-           else Visibility.VISIBLE for o, s in zip(occluded.tolist(), self_occ.tolist())]
-    return [vis[q:q + 14] for q in range(0, len(vis), 14)]
+    codes = np.where(occluded, CODE_OCCLUDED,
+                     np.where(self_occ, CODE_SELF_OCCLUDED, CODE_VISIBLE))
+    return codes.reshape(n, 14).astype(np.int8)
 
 
 def _boxes(kps: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -316,19 +317,17 @@ def _layout_boxes(layout: SceneLayout) -> np.ndarray:
 
 
 def _layout_record(layout: SceneLayout, image_id: str) -> ImageRecord:
-    flags = _layout_flags(layout)
-    persons = []
-    for i, (person, box) in enumerate(zip(layout.persons,
-                                          _layout_boxes(layout).tolist())):
-        kps = tuple(Keypoint(x, y, flags[i][k])
-                    for k, (x, y) in enumerate(person.keypoints.tolist()))
-        persons.append(PersonInstance(
-            bbox=BBox(*box),
-            pose=Pose(CROWDPOSE_SCHEMA, kps),
-            track_id=i,
-        ))
+    """The scene's annotations: each pose is a read-only view of one copy
+    of the layout's keypoints and flags."""
+    codes = _layout_flags(layout)
+    xy = np.stack([p.keypoints for p in layout.persons])
+    xy.flags.writeable = codes.flags.writeable = False
+    persons = tuple(
+        PersonInstance(bbox=BBox(*box), track_id=i,
+                       pose=Pose.from_arrays(CROWDPOSE_SCHEMA, xy[i], codes[i]))
+        for i, box in enumerate(_layout_boxes(layout).tolist()))
     return ImageRecord(id=image_id, width=layout.width, height=layout.height,
-                       persons=tuple(persons))
+                       persons=persons)
 
 
 def _candidate_crowd_index(draws: _Draws) -> float:

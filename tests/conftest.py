@@ -104,18 +104,33 @@ def single_person_dataset(box=BBox(10, 10, 50, 80), image_id="img_0",
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size and runs
-    the calls in this process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: records the pool size, and after
+    each submit how many submitted calls are in flight (their results not
+    yet taken). A call runs in this process when its result is taken, so no
+    worker is started."""
     sizes: list = []
+    in_flight: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.pending = 0
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        self.pending += 1
+        self.in_flight.append(self.pending)
+        return _TakenLater(self, fn, args)
 
     def shutdown(self, cancel_futures=False):
         pass
+
+
+class _TakenLater:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self):
+        self.pool.pending -= 1
+        return self.fn(*self.args)
 
 
 @pytest.fixture
@@ -125,4 +140,11 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(seeding.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "in_flight", [])
     return RecordingPool.sizes
+
+
+@pytest.fixture
+def pool_in_flight(pool_sizes):
+    """RecordingPool.in_flight, with pool_sizes in place."""
+    return RecordingPool.in_flight

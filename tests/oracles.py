@@ -9,17 +9,24 @@ PAM header parser, and the per-keypoint heatmap and loss kernels at the end
 the loop forms that the package's array kernels replaced, kept to require
 bit-identical results. They use the package's data types and CropTransform.
 substream_seed_reference is the substream derivation as it was before
-SeedSequence took the digest words as an array.
+SeedSequence took the digest words as an array. parse_native_reference is
+the native parser as it was when a pose was a tuple of Keypoint objects;
+each person's pose is a PoseReference that keeps that tuple as parsed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from crowdpose_kit.annotations import Keypoint, Pose, PoseSchema, Visibility
+from crowdpose_kit.annotations import (NATIVE_FORMAT_TAG, VISIBILITY_BY_TAG, BBox,
+                                       Dataset, ImageRecord, Keypoint, PersonInstance,
+                                       Pose, PoseSchema, Visibility,
+                                       _segmentation_from_json)
+from crowdpose_kit.errors import ParseError
 from crowdpose_kit.errors import MaskDecodeError, UndefinedMetricError
 from crowdpose_kit.heatmaps import (HEATMAP_H, HEATMAP_W, STRIDE, DecodeResult, Heatmap,
                                     HeatmapPair)
@@ -339,8 +346,10 @@ def decode_reference(pair, transform, conf_threshold: float):
     for i in range(k):
         vis_grid = pair.visible.values[i]
         occ_grid = pair.occluded.values[i]
-        vis_max = float(vis_grid.max())
-        occ_max = float(occ_grid.max())
+        # the first maximum's value: max() may return -0.0 where the first
+        # maximum is 0.0, as its reduction order is not fixed
+        vis_max = float(vis_grid.flat[np.argmax(vis_grid)])
+        occ_max = float(occ_grid.flat[np.argmax(occ_grid)])
         if vis_max >= occ_max:
             grid, peak, label = vis_grid, vis_max, Visibility.VISIBLE
         else:
@@ -378,3 +387,47 @@ def loss_grad_reference(p, g, alpha: float, n: int):
     gvis = 2.0 * (p.visible.values - g.visible.values) / (n * cells)
     gocc = 2.0 * alpha * (p.occluded.values - g.occluded.values) / (n * cells)
     return HeatmapPair(Heatmap(gvis), Heatmap(gocc))
+
+
+# --- the native parser over Keypoint objects -------------------------------
+
+class PoseReference(NamedTuple):
+    schema: PoseSchema
+    keypoints: tuple
+
+
+def parse_native_reference(doc) -> Dataset:
+    """The native parser building one Keypoint per keypoint; call it on a
+    decoded JSON document."""
+    if doc.get("format") != NATIVE_FORMAT_TAG:
+        raise ParseError(f"not a native dataset document (format tag "
+                         f"{doc.get('format')!r})")
+    sblock = doc["schema"]
+    schema = PoseSchema(str(sblock["name"]), tuple(str(n) for n in sblock["keypoint_names"]))
+    records = []
+    for img in doc["images"]:
+        persons = []
+        for p in img["persons"]:
+            rows = p["keypoints"]
+            try:
+                kps = tuple([Keypoint(float(x), float(y), VISIBILITY_BY_TAG[v])
+                             for x, y, v in rows])
+            except KeyError as exc:  # rows is bound, so only a tag can be missing
+                raise ParseError(f"unknown keypoint visibility tag {exc.args[0]!r}; "
+                                 f"expected one of {sorted(VISIBILITY_BY_TAG)}") from exc
+            bx, by, bw, bh = map(float, p["bbox"])
+            persons.append(PersonInstance(
+                bbox=BBox(bx, by, bw, bh),
+                pose=PoseReference(schema, kps),
+                segmentation=_segmentation_from_json(p.get("segmentation")),
+                score=None if p.get("score") is None else float(p["score"]),
+                track_id=None if p.get("track_id") is None else int(p["track_id"]),
+            ))
+        records.append(ImageRecord(
+            id=str(img["id"]),
+            width=int(img["width"]),
+            height=int(img["height"]),
+            persons=tuple(persons),
+            source=img.get("source"),
+        ))
+    return Dataset(schema=schema, images=tuple(records), meta=dict(doc.get("meta", {})))

@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import math
+import pickle
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crowdpose_kit import annotations as anno
 from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, JTA_SCHEMA, BBox, Dataset,
@@ -10,6 +15,8 @@ from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, JTA_SCHEMA, BBox, Datas
 from crowdpose_kit.errors import CrowdKitError, MappingError, ParseError, SchemaError
 
 from conftest import make_pose
+
+import oracles
 
 
 def coco_doc(keypoints, bbox=(5, 5, 40, 60)):
@@ -283,3 +290,124 @@ class TestValidate:
         counts = anno.validate(ds).counts
         assert counts["nonfinite_coordinate"] == 1
         assert counts["score_out_of_range"] == 1
+
+
+# Coordinates as JSON may hold them: integers (some beyond the float range),
+# floats of every kind, booleans.
+_COORDS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.integers(-2 ** 1023, 2 ** 1023),
+    st.integers(2 ** 1023, 2 ** 1030), st.floats(), st.booleans(),
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 2 ** 53 + 1, math.nan,
+                     math.inf, -math.inf]))
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def native_docs(draw):
+    """Native documents whose persons have any number of keypoints, every
+    tag and any JSON coordinate."""
+    rows = st.lists(st.tuples(_COORDS, _COORDS, st.sampled_from(
+        [v.value for v in Visibility])).map(list), max_size=16)
+    person = st.fixed_dictionaries({
+        "bbox": st.lists(_FINITE, min_size=4, max_size=4), "keypoints": rows,
+        "score": st.none() | _FINITE, "track_id": st.none() | st.integers(0, 9)})
+    image = st.fixed_dictionaries({
+        "id": st.text(max_size=4), "width": st.integers(1, 99),
+        "height": st.integers(1, 99), "persons": st.lists(person, max_size=4)})
+    return {"format": anno.NATIVE_FORMAT_TAG,
+            "schema": {"name": "s", "keypoint_names": ["a", "b"]},
+            "meta": {}, "images": draw(st.lists(image, max_size=3))}
+
+
+def _fields(dataset):
+    """Every field of a parsed dataset, each keypoint's coordinates as the
+    bytes of the floats and their types."""
+    return (dataset.schema, dataset.meta, [
+        (img.id, img.width, img.height, img.source, [
+            (p.bbox, p.segmentation, p.score, p.track_id, p.pose.schema,
+             [(type(k.x), type(k.y), struct.pack("<dd", k.x, k.y), k.vis)
+              for k in p.pose.keypoints])
+            for p in img.persons])
+        for img in dataset.images])
+
+
+class TestArrayPoses:
+    @settings(max_examples=300, deadline=None)
+    @example({"format": anno.NATIVE_FORMAT_TAG,
+              "schema": {"name": "s", "keypoint_names": ["a"]}, "meta": {},
+              "images": [{"id": "i", "width": 1, "height": 1, "persons": [
+                  {"bbox": [0, 0, 1, 1], "keypoints": [[1, True, "visible"],
+                                                       [-0.0, 10 ** 300, "unlabeled"]]},
+                  {"bbox": [0, 0, 1, 1], "keypoints": []}]}]})
+    @given(native_docs())
+    def test_parser_matches_keypoint_reference(self, doc):
+        data = json.dumps(doc).encode()
+        try:
+            want = oracles.parse_native_reference(json.loads(data))
+        except OverflowError:  # an integer beyond the float range
+            with pytest.raises(ParseError):
+                anno.parse_dataset(data, "native")
+            return
+        got = anno.parse_dataset(data, "native")
+        assert _fields(got) == _fields(want)
+
+    @pytest.mark.parametrize("row", [
+        [None, 1.0, "visible"], [1.0, None, "visible"], [[1.0], 2.0, "visible"],
+        [[1.0, 2.0], "visible"], [1.0, 2.0, "visible", 0], [1.0, 2.0, "hidden"],
+        [1.0, 2.0, ["visible"]], [1.0, 2.0], None])
+    def test_malformed_row_is_a_parse_error(self, row):
+        doc = json.loads(anno.serialize_dataset(Dataset(
+            schema=CROWDPOSE_SCHEMA, images=(ImageRecord("a", 9, 9, persons=(
+                PersonInstance(BBox(0, 0, 5, 5), make_pose([(1, 1)] * 14)),)),))))
+        doc["images"][0]["persons"][0]["keypoints"][5] = row
+        with pytest.raises(ParseError):
+            anno.parse_dataset(json.dumps(doc).encode(), "native")
+
+    def test_arrays_are_read_only(self, rng):
+        from conftest import rand_record
+        record = rand_record(rng)
+        ds = Dataset(schema=CROWDPOSE_SCHEMA, images=(record,))
+        parsed = anno.parse_dataset(anno.serialize_dataset(ds), "native")
+        pose = record.persons[0].pose
+        writeable = np.zeros((14, 2))
+        poses = [pose, parsed.images[0].persons[0].pose,
+                 Pose.from_arrays(CROWDPOSE_SCHEMA, writeable, np.zeros(14, np.int8)),
+                 pickle.loads(pickle.dumps(pose)),
+                 anno.convert_jta_to_crowdpose(make_pose([(1, 2)] * 22, schema=JTA_SCHEMA))]
+        writeable[0, 0] = 5.0  # a copy was taken
+        assert poses[2].xy[0, 0] == 0.0
+        for p in poses:
+            assert p.xy.dtype == np.float64 and p.codes.dtype == np.int8
+            assert not p.xy.flags.writeable and not p.codes.flags.writeable
+            with pytest.raises(ValueError):
+                p.xy[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                p.codes[0] = 1
+
+    def test_keypoints_follow_the_arrays(self):
+        pose = Pose.from_arrays(JTA_SCHEMA, np.arange(44.0).reshape(22, 2),
+                                np.arange(22) % len(anno.VISIBILITY_ORDER))
+        assert [(k.x, k.y, k.vis) for k in pose.keypoints] == [
+            (2.0 * i, 2.0 * i + 1, anno.VISIBILITY_ORDER[i % 4]) for i in range(22)]
+        assert all(type(k.x) is float for k in pose.keypoints)
+        assert pose.to_json()[1] == [2.0, 3.0, anno.VISIBILITY_ORDER[1].value]
+
+    def test_equality_compares_bytes(self):
+        base = make_pose([(1.0, 2.0)] * 14)
+        assert base == make_pose([(1.0, 2.0)] * 14)
+        assert hash(base) == hash(make_pose([(1.0, 2.0)] * 14))
+        assert base != make_pose([(1.0, 2.0)] * 14, vis=Visibility.OCCLUDED)
+        assert base != make_pose([(1.0, 2.0)] * 14, schema=JTA_SCHEMA)
+        assert make_pose([(0.0, 0.0)] * 14) != make_pose([(-0.0, 0.0)] * 14)
+        nan = make_pose([(math.nan, 0.0)] * 14)
+        assert nan == pickle.loads(pickle.dumps(nan))
+        person = PersonInstance(BBox(0, 0, 1, 1), base)
+        assert person == PersonInstance(BBox(0, 0, 1, 1), make_pose([(1.0, 2.0)] * 14))
+        assert len({person, PersonInstance(BBox(0, 0, 1, 1), base)}) == 1
+
+    def test_replace_keypoints(self):
+        base = make_pose([(1.0, 2.0)] * 14)
+        moved = dataclasses.replace(base, keypoints=tuple(
+            Keypoint(k.x + 1.0, k.y, k.vis) for k in base.keypoints))
+        assert moved.xy[:, 0].tolist() == [2.0] * 14
+        assert moved.codes.tolist() == base.codes.tolist()

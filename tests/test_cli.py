@@ -5,6 +5,7 @@ import io
 import json
 import math
 import multiprocessing
+import platform
 import struct
 import warnings
 from dataclasses import replace
@@ -55,6 +56,8 @@ class TestGen:
         assert manifest["seed"] == 3
         assert manifest["command"][0] == "crowdpose-kit"
         assert "config_digest" in manifest and "tool_version" in manifest
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__}
 
     @pytest.mark.parametrize("key", sorted(cli._SCENE_FIELDS))
     def test_every_config_key_changes_output(self, tmp_path, key):
@@ -167,6 +170,45 @@ class TestAnalyzeValidate:
     def test_validate_clean(self, gen_dir, capsys):
         assert run("validate", "--in", str(gen_dir / "dataset.json")) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+    def test_file_output_without_suffix_gets_a_manifest(self, gen_dir, tmp_path):
+        out = tmp_path / "report"
+        assert run("validate", "--in", str(gen_dir / "dataset.json"),
+                   "--out", str(out)) == 0
+        assert json.loads(out.read_text())["ok"]
+        manifest = json.loads((tmp_path / "report.manifest.json").read_text())
+        assert set(manifest["versions"]) == {"python", "numpy"}
+
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_ratio_zero_persons_make_one_note(self, tmp_path, capsys, command):
+        """Persons whose box holds none of their own keypoints are counted
+        into one stderr note instead of a warning each."""
+        doc = _native_doc()
+        person = doc["images"][0]["persons"][0]
+        person["score"] = 0.5
+        doc["images"][0]["persons"] = [person, dict(person, bbox=[50, 50, 5, 5]),
+                                       dict(person, bbox=[60, 0, 5, 5])]
+        path = _write(tmp_path / "a.json", doc)
+        argv = ["analyze", "--in", path] if command == "analyze" else \
+            ["eval", "--gt", path, "--pred", path]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == 0
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        assert capsys.readouterr().err == (
+            "note: 2 persons with no own keypoints in their box counted as ratio 0\n")
+
+    def test_other_warnings_pass_through(self, gen_dir, monkeypatch, capsys):
+        def analyze(args):
+            warnings.warn("something else", UserWarning)
+            return []
+        monkeypatch.setattr(cli, "_cmd_analyze", analyze)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--in", "x") == 0
+        assert [str(w.message) for w in caught] == ["something else"]
+        assert capsys.readouterr().err == ""
 
 
 class TestConvert:
@@ -372,6 +414,18 @@ def _bogus_visibility(doc):
     return doc
 
 
+def _keypoint_row(row):
+    """A document edit that sets the first keypoint row to `row`."""
+    def edit(doc):
+        doc["images"][0]["persons"][0]["keypoints"][0] = row
+        return doc
+    return edit
+
+
+def _a_file(d) -> str:
+    return _write(d / "afile", "x")
+
+
 def _write(path, payload) -> str:
     """Write bytes or str as is and anything else as JSON; returns the path."""
     if isinstance(payload, bytes):
@@ -428,6 +482,28 @@ BAD_INPUTS = {
         "analyze", "--in", _write(d / "a.json", _short_keypoint_row(_native_doc()))], 1),
     "native_visibility_bogus": (lambda d: [
         "analyze", "--in", _write(d / "a.json", _bogus_visibility(_native_doc()))], 1),
+    # numpy would read a null coordinate as NaN; float() refuses it
+    "keypoint_x_null": (lambda d: [
+        "analyze", "--in", _write(d / "a.json", _keypoint_row(
+            [None, 1.0, "visible"])(_native_doc()))], 1),
+    "keypoint_row_nested": (lambda d: [
+        "analyze", "--in", _write(d / "a.json", _keypoint_row(
+            [[1.0, 2.0], 3.0, "visible"])(_native_doc()))], 1),
+    "eval_keypoint_y_null": (lambda d: [
+        "eval", "--gt", _write(d / "gt.json", _native_doc()), "--pred",
+        _write(d / "p.json", _keypoint_row([1.0, None, "visible"])(_native_doc()))], 1),
+    # an --out that collides with an existing file
+    "gen_out_is_file": (lambda d: _gen(d)[:-2] + ["--out", _a_file(d)], 1),
+    "gen_out_under_file": (lambda d: _gen(d)[:-2] + ["--out", _a_file(d) + "/sub"], 1),
+    "encode_out_is_file": (lambda d: [
+        "heatmap", "encode", "--in", _write(d / "a.json", _native_doc()),
+        "--out", _a_file(d)], 1),
+    "analyze_out_under_file": (lambda d: [
+        "analyze", "--in", _write(d / "a.json", _native_doc()),
+        "--out", _a_file(d) + "/x.json"], 1),
+    "validate_out_under_file": (lambda d: [
+        "validate", "--in", _write(d / "a.json", _native_doc()),
+        "--out", _a_file(d) + "/v.json"], 1),
     "gen_config_bad_json": (lambda d: _gen(
         d, "--config", _write(d / "c.json", "{not json")), 1),
     "gen_config_unknown_key": (lambda d: _gen(
@@ -525,6 +601,41 @@ class TestExitCodes:
         assert run(*build(tmp_path)) == code
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("cmd, strerror", [
+        (["gen", "--seed", "1", "--scenes", "10", "--no-rasters"], "File exists"),
+        (["heatmap", "encode"], "File exists"),
+        (["augment", "--method", "objects", "--seed", "1"], "File exists")])
+    def test_out_is_a_file_names_it(self, tmp_path, capsys, cmd, strerror):
+        argv = {"gen": lambda: cmd, "heatmap": lambda: cmd + [
+            "--in", _write(tmp_path / "a.json", _native_doc())],
+            "augment": lambda: _augment(tmp_path)[:-2]}[cmd[0]]()
+        afile = _a_file(tmp_path)
+        assert run(*argv, "--out", afile) == 1
+        assert capsys.readouterr().err == f"error: {strerror}: {afile}\n"
+        assert (tmp_path / "afile").read_text() == "x"
+
+    def test_gen_write_failure_removes_what_it_made(self, tmp_path, capsys, monkeypatch):
+        """An OSError while writing (a full disk here) exits 1, and gen
+        removes the files and directories it made."""
+        def full(*_):
+            raise OSError(28, "No space left on device", "dataset.json")
+        monkeypatch.setattr(anno, "serialize_dataset", full)
+        out = tmp_path / "new" / "gen"
+        assert run(*_gen(tmp_path)[:-2], "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: No space left on device: dataset.json\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_into_a_directory_in_a_file_place(self, tmp_path, capsys):
+        """A directory where dataset.json goes: gen exits 1, removes the
+        rasters it wrote and leaves the directory as it was."""
+        out = tmp_path / "g"
+        (out / "dataset.json").mkdir(parents=True)
+        assert run(*_gen(tmp_path)) == 1
+        assert capsys.readouterr().err == \
+            f"error: Is a directory: {out / 'dataset.json'}\n"
+        assert [p.name for p in out.iterdir()] == ["dataset.json"]
+        assert not any((out / "dataset.json").iterdir())
 
     def test_gen_tolerance_is_not_an_option(self, tmp_path, capsys):
         assert run(*_gen(tmp_path, "--tolerance", "0.03")) == 2

@@ -36,3 +36,21 @@ def test_unknown_cpu_count_runs_in_process(pool_sizes, monkeypatch):
     monkeypatch.setattr(seeding.os, "cpu_count", lambda: None)
     assert list(seeding.map_jobs(lambda i: [i], range(5), 8)) == list(range(5))
     assert pool_sizes == []
+
+
+@pytest.mark.parametrize("jobs, items", [(2, 10), (3, 10), (64, 9), (4, 4)])
+def test_one_item_in_flight_per_worker(pool_sizes, pool_in_flight, jobs, items):
+    """Items are submitted in a window of one per worker, in item order."""
+    out = list(seeding.map_jobs(lambda i: [i, -i], range(items), jobs))
+    assert out == [v for i in range(items) for v in (i, -i)]
+    assert len(pool_in_flight) == items
+    assert max(pool_in_flight) == pool_sizes[0]
+
+
+def test_closing_early_submits_no_more(pool_sizes, pool_in_flight):
+    """A caller that stops after the first output, as a failing gen does,
+    has submitted only the first window and one refill."""
+    outputs = seeding.map_jobs(lambda i: [i], range(100), 2)
+    assert next(outputs) == 0
+    outputs.close()
+    assert pool_in_flight == [1, 2, 2]

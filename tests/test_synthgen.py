@@ -6,7 +6,7 @@ import pytest
 
 from crowdpose_kit import cli
 from crowdpose_kit import synthgen as S
-from crowdpose_kit.annotations import Visibility, serialize_dataset
+from crowdpose_kit.annotations import VISIBILITY_ORDER, Visibility, serialize_dataset
 from crowdpose_kit.crowd_metrics import crowd_index, histogram_bin
 from crowdpose_kit.errors import ConfigError, TargetingError
 from crowdpose_kit.masks import RasterImage, write_depth_pam, write_pam
@@ -25,6 +25,11 @@ def small_cfg(**kw):
 def person_layout(keypoints, z, radius=3.0):
     return S.PersonLayout(z=z, radius=radius,
                           keypoints=np.asarray(keypoints, dtype=np.float64))
+
+
+def layout_flags(layout):
+    """_layout_flags as Visibility rows, the form of the scalar reference."""
+    return [[VISIBILITY_ORDER[c] for c in row] for row in S._layout_flags(layout).tolist()]
 
 
 def sample_layout(rng, cfg, count, p_attach=0.35, sigma_attach=0.5):
@@ -49,13 +54,13 @@ class TestSceneFlags:
         cfg = small_cfg()
         for i in range(20):
             layout = sample_layout(substream(i, "solo"), cfg, count=1)
-            assert Visibility.OCCLUDED not in S._layout_flags(layout)[0]
+            assert Visibility.OCCLUDED not in layout_flags(layout)[0]
 
     def test_forced_two_person_occlusion(self):
         far = person_layout(standing_keypoints(50, 60), z=0.2)
         near = person_layout(standing_keypoints(50, 60), z=0.9)
         layout = S.SceneLayout(160, 120, [far, near])
-        flags = S._layout_flags(layout)
+        flags = layout_flags(layout)
         # the farther person sits fully under the nearer copy
         assert all(v is Visibility.OCCLUDED for v in flags[0])
         assert all(v is not Visibility.OCCLUDED for v in flags[1])
@@ -66,7 +71,7 @@ class TestSceneFlags:
         near_kps = standing_keypoints(hips[0], hips[1], height=40.0)
         near = person_layout(near_kps, z=0.8, radius=2.4)
         layout = S.SceneLayout(160, 120, [far, near])
-        flags = S._layout_flags(layout)
+        flags = layout_flags(layout)
         assert flags[0][6] is Visibility.OCCLUDED
 
     def test_cover_at_exactly_radius_matches_raster(self):
@@ -80,7 +85,7 @@ class TestSceneFlags:
         layout = S.SceneLayout(40, 40, [far, near])
         _, depth = S.render_layout(layout)
         assert depth[20, 20] == 0.9
-        flags = S._layout_flags(layout)
+        flags = layout_flags(layout)
         assert flags[0] == [Visibility.OCCLUDED] * 14
         assert flags == oracles.scene_flags_reference(layout, S.SKELETON_EDGES,
                                                       S._EDGES_OF_KP)
@@ -90,7 +95,7 @@ class TestSceneFlags:
         for i in range(60):
             layout = sample_layout(substream(i, "ref"), cfg, count=2 + i % 6,
                                    p_attach=0.7, sigma_attach=0.4)
-            ours = S._layout_flags(layout)
+            ours = layout_flags(layout)
             ref = oracles.scene_flags_reference(layout, S.SKELETON_EDGES,
                                                 S._EDGES_OF_KP)
             assert ours == ref, f"scene {i}"
