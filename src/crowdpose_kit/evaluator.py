@@ -6,15 +6,15 @@ score-ordered matching against unmatched ground truths, then a dataset-wide
 0.50:0.05:0.95. Reports carry one AP column per crowding level.
 
 As in COCO's `computeOks`/`evaluateImg` split, each image builds one
-(predictions x ground truths) OKS matrix, and every threshold's matching
-reads rows of it in one shared score order.
+(predictions x ground truths) OKS matrix; one matcher step then takes every
+image's r-th prediction at every threshold, and each AP pool is ranked once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class OksConfig:
     def __post_init__(self):
         if any(s <= 0 for s in self.sigmas):
             raise ProtocolError("all OKS sigmas must be positive")
-
-    @classmethod
-    def for_schema_count(cls, count: int) -> "OksConfig":
-        return cls(sigmas=tuple(default_sigmas(count)))
 
 
 def _pose_arrays(persons: Sequence[PersonInstance],
@@ -104,25 +100,47 @@ def _score_order(preds: Sequence[PersonInstance], image_id: str = "") -> list[in
     return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
 
 
-def _match_rows(oks: np.ndarray, order: Sequence[int],
-                threshold: float) -> list[Optional[int]]:
-    """Greedy assignment over rows of an oks_matrix.
+# Bound on the padded cells of one matcher run (OKS stack, per-step arrays
+# and assignments), so one image with thousands of predictions pads no other.
+_MATCH_RUN_CELLS = 1 << 17
 
-    Each prediction, in `order`, takes the unmatched gt with the highest OKS
-    if that OKS reaches the threshold; argmax keeps the first of equal gts.
-    NaN entries never match.
-    """
-    free = np.where(np.isnan(oks), -np.inf, oks)
-    assigned: list[Optional[int]] = [None] * len(oks)
-    if free.shape[1] == 0:
-        return assigned
-    for pi in order:
-        row = free[pi]
-        gi = int(row.argmax())
-        if row[gi] >= threshold:
-            assigned[pi] = gi
-            free[:, gi] = -np.inf
-    return assigned
+
+def _match_run(run: Sequence[tuple[np.ndarray, Sequence[int]]],
+               thresholds: Sequence[float]) -> list[np.ndarray]:
+    """match_greedy for a run of (oks_matrix, score order) pairs at every
+    threshold at once, step r taking every image's r-th prediction. Returns
+    per image a (thresholds, predictions) array of gt indices, -1 for none."""
+    depth, width = np.max([oks.shape for oks, _ in run], axis=0)
+    # rows in rank order; padded rows and columns match nothing
+    stack = np.full((len(run), depth, width), -np.inf)
+    for b, (oks, order) in enumerate(run):
+        stack[b, :len(order), :oks.shape[1]] = oks[order]
+    stack[np.isnan(stack)] = -np.inf
+    by_rank = np.full((len(run), len(thresholds), depth), -1, dtype=np.intp)
+    taken = np.zeros((len(run), len(thresholds), width), dtype=bool)
+    cells = np.ix_(range(len(run)), range(len(thresholds)))
+    for r in range(depth if width else 0):
+        free = np.where(taken, -np.inf, stack[:, None, r])
+        gi = free.argmax(axis=2)
+        hit = free[(*cells, gi)] >= np.asarray(thresholds, dtype=np.float64)
+        by_rank[:, :, r] = np.where(hit, gi, -1)
+        taken[(*cells, gi)] |= hit
+    return [by_rank[b][:, np.argsort(order)] for b, (_, order) in enumerate(run)]
+
+
+def _match(images: Iterable[tuple[np.ndarray, Sequence[int]]],
+           thresholds: Sequence[float]) -> Iterator[np.ndarray]:
+    """_match_run over consecutive runs of `images` that stay within
+    _MATCH_RUN_CELLS; an image larger than that is a run alone."""
+    run, depth, width, t = [], 0, 0, len(thresholds)
+    for oks, order in images:
+        depth, width = max(depth, len(order)), max(width, oks.shape[1])
+        if run and (len(run) + 1) * (depth + t) * (width + t) > _MATCH_RUN_CELLS:
+            yield from _match_run(run, thresholds)
+            run, depth, width = [], len(order), oks.shape[1]
+        run.append((oks, order))
+    if run:
+        yield from _match_run(run, thresholds)
 
 
 def match_greedy(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
@@ -131,50 +149,38 @@ def match_greedy(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
 
     Predictions are visited in score order (ties keep input order); each
     takes the unmatched gt with the highest OKS if that OKS reaches the
-    threshold. Ground truths without labeled keypoints are unmatchable.
+    threshold; argmax keeps the first of equal gts, and NaN OKS entries
+    never match. Ground truths without labeled keypoints are unmatchable.
     Returns, per prediction (input order), the matched gt index or None.
     """
-    order = _score_order(preds)
-    return _match_rows(oks_matrix(preds, gts, cfg), order, threshold)
-
-
-@dataclass
-class ImageMatches:
-    """Per-image matching outcome for one threshold."""
-
-    image_id: str
-    scores: list[float]
-    matched: list[bool]
-    gt_count: int  # matchable ground truths
+    run = [(oks_matrix(preds, gts, cfg), _score_order(preds))]
+    return [None if gi < 0 else gi for gi in _match_run(run, (threshold,))[0][0].tolist()]
 
 
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
-def average_precision(per_image: Sequence[ImageMatches]) -> float:
-    """101-point interpolated AP over one threshold's dataset-wide matches."""
-    total_gt = sum(m.gt_count for m in per_image)
+def average_precision(keys: np.ndarray, hits: np.ndarray, total_gt: int) -> list[float]:
+    """101-point interpolated AP per row of `hits` (one per threshold) of a pool
+    ranked by (-score, image id rank, index in the image), the rows of the
+    (3, N) `keys`, against `total_gt` matchable ground truths."""
     if total_gt == 0:
         raise UndefinedMetricError("AP undefined without ground-truth instances")
-    rows = [(-score, m.image_id, idx, hit) for m in per_image
-            for idx, (score, hit) in enumerate(zip(m.scores, m.matched))]
-    rows.sort()
-    if not rows:
-        return 0.0
-    hits = np.array([r[3] for r in rows], dtype=np.float64)
-    tp = np.cumsum(hits)
-    fp = np.cumsum(1.0 - hits)
+    if not keys.shape[1]:
+        return [0.0] * len(hits)
+    ranked = hits[:, np.lexsort((keys[2], keys[1], -keys[0]))].astype(np.float64)
+    tp = np.cumsum(ranked, axis=1)
+    fp = np.cumsum(1.0 - ranked, axis=1)
     recall = tp / total_gt
     precision = tp / (tp + fp)
-    # precision envelope, sampled at the 101 recall points; a point past the
-    # last recall adds nothing
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, _RECALL_POINTS, side="left")
-    # a running sum in recall order: np.sum's pairwise order rounds differently
-    out = 0.0
-    for p in envelope[idx[idx < envelope.size]].tolist():
-        out += p
-    return out / 101.0
+    # precision envelope, sampled at the 101 recall points up to the last recall
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    aps = []
+    for t in range(len(hits)):
+        idx = np.searchsorted(recall[t], _RECALL_POINTS, side="left")
+        # a running sum in recall order: np.sum's pairwise order rounds differently
+        aps.append(float(np.cumsum(envelope[t, idx[idx < keys.shape[1]]])[-1]) / 101.0)
+    return aps
 
 
 @dataclass
@@ -197,16 +203,6 @@ class EvalReport:
         }
 
 
-def _mean_ap(image_ids: Sequence[str], matches: dict[float, dict[str, ImageMatches]]
-             ) -> tuple[float, list[tuple[float, float]]]:
-    per_threshold = []
-    for t in DEFAULT_THRESHOLDS:
-        subset = [matches[t][i] for i in image_ids]
-        per_threshold.append((t, average_precision(subset)))
-    mean = float(np.mean([a for _, a in per_threshold]))
-    return mean, per_threshold
-
-
 def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
                      cfg: OksConfig) -> EvalReport:
     """AP overall and per crowding level of the ground-truth CrowdIndex.
@@ -227,51 +223,53 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
         raise AlignmentError(f"image ids not shared by both datasets: {missing}")
 
     image_ids = [img.id for img in gt_dataset.images]
-    levels: dict[str, list[str]] = {level: [] for level in LEVELS}
-    instance_counts = {level: 0 for level in LEVELS}
-    matches: dict[float, dict[str, ImageMatches]] = {t: {} for t in DEFAULT_THRESHOLDS}
-    for img_id in image_ids:
-        gts = gt_by_id[img_id].persons
-        preds = pred_by_id[img_id].persons
-        order = _score_order(preds, img_id)
-        pred_xy, _ = _pose_arrays(preds, count)
-        # one set of gt arrays feeds both the CrowdIndex and the OKS
-        gt_xy, labeled = _pose_arrays(gts, count)
-        boxes = np.array([(g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h) for g in gts],
-                         dtype=np.float64).reshape(len(gts), 4)
-        if gts:
-            level = partition(crowd_index_arrays(
-                boxes, gt_xy[labeled], np.nonzero(labeled)[0], image_id=img_id))
-            levels[level].append(img_id)
-            instance_counts[level] += len(gts)
-        # Python products: a huge box's area is inf without a numpy warning
-        area = np.array([g.bbox.area for g in gts], dtype=np.float64)
-        oks = _oks_arrays(pred_xy, gt_xy, labeled, area, cfg.sigmas)
-        scores = [p.score for p in preds]
-        gt_count = int(labeled.any(axis=1).sum())
-        for t in DEFAULT_THRESHOLDS:
-            assigned = _match_rows(oks, order, t)
-            matches[t][img_id] = ImageMatches(
-                image_id=img_id, scores=scores,
-                matched=[a is not None for a in assigned], gt_count=gt_count)
+    gts = [gt_by_id[i].persons for i in image_ids]
+    preds = [pred_by_id[i].persons for i in image_ids]
+    orders = [_score_order(ps, i) for ps, i in zip(preds, image_ids)]
+    # dataset-wide arrays; the gt ones feed both the CrowdIndex and the OKS
+    all_gts = [g for gs in gts for g in gs]
+    gt_xy, labeled = _pose_arrays(all_gts, count)
+    pred_xy, _ = _pose_arrays([p for ps in preds for p in ps], count)
+    boxes = np.array([(g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h) for g in all_gts],
+                     dtype=np.float64).reshape(len(all_gts), 4)
+    # Python products: a huge box's area is inf without a numpy warning
+    area = np.array([g.bbox.area for g in all_gts], dtype=np.float64)
+    gt_at = np.cumsum([0, *map(len, gts)]).tolist()
+    pred_at = np.cumsum([0, *map(len, preds)]).tolist()
+    # per image: its gts and its predictions as slices of those arrays
+    spans = [(slice(*gt_at[n:n + 2]), slice(*pred_at[n:n + 2])) for n in range(len(image_ids))]
 
-    ap, per_threshold = _mean_ap(image_ids, matches)
-    level_ap: dict[str, Optional[float]] = {}
-    for level in LEVELS:
-        if levels[level]:
-            level_ap[level], _ = _mean_ap(levels[level], matches)
-        else:
-            level_ap[level] = None
+    levels: dict[str, list[int]] = {level: [] for level in LEVELS}
+    for n, (g, _) in enumerate(spans):
+        if gts[n]:
+            levels[partition(crowd_index_arrays(boxes[g], gt_xy[g][labeled[g]],
+                                                np.nonzero(labeled[g])[0],
+                                                image_id=image_ids[n]))].append(n)
+    assigned = _match(((_oks_arrays(pred_xy[p], gt_xy[g], labeled[g], area[g], cfg.sigmas),
+                        order) for (g, p), order in zip(spans, orders)), DEFAULT_THRESHOLDS)
+    hits = np.concatenate([np.empty((len(DEFAULT_THRESHOLDS), 0), dtype=bool)] +
+                          [a >= 0 for a in assigned], axis=1)
+    id_rank = {img_id: r for r, img_id in enumerate(sorted(set(image_ids)))}
+    keys = np.array([(p.score, id_rank[img_id], i) for img_id, ps in zip(image_ids, preds)
+                     for i, p in enumerate(ps)], dtype=np.float64).reshape(-1, 3).T
+    matchable = labeled.any(axis=1)
+
+    def mean_ap(pool) -> tuple[float, list[tuple[float, float]]]:
+        in_pool = np.bincount(pool, minlength=len(image_ids)).astype(bool)
+        keep = np.repeat(in_pool, np.diff(pred_at))
+        total_gt = int(matchable[np.repeat(in_pool, np.diff(gt_at))].sum())
+        aps = average_precision(keys[:, keep], hits[:, keep], total_gt)
+        return float(np.mean(aps)), list(zip(DEFAULT_THRESHOLDS, aps))
+
+    ap, per_threshold = mean_ap(np.arange(len(image_ids)))
     return EvalReport(
-        ap=ap,
-        ap_easy=level_ap["easy"],
-        ap_medium=level_ap["medium"],
-        ap_hard=level_ap["hard"],
+        ap, *(mean_ap(levels[level])[0] if levels[level] else None for level in LEVELS),
         per_threshold=per_threshold,
         counts={
             "images": {level: len(levels[level]) for level in LEVELS},
-            "instances": instance_counts,
+            "instances": {level: sum(len(gts[n]) for n in levels[level])
+                          for level in LEVELS},
             "total_images": len(image_ids),
-            "total_instances": sum(len(gt_by_id[i].persons) for i in image_ids),
+            "total_instances": len(all_gts),
         },
     )

@@ -10,6 +10,7 @@ wrong-branch predictions are penalized by the loss.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import (CODE_OCCLUDED, CODE_UNLABELED, CODE_VISIBLE, VISIBILITY_ORDER,
-                          BBox, Pose, PoseSchema, Visibility)
+                          BBox, Pose, PoseSchema)
 from .errors import DimensionError, GeometryError, MaskDecodeError
 
 INPUT_W = 192
@@ -167,12 +168,16 @@ def encode(pose: Pose, transform: CropTransform,
     return pair, in_bounds
 
 
+@functools.lru_cache(maxsize=8)
+def _decoded_schema(k: int) -> PoseSchema:
+    return PoseSchema(f"decoded_{k}", tuple(f"kp_{i:02d}" for i in range(k)))
+
+
 @dataclass
 class DecodeResult:
     pose: Pose
-    confidences: np.ndarray          # (K,)
-    branches: tuple[Visibility, ...]  # VISIBLE or OCCLUDED per keypoint
-    low_confidence: np.ndarray        # (K,) bool
+    confidences: np.ndarray    # (K,)
+    low_confidence: np.ndarray  # (K,) bool
 
 
 def decode(pair: HeatmapPair, transform: CropTransform,
@@ -189,7 +194,6 @@ def decode(pair: HeatmapPair, transform: CropTransform,
         raise DimensionError(f"confidence threshold must be finite, got {conf_threshold}")
     k, h, w = pair.shape
     inv = transform.inverse()
-    schema = PoseSchema(f"decoded_{k}", tuple(f"kp_{i:02d}" for i in range(k)))
     vis = pair.visible.values.reshape(k, h * w)
     occ = pair.occluded.values.reshape(k, h * w)
     rows = np.arange(k)
@@ -216,11 +220,9 @@ def decode(pair: HeatmapPair, transform: CropTransform,
                      y + 0.25 * np.sign(at(down, c) - at(up, c)), y)
     img_xy = inv.apply(np.column_stack([x * STRIDE, y * STRIDE]))
     codes = np.where(use_vis, CODE_VISIBLE, CODE_OCCLUDED)
-    branches = tuple(VISIBILITY_ORDER[c] for c in codes.tolist())
     return DecodeResult(
-        pose=Pose.from_arrays(schema, img_xy, codes),
+        pose=Pose.from_arrays(_decoded_schema(k), img_xy, codes),
         confidences=confidences,
-        branches=branches,
         low_confidence=confidences < conf_threshold,
     )
 

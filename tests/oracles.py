@@ -12,6 +12,9 @@ substream_seed_reference is the substream derivation as it was before
 SeedSequence took the digest words as an array. parse_native_reference is
 the native parser as it was when a pose was a tuple of Keypoint objects;
 each person's pose is a PoseReference that keeps that tuple as parsed.
+match_rows_reference is eval's greedy matcher as it was before it matched a
+run of images at every threshold at once; eval_report_reference builds the
+whole eval report from the scalar matcher and AP.
 """
 
 from __future__ import annotations
@@ -164,6 +167,33 @@ def match_greedy_reference(preds, gts, threshold: float, sigmas):
     return result
 
 
+def match_rows_reference(oks, order, threshold: float):
+    """The per-image, per-threshold greedy loop that eval ran before its
+    matcher took a run of images and every threshold at once: each
+    prediction, in `order`, takes the first unmatched gt with the highest
+    OKS in its row of `oks` if that OKS reaches the threshold; NaN entries
+    never match. Returns per prediction the gt index or None."""
+    free = np.where(np.isnan(oks), -np.inf, oks)
+    assigned = [None] * len(oks)
+    if free.shape[1] == 0:
+        return assigned
+    for pi in order:
+        row = free[pi]
+        gi = int(row.argmax())
+        if row[gi] >= threshold:
+            assigned[pi] = gi
+            free[:, gi] = -np.inf
+    return assigned
+
+
+class ImageMatches(NamedTuple):
+    """One image's matching outcome at one threshold."""
+    image_id: str
+    scores: list
+    matched: list
+    gt_count: int  # matchable ground truths
+
+
 def average_precision_reference(per_image) -> float:
     """The scalar 101-point AP that evaluator.average_precision replaced:
     a sort over (-score, image id, index), a backward envelope loop, and
@@ -191,6 +221,46 @@ def average_precision_reference(per_image) -> float:
         if idx < precision.size:
             out += precision[idx]
     return out / 101.0
+
+
+def eval_report_reference(pred, gt, sigmas, thresholds, level_of) -> dict:
+    """The eval report as JSON, built one image and one threshold at a time
+    from match_greedy_reference and average_precision_reference.
+    level_of(record) names the crowding level of a gt image with persons."""
+    pred_by_id = {img.id: img for img in pred.images}
+    levels = {"easy": [], "medium": [], "hard": []}
+    for img in gt.images:
+        if img.persons:
+            levels[level_of(img)].append(img)
+
+    def mean_ap(images):
+        per_threshold = []
+        for t in thresholds:
+            per_image = []
+            for img in images:
+                preds = pred_by_id[img.id].persons
+                matched = match_greedy_reference(preds, img.persons, t, sigmas)
+                per_image.append(ImageMatches(
+                    img.id, [p.score for p in preds], [a is not None for a in matched],
+                    sum(1 for g in img.persons
+                        if any(k.vis is not Visibility.UNLABELED for k in g.pose.keypoints))))
+            per_threshold.append({"threshold": t,
+                                  "ap": average_precision_reference(per_image)})
+        return float(np.mean([e["ap"] for e in per_threshold])), per_threshold
+
+    ap, per_threshold = mean_ap(gt.images)
+    report = {"ap": ap}
+    for level, images in levels.items():
+        report[f"ap_{level}"] = mean_ap(images)[0] if images else None
+    report["per_threshold"] = per_threshold
+    report["counts"] = {
+        "images": {level: len(images) for level, images in levels.items()},
+        "instances": {level: sum(len(img.persons) for img in images)
+                      for level, images in levels.items()},
+        "total_images": len(gt.images),
+        "total_instances": sum(len(img.persons) for img in gt.images),
+    }
+    return report
 
 
 def _seg_cover_sq(px: float, py: float, ax: float, ay: float,
@@ -342,7 +412,6 @@ def decode_reference(pair, transform, conf_threshold: float):
     schema = PoseSchema(f"decoded_{k}", tuple(f"kp_{i:02d}" for i in range(k)))
     keypoints = []
     confidences = np.zeros(k, dtype=np.float64)
-    branches = []
     for i in range(k):
         vis_grid = pair.visible.values[i]
         occ_grid = pair.occluded.values[i]
@@ -359,11 +428,9 @@ def decode_reference(pair, transform, conf_threshold: float):
         img_xy = inv.apply([[hx * STRIDE, hy * STRIDE]])[0]
         keypoints.append(Keypoint(float(img_xy[0]), float(img_xy[1]), label))
         confidences[i] = peak
-        branches.append(label)
     return DecodeResult(
         pose=Pose(schema, tuple(keypoints)),
         confidences=confidences,
-        branches=tuple(branches),
         low_confidence=confidences < conf_threshold,
     )
 

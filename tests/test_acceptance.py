@@ -216,7 +216,7 @@ def test_criterion_6_augmentation_flag_oracle():
 
 def test_criterion_7_evaluator_sanity():
     rng = substream(31, "eval")
-    cfg = E.OksConfig.for_schema_count(14)
+    cfg = E.OksConfig(tuple(E.default_sigmas(14)))
 
     # perfect predictions -> 1.000 in every populated column
     gt_images, pred_images = [], []

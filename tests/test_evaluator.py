@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdpose_kit import evaluator as E
-from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord,
-                                       Keypoint, PersonInstance, Pose, PoseSchema,
-                                       Visibility)
+from crowdpose_kit.annotations import (CODE_VISIBLE, CROWDPOSE_SCHEMA, BBox, Dataset,
+                                       ImageRecord, Keypoint, PersonInstance, Pose,
+                                       PoseSchema, Visibility)
+from crowdpose_kit.crowd_metrics import crowd_index, partition
 from crowdpose_kit.errors import (AlignmentError, ProtocolError,
                                   UndefinedMetricError)
 
@@ -17,6 +20,7 @@ import oracles
 from conftest import make_pose, rand_pose, rand_record
 
 PAIR_SCHEMA = PoseSchema("pair", ("a", "b"))
+CODES_VISIBLE = np.full(14, CODE_VISIBLE, dtype=np.int8)
 
 
 def pair_pose(coords, vis=Visibility.VISIBLE):
@@ -130,7 +134,7 @@ def person(box, pose, score=None):
 
 
 def crowd_cfg():
-    return E.OksConfig.for_schema_count(14)
+    return E.OksConfig(tuple(E.default_sigmas(14)))
 
 
 class TestMatchGreedy:
@@ -182,34 +186,44 @@ class TestMatchGreedy:
 
 
 def matches(image_id, rows, gt_count):
-    return E.ImageMatches(image_id=image_id,
-                          scores=[r[0] for r in rows],
-                          matched=[r[1] for r in rows],
-                          gt_count=gt_count)
+    return oracles.ImageMatches(image_id=image_id,
+                                scores=[r[0] for r in rows],
+                                matched=[r[1] for r in rows],
+                                gt_count=gt_count)
+
+
+def ap_of(per_image):
+    """E.average_precision of one threshold's per-image matches."""
+    id_rank = {i: r for r, i in enumerate(sorted({m.image_id for m in per_image}))}
+    keys = np.array([(score, id_rank[m.image_id], idx) for m in per_image
+                     for idx, score in enumerate(m.scores)], dtype=np.float64).reshape(-1, 3).T
+    hits = np.array([[hit for m in per_image for hit in m.matched]], dtype=bool)
+    [value] = E.average_precision(keys, hits, sum(m.gt_count for m in per_image))
+    return value
 
 
 class TestAveragePrecision:
     def test_perfect(self):
         per_image = [matches(f"i{j}", [(0.9, True), (0.8, True)], 2)
                      for j in range(5)]
-        assert E.average_precision(per_image) == 1.0
+        assert ap_of(per_image) == 1.0
 
     def test_zero_predictions(self):
-        assert E.average_precision([matches("a", [], 3)]) == 0.0
+        assert ap_of([matches("a", [], 3)]) == 0.0
 
     def test_half_recall_no_false_positives(self):
         per_image = [matches(f"i{j}", [(0.9, True)], 2) for j in range(10)]
-        value = E.average_precision(per_image)
+        value = ap_of(per_image)
         assert value == pytest.approx(0.5, abs=0.01)  # 51/101 on the grid
 
     def test_no_gts_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            E.average_precision([matches("a", [(0.9, False)], 0)])
+            ap_of([matches("a", [(0.9, False)], 0)])
 
     def test_removing_false_positive_never_decreases(self):
         with_fp = [matches("a", [(0.9, True), (0.8, False), (0.7, True)], 2)]
         without = [matches("a", [(0.9, True), (0.7, True)], 2)]
-        assert E.average_precision(without) >= E.average_precision(with_fp)
+        assert ap_of(without) >= ap_of(with_fp)
 
     @settings(max_examples=300, deadline=None)
     @given(images=st.lists(st.tuples(
@@ -223,14 +237,103 @@ class TestAveragePrecision:
         for j, (rows, extra_gts) in enumerate(images):
             if hits is not None:
                 rows = [(score, hits) for score, _ in rows]
-            per_image.append(matches(f"i{j}", rows, sum(h for _, h in rows) + extra_gts))
+            # ids sort in reverse of input order: ties go by id, not position
+            per_image.append(matches(f"i{9 - j}", rows, sum(h for _, h in rows) + extra_gts))
         try:
             expected = oracles.average_precision_reference(per_image)
         except UndefinedMetricError:
             with pytest.raises(UndefinedMetricError):
-                E.average_precision(per_image)
+                ap_of(per_image)
             return
-        assert E.average_precision(per_image) == expected
+        assert ap_of(per_image) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(scores=st.lists(st.sampled_from([0.2, 0.5, 0.9]), max_size=15),
+           data=st.data())
+    def test_rows_are_independent_thresholds(self, scores, data):
+        rows = data.draw(st.integers(1, 10))
+        hits = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)),
+            min_size=rows, max_size=rows)), dtype=bool).reshape(rows, len(scores))
+        keys = np.array([scores, [i % 3 for i in range(len(scores))],
+                         range(len(scores))], dtype=np.float64).reshape(3, len(scores))
+        total = len(scores) + 1
+        assert E.average_precision(keys, hits, total) == [
+            E.average_precision(keys, hits[t:t + 1], total)[0] for t in range(rows)]
+
+
+@st.composite
+def oks_images(draw):
+    """Per image an OKS matrix and its score order: 0-6 predictions, 0-5
+    gts, values that tie and sit on the thresholds, NaN columns, tied
+    scores."""
+    images = []
+    for _ in range(draw(st.integers(0, 6))):
+        p, g = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 0.55, 0.7, 0.75, 0.95, 1.0])
+                               | st.floats(0.0, 1.0), min_size=p * g, max_size=p * g))
+        oks = np.array(values, dtype=np.float64).reshape(p, g)
+        oks[:, draw(st.lists(st.booleans(), min_size=g, max_size=g))] = np.nan
+        scores = draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=p, max_size=p))
+        images.append((oks, sorted(range(p), key=lambda i: (-scores[i], i))))
+    return images
+
+
+class TestBatchedMatcher:
+    # one image per run, one or two, and the real bound
+    @settings(max_examples=300, deadline=None)
+    @given(images=oks_images(), cells=st.sampled_from([1, 300, 600, E._MATCH_RUN_CELLS]))
+    def test_equals_row_loop_at_every_threshold(self, images, cells):
+        with mock.patch.object(E, "_MATCH_RUN_CELLS", cells):
+            got = list(E._match(iter(images), E.DEFAULT_THRESHOLDS))
+        assert len(got) == len(images)
+        for (oks, order), assigned in zip(images, got):
+            assert assigned.shape == (len(E.DEFAULT_THRESHOLDS), len(oks))
+            for t, row in zip(E.DEFAULT_THRESHOLDS, assigned.tolist()):
+                want = oracles.match_rows_reference(oks, order, t)
+                assert [None if gi < 0 else gi for gi in row] == want
+
+    def test_runs_stay_within_the_bound(self):
+        images = [(np.zeros((p, 3)), list(range(p))) for p in (1, 1, 40, 1, 1, 1)]
+        runs = []
+        real = E._match_run
+
+        def record(run, thresholds):
+            runs.append([len(order) for _, order in run])
+            return real(run, thresholds)
+
+        with mock.patch.object(E, "_match_run", record), \
+                mock.patch.object(E, "_MATCH_RUN_CELLS", 3 * 11 * 13):
+            list(E._match(iter(images), E.DEFAULT_THRESHOLDS))
+        assert runs == [[1, 1], [40], [1, 1, 1]]
+
+    def test_skewed_dataset_memory_stays_near_the_run_bound(self, rng):
+        """One image of 2,000 predictions beside 300 single-prediction images:
+        padding every image to the large one would take ~50 MB of
+        assignments alone."""
+        gt_images, pred_images = [], []
+        for i in range(301):
+            box = BBox(10, 10, 60, 90)
+            gts = tuple(person(box, rand_pose(rng, box)) for _ in range(2))
+            count = 2000 if i == 150 else 1
+            xy = rng.uniform(10, 70, (count, 14, 2))
+            preds = tuple(person(box, Pose.from_arrays(CROWDPOSE_SCHEMA, xy[j], CODES_VISIBLE),
+                                 score=float(rng.uniform())) for j in range(count))
+            gt_images.append(ImageRecord(f"img_{i}", 200, 160, persons=gts))
+            pred_images.append(ImageRecord(f"img_{i}", 200, 160, persons=preds))
+        gt = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(gt_images))
+        pred = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(pred_images))
+        padded = 301 * 2000 * len(E.DEFAULT_THRESHOLDS) * 8  # bytes of int64 assignments
+        tracemalloc.start()
+        try:
+            E.eval_by_crowding(pred, gt, crowd_cfg())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 3 MB at the real bound (1 MB of float64 cells), most of it the
+        # large image's own OKS temporaries; about 58 MB with a single run
+        limit = 8 * E._MATCH_RUN_CELLS * 8
+        assert peak < limit < padded / 5
 
 
 def two_level_datasets(rng, images=40, jitter=0.0):
@@ -308,11 +411,20 @@ class TestEvalByCrowding:
     def test_sigma_count_checked(self, rng):
         gt, pred = two_level_datasets(rng, images=2)
         with pytest.raises(ProtocolError):
-            E.eval_by_crowding(pred, gt, E.OksConfig.for_schema_count(13))
+            E.eval_by_crowding(pred, gt, E.OksConfig(tuple(E.default_sigmas(13))))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_report_equals_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        gt, pred = two_level_datasets(rng, images=30, jitter=0.04 * seed)
+        report = E.eval_by_crowding(pred, gt, crowd_cfg())
+        assert report.to_json() == reference_report(pred, gt)
 
     # the unlabeled gt of img_1 makes crowd_index warn about its ratio
     @pytest.mark.filterwarnings("ignore:person 0 in image 'img_1'")
-    def test_matches_equal_reference_per_threshold(self, rng, monkeypatch):
+    def test_mixed_report_equals_reference(self, rng):
+        """Images without gts or predictions, an unmatchable gt, tied scores
+        within and across images, and an image id that appears twice."""
         gt_images, pred_images = [], []
         for i in range(30):
             gt_img = rand_record(rng, f"img_{i}", min_persons=1 if i == 1 else 0,
@@ -336,30 +448,19 @@ class TestEvalByCrowding:
                 preds.append(person(box, pose, score=float(rng.choice([0.3, 0.6, 0.9]))))
             gt_images.append(gt_img)
             pred_images.append(ImageRecord(gt_img.id, 200, 150, persons=tuple(preds)))
+        twice = next(i for i, img in enumerate(pred_images)
+                     if len({p.score for p in img.persons}) < len(img.persons))
+        gt_images.insert(3, gt_images[twice])
+        pred_images.append(pred_images[twice])
         gt = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(gt_images))
         pred = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(pred_images))
         assert any(not img.persons for img in gt.images)
         assert any(not img.persons for img in pred.images)
+        report = E.eval_by_crowding(pred, gt, crowd_cfg())
+        assert report.to_json() == reference_report(pred, gt)
 
-        seen = []
-        image_matches = E.ImageMatches
 
-        def record(**fields):
-            seen.append(fields)
-            return image_matches(**fields)
-
-        monkeypatch.setattr(E, "ImageMatches", record)
-        cfg = crowd_cfg()
-        E.eval_by_crowding(pred, gt, cfg)
-        expected = []
-        for gt_img, pred_img in zip(gt.images, pred.images):
-            matchable = sum(1 for g in gt_img.persons
-                            if any(k.labeled for k in g.pose.keypoints))
-            for t in E.DEFAULT_THRESHOLDS:
-                ref = oracles.match_greedy_reference(pred_img.persons, gt_img.persons,
-                                                     t, cfg.sigmas)
-                expected.append({"image_id": gt_img.id,
-                                 "scores": [p.score for p in pred_img.persons],
-                                 "matched": [a is not None for a in ref],
-                                 "gt_count": matchable})
-        assert seen == expected
+def reference_report(pred, gt):
+    return oracles.eval_report_reference(
+        pred, gt, crowd_cfg().sigmas, E.DEFAULT_THRESHOLDS,
+        lambda record: partition(crowd_index(record)))

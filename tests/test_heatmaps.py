@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdpose_kit import heatmaps as H
-from crowdpose_kit.annotations import CROWDPOSE_SCHEMA, BBox, Keypoint, Pose, Visibility
+from crowdpose_kit.annotations import (CODE_OCCLUDED, CODE_VISIBLE, CROWDPOSE_SCHEMA, BBox,
+                                       Keypoint, Pose, Visibility)
 from crowdpose_kit.errors import DimensionError
 
 import oracles
@@ -130,14 +131,14 @@ class TestDecode:
         result = H.decode(pair, crop_for_scale_2())
         assert (result.confidences == 0.0).all()
         assert result.low_confidence.all()
-        assert all(b is Visibility.VISIBLE for b in result.branches)  # tie rule
+        assert (result.pose.codes == CODE_VISIBLE).all()  # tie rule
         assert result.pose.schema.name == "decoded_14"
 
     def test_occluded_branch_label(self):
         pair, _ = H.encode(pose_at_cells([(7, 9)] * 14, vis=Visibility.OCCLUDED),
                            crop_for_scale_2())
         result = H.decode(pair, crop_for_scale_2())
-        assert all(b is Visibility.OCCLUDED for b in result.branches)
+        assert (result.pose.codes == CODE_OCCLUDED).all()
         assert all(k.vis is Visibility.OCCLUDED for k in result.pose.keypoints)
 
     def test_argmax_invariant_to_positive_scaling(self):
@@ -267,7 +268,7 @@ def _decoded(result):
     return (result.pose.schema, [(type(k.x), type(k.y), k.vis) for k in kps],
             _bits([(k.x, k.y) for k in kps]),
             result.confidences.dtype, _bits(result.confidences),
-            result.branches, result.low_confidence.tolist())
+            result.pose.codes.tolist(), result.low_confidence.tolist())
 
 
 class TestMatchesPerKeypointReference:
