@@ -9,7 +9,8 @@ coverage test, `_capsule_sq_dist(...) <= radius * radius`, so they agree by
 construction. `plan_corpus` targets a CrowdIndex histogram by
 rejection-sampling scene layouts whose density knobs (person count,
 attachment probability and spread) track the requested bin. Candidates are
-screened on their drawn arrays; only accepted ones become layouts.
+drawn straight into their layout arrays and screened on them; only
+accepted ones get flags and records.
 `plan_slots` plans any contiguous run of corpus slots, so runs can be
 planned in separate processes, and `within_budget` applies the one global
 candidate budget to the results in slot order.
@@ -18,8 +19,7 @@ candidate budget to the results in slot order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,7 +146,7 @@ class CorpusConfig:
     scenes: int
     scene_cfg: SceneConfig
     target_histogram: tuple[float, ...] = (0.1,) * 10
-    retry_factor: int = 50
+    retry_factor: int = 100
 
     def __post_init__(self):
         weights = self.target_histogram
@@ -160,44 +160,22 @@ class CorpusConfig:
 
 
 @dataclass
-class PersonLayout:
-    z: float                 # larger = nearer to the camera
-    radius: float
-    keypoints: np.ndarray    # (14, 2) image px
-
-    def segments(self) -> np.ndarray:
-        """(13, 2, 2) limb endpoints in paint order."""
-        return self.keypoints[_EDGE_INDEX]
-
-
-@dataclass
 class SceneLayout:
+    """One scene's persons as drawn: depth (larger = nearer to the camera),
+    limb radius and keypoints in image px, one row per person."""
     width: int
     height: int
-    persons: list[PersonLayout] = field(default_factory=list)
+    zs: np.ndarray         # (n,)
+    radii: np.ndarray      # (n,)
+    keypoints: np.ndarray  # (n, 14, 2)
 
     def draw_order(self) -> list[int]:
         """Person indices far to near; equal depths keep index order."""
-        return sorted(range(len(self.persons)),
-                      key=lambda i: (self.persons[i].z, i))
-
-    def ranks(self) -> list[int]:
-        order = self.draw_order()
-        ranks = [0] * len(order)
-        for rank, idx in enumerate(order):
-            ranks[idx] = rank
-        return ranks
-
-
-class _Draws(NamedTuple):
-    """One candidate scene's persons as drawn, before any PersonLayout."""
-    zs: list[float]
-    radii: np.ndarray      # (n,)
-    keypoints: np.ndarray  # (n, 14, 2) image px
+        return np.argsort(self.zs, kind="stable").tolist()
 
 
 def _draw_persons(rng: np.random.Generator, cfg: SceneConfig, count: int,
-                  p_attach: float, sigma_attach: float) -> _Draws:
+                  p_attach: float, sigma_attach: float) -> SceneLayout:
     """Place `count` persons. Each person after the first attaches near an
     earlier one with probability p_attach, offset by a Gaussian of
     sigma_attach * that person's height; otherwise it places uniformly.
@@ -234,13 +212,7 @@ def _draw_persons(rng: np.random.Generator, cfg: SceneConfig, count: int,
     kps[:, :, 0] = np.array(cxs)[:, None] - w / 2.0 + local[:, :, 0] * w
     kps[:, :, 1] = np.array(cys)[:, None] - h / 2.0 + local[:, :, 1] * h
     radii = np.maximum(1.0, cfg.limb_radius_frac * h[:, 0])
-    return _Draws(zs, radii, kps)
-
-
-def _layout_of(cfg: SceneConfig, draws: _Draws) -> SceneLayout:
-    persons = [PersonLayout(z=z, radius=r, keypoints=k)
-               for z, r, k in zip(draws.zs, draws.radii.tolist(), draws.keypoints)]
-    return SceneLayout(cfg.image_w, cfg.image_h, persons)
+    return SceneLayout(cfg.image_w, cfg.image_h, np.array(zs), radii, kps)
 
 
 def _capsule_sq_dist(px, py, ax, ay, bx, by):
@@ -269,11 +241,10 @@ def _layout_flags(layout: SceneLayout) -> np.ndarray:
     """Geometric visibility codes, (n, 14) int8: occluded when a later-drawn
     person's capsule covers the keypoint's pixel center, self-occluded when
     the topmost own limb there is not one of the keypoint's own limbs."""
-    n = len(layout.persons)
+    kps, radii = layout.keypoints, layout.radii               # (n, 14, 2), (n,)
+    n = len(kps)
     edges_per = len(SKELETON_EDGES)
-    kps = np.stack([p.keypoints for p in layout.persons])     # (n, 14, 2)
     ends = kps[:, _EDGE_INDEX].reshape(-1, 2, 2)                # (13n, 2, 2)
-    radii = np.array([p.radius for p in layout.persons])
     seg_r2 = np.repeat(radii * radii, edges_per)
     seg_owner = np.repeat(np.arange(n), edges_per)
     edge_idx = np.tile(np.arange(edges_per), n)
@@ -285,7 +256,7 @@ def _layout_flags(layout: SceneLayout) -> np.ndarray:
     covered = _capsule_sq_dist(points[:, 0, None], points[:, 1, None],
                                ends[:, 0, 0], ends[:, 0, 1],
                                ends[:, 1, 0], ends[:, 1, 1]) <= seg_r2   # (Q, S)
-    ranks = np.asarray(layout.ranks())
+    ranks = np.argsort(layout.draw_order())
     nearer = ranks[seg_owner][None, :] > ranks[point_owner][:, None]
     occluded = np.any(covered & nearer, axis=1)
 
@@ -310,36 +281,30 @@ def _boxes(kps: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return np.concatenate([lo, hi - lo], axis=1)
 
 
-def _layout_boxes(layout: SceneLayout) -> np.ndarray:
-    """_boxes of a layout's persons."""
-    return _boxes(np.stack([p.keypoints for p in layout.persons]),
-                  np.array([p.radius for p in layout.persons]))
-
-
 def _layout_record(layout: SceneLayout, image_id: str) -> ImageRecord:
     """The scene's annotations: each pose is a read-only view of one copy
     of the layout's keypoints and flags."""
     codes = _layout_flags(layout)
-    xy = np.stack([p.keypoints for p in layout.persons])
+    xy = layout.keypoints.copy()
     xy.flags.writeable = codes.flags.writeable = False
     persons = tuple(
         PersonInstance(bbox=BBox(*box), track_id=i,
                        pose=Pose.from_arrays(CROWDPOSE_SCHEMA, xy[i], codes[i]))
-        for i, box in enumerate(_layout_boxes(layout).tolist()))
+        for i, box in enumerate(_boxes(xy, layout.radii).tolist()))
     return ImageRecord(id=image_id, width=layout.width, height=layout.height,
                        persons=persons)
 
 
-def _candidate_crowd_index(draws: _Draws) -> float:
-    """CrowdIndex of a candidate straight from its draws, skipping layout
+def _candidate_crowd_index(layout: SceneLayout) -> float:
+    """CrowdIndex of a candidate straight from its layout, skipping flag
     and record construction.
 
-    The boxes are _layout_boxes' arithmetic and the count goes through the
+    The boxes are _layout_record's _boxes and the count goes through the
     same array core as crowd_index(record), so screening and the stored
     value agree bit for bit."""
-    kps = draws.keypoints
+    kps = layout.keypoints
     owners = np.repeat(np.arange(len(kps)), 14)
-    return crowd_index_arrays(_boxes(kps, draws.radii), kps.reshape(-1, 2), owners)
+    return crowd_index_arrays(_boxes(kps, layout.radii), kps.reshape(-1, 2), owners)
 
 
 def person_color(index: int) -> tuple[int, int, int]:
@@ -363,9 +328,8 @@ def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
     raster = RasterImage.filled(w, h, BACKGROUND_RGBA)
     depth = np.zeros((h, w), dtype=np.float64)
     for idx in layout.draw_order():
-        person = layout.persons[idx]
-        r = person.radius
-        kps = person.keypoints
+        r = layout.radii[idx]
+        kps = layout.keypoints[idx]
         x0 = max(int(math.floor(kps[:, 0].min() - r - 1.0)), 0)
         x1 = min(int(math.ceil(kps[:, 0].max() + r + 1.0)), w - 1)
         y0 = max(int(math.floor(kps[:, 1].min() - r - 1.0)), 0)
@@ -373,7 +337,7 @@ def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
         if x0 > x1 or y0 > y1:
             continue
         color = np.array([*person_color(idx), 255], dtype=np.uint8)
-        segs = person.segments()[:, :, :, None, None]           # (13, 2, 2, 1, 1)
+        segs = kps[_EDGE_INDEX][:, :, :, None, None]            # (13, 2, 2, 1, 1)
         px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
         # bands of rows keep the (13, rows, cols) temporaries near 2 MB each
         band = max(1, _RENDER_BAND_CELLS // (len(segs) * len(px)))
@@ -385,7 +349,7 @@ def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
                                              segs[:, 1, 0], segs[:, 1, 1]) <= r * r,
                             axis=0)
             raster.pixels[b0:b1, x0:x1 + 1][inside] = color
-            depth[b0:b1, x0:x1 + 1][inside] = person.z
+            depth[b0:b1, x0:x1 + 1][inside] = layout.zs[idx]
     return raster, depth
 
 
@@ -451,10 +415,9 @@ def plan_slots(cfg: CorpusConfig, run: list[tuple[int, int]]):
             rng = substream(seed, "corpus", slot, attempt)
             count, p_attach, sigma_attach = _density_for_bin(bin_index, bins, rng,
                                                              cfg.scene_cfg)
-            draws = _draw_persons(rng, cfg.scene_cfg, count, p_attach, sigma_attach)
-            c = _candidate_crowd_index(draws)
+            layout = _draw_persons(rng, cfg.scene_cfg, count, p_attach, sigma_attach)
+            c = _candidate_crowd_index(layout)
             if histogram_bin(c, bins) == bin_index:
-                layout = _layout_of(cfg.scene_cfg, draws)
                 scene = GeneratedScene(record=_layout_record(layout, f"scene_{slot:05d}"),
                                        layout=layout, crowd_index=c,
                                        slot=slot, attempt=attempt)

@@ -288,23 +288,23 @@ def scene_flags_reference(layout, skeleton_edges, edges_of_kp):
     capsule covers the keypoint's pixel center, self-occluded when the
     topmost own limb covering it is not one of the keypoint's own limbs.
     """
-    persons = layout.persons
-    order = sorted(range(len(persons)), key=lambda i: (persons[i].z, i))
+    zs, radii, keypoints = layout.zs.tolist(), layout.radii.tolist(), layout.keypoints
+    order = sorted(range(len(zs)), key=lambda i: (zs[i], i))
     rank = {idx: r for r, idx in enumerate(order)}
     flags = []
-    for i, person in enumerate(persons):
+    for i in range(len(zs)):
         row = []
         for k in range(14):
-            kx, ky = person.keypoints[k]
+            kx, ky = keypoints[i][k]
             px, py = math.floor(kx) + 0.5, math.floor(ky) + 0.5
             occluded = False
-            for j, other in enumerate(persons):
+            for j in range(len(zs)):
                 if j == i or rank[j] < rank[i]:
                     continue
-                r2 = other.radius * other.radius
+                r2 = radii[j] * radii[j]
                 for a, b in skeleton_edges:
-                    qa = other.keypoints[a]
-                    qb = other.keypoints[b]
+                    qa = keypoints[j][a]
+                    qb = keypoints[j][b]
                     if _seg_cover_sq(px, py, qa[0], qa[1], qb[0], qb[1]) <= r2:
                         occluded = True
                         break
@@ -313,11 +313,11 @@ def scene_flags_reference(layout, skeleton_edges, edges_of_kp):
             if occluded:
                 row.append(Visibility.OCCLUDED)
                 continue
-            r2 = person.radius * person.radius
+            r2 = radii[i] * radii[i]
             top = -1
             for e, (a, b) in enumerate(skeleton_edges):
-                qa = person.keypoints[a]
-                qb = person.keypoints[b]
+                qa = keypoints[i][a]
+                qb = keypoints[i][b]
                 if _seg_cover_sq(px, py, qa[0], qa[1], qb[0], qb[1]) <= r2:
                     top = e
             if top >= 0 and top not in edges_of_kp[k]:

@@ -309,7 +309,7 @@ def test_criterion_8_synthetic_corpus_targeting():
     for scene in scenes[::97]:
         raster, depth = S.render_layout(scene.layout)
         color_to_person = {S.person_color(j): j
-                           for j in range(len(scene.layout.persons))}
+                           for j in range(len(scene.layout.zs))}
         for pi, person in enumerate(scene.record.persons):
             for kp in person.pose.keypoints:
                 px, py = int(math.floor(kp.x)), int(math.floor(kp.y))
@@ -318,7 +318,7 @@ def test_criterion_8_synthetic_corpus_targeting():
                 owner = color_to_person.get(
                     tuple(int(v) for v in raster.pixels[py, px, :3]))
                 buffer_ok = buffer_ok and owner is not None and \
-                    depth[py, px] == scene.layout.persons[owner].z and \
+                    depth[py, px] == scene.layout.zs[owner] and \
                     ((kp.vis is Visibility.OCCLUDED) == (owner != pi))
     check(8, within and exact and flag_agree == flag_total and buffer_ok,
           f"2000-scene corpus: bin frequencies {['%.3f' % f for f in freqs]} all "

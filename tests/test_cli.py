@@ -116,7 +116,7 @@ class TestGen:
             errors.append(capsys.readouterr().err)
             assert not out.parent.exists()
             assert not multiprocessing.active_children()
-        assert errors == ["error: exhausted 1000 candidate scenes with 0/20 accepted\n"] * 2
+        assert errors == ["error: exhausted 2000 candidate scenes with 0/20 accepted\n"] * 2
 
     def test_failure_after_written_scenes_removes_them(self, tmp_path, capsys):
         """A budget that runs out mid-corpus, after some scenes' PAMs were
@@ -128,7 +128,7 @@ class TestGen:
         (out / "keep.txt").write_text("x")
         assert run("gen", "--seed", "1", "--scenes", "20", "--config", config,
                    "--target", target, "--jobs", "2", "--out", str(out)) == 1
-        assert capsys.readouterr().err == ("error: exhausted 1000 candidate scenes "
+        assert capsys.readouterr().err == ("error: exhausted 2000 candidate scenes "
                                            "with 10/20 accepted\n")
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 

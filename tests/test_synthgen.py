@@ -23,8 +23,14 @@ def small_cfg(**kw):
 
 
 def person_layout(keypoints, z, radius=3.0):
-    return S.PersonLayout(z=z, radius=radius,
-                          keypoints=np.asarray(keypoints, dtype=np.float64))
+    return z, radius, np.asarray(keypoints, dtype=np.float64)
+
+
+def scene_layout(width, height, persons):
+    """A SceneLayout of person_layout (z, radius, keypoints) triples."""
+    zs, radii, keypoints = zip(*persons)
+    return S.SceneLayout(width, height, np.array(zs), np.array(radii),
+                         np.stack(keypoints))
 
 
 def layout_flags(layout):
@@ -33,7 +39,7 @@ def layout_flags(layout):
 
 
 def sample_layout(rng, cfg, count, p_attach=0.35, sigma_attach=0.5):
-    return S._layout_of(cfg, S._draw_persons(rng, cfg, count, p_attach, sigma_attach))
+    return S._draw_persons(rng, cfg, count, p_attach, sigma_attach)
 
 
 def corpus(corpus_cfg):
@@ -59,7 +65,7 @@ class TestSceneFlags:
     def test_forced_two_person_occlusion(self):
         far = person_layout(standing_keypoints(50, 60), z=0.2)
         near = person_layout(standing_keypoints(50, 60), z=0.9)
-        layout = S.SceneLayout(160, 120, [far, near])
+        layout = scene_layout(160, 120, [far, near])
         flags = layout_flags(layout)
         # the farther person sits fully under the nearer copy
         assert all(v is Visibility.OCCLUDED for v in flags[0])
@@ -70,7 +76,7 @@ class TestSceneFlags:
         hips = standing_keypoints(60, 60)[6]  # left hip pixel of the far person
         near_kps = standing_keypoints(hips[0], hips[1], height=40.0)
         near = person_layout(near_kps, z=0.8, radius=2.4)
-        layout = S.SceneLayout(160, 120, [far, near])
+        layout = scene_layout(160, 120, [far, near])
         flags = layout_flags(layout)
         assert flags[0][6] is Visibility.OCCLUDED
 
@@ -82,7 +88,7 @@ class TestSceneFlags:
         assert r ** 2 != r * r
         far = person_layout(np.tile([20.2, 20.3], (14, 1)), z=0.1, radius=1.0)
         near = person_layout(np.tile([20.5 - r, 20.5], (14, 1)), z=0.9, radius=r)
-        layout = S.SceneLayout(40, 40, [far, near])
+        layout = scene_layout(40, 40, [far, near])
         _, depth = S.render_layout(layout)
         assert depth[20, 20] == 0.9
         flags = layout_flags(layout)
@@ -100,6 +106,14 @@ class TestSceneFlags:
                                                 S._EDGES_OF_KP)
             assert ours == ref, f"scene {i}"
 
+    def test_flags_match_scalar_reference_at_tied_depths(self):
+        # random_layout draws each depth from three values, so persons tie
+        for i in range(40):
+            layout = random_layout(substream(i, "ref_ties"))
+            ref = oracles.scene_flags_reference(layout, S.SKELETON_EDGES,
+                                                S._EDGES_OF_KP)
+            assert layout_flags(layout) == ref, f"scene {i}"
+
     def test_keypoints_near_own_bbox(self):
         layout = sample_layout(substream(1, "bbox"), small_cfg(), count=8)
         record = S._layout_record(layout, "s")
@@ -112,27 +126,29 @@ class TestSceneFlags:
         cfg = small_cfg()
         for i in range(50):
             layout = sample_layout(substream(i, "boxes"), cfg, count=1 + i % 8)
-            boxes = S._layout_boxes(layout)
-            for person, box in zip(layout.persons, boxes.tolist()):
-                segs = person.segments()
-                x0 = float(np.min(segs[:, :, 0])) - person.radius
-                x1 = float(np.max(segs[:, :, 0])) + person.radius
-                y0 = float(np.min(segs[:, :, 1])) - person.radius
-                y1 = float(np.max(segs[:, :, 1])) + person.radius
+            boxes = S._boxes(layout.keypoints, layout.radii)
+            for kps, radius, box in zip(layout.keypoints, layout.radii.tolist(),
+                                        boxes.tolist()):
+                segs = kps[S._EDGE_INDEX]
+                x0 = float(np.min(segs[:, :, 0])) - radius
+                x1 = float(np.max(segs[:, :, 0])) + radius
+                y0 = float(np.min(segs[:, :, 1])) - radius
+                y1 = float(np.max(segs[:, :, 1])) + radius
                 assert box == [x0, y0, x1 - x0, y1 - y0]
 
 
 def render_per_segment(layout):
     """Reference rasterizer: each limb capsule tested and painted over its
-    own clipped window, limb by limb in paint order."""
+    own clipped window, limb by limb in paint order. Persons go far to near
+    by (z, index), sorted here rather than by the draw_order under test."""
     w, h = layout.width, layout.height
     raster = RasterImage.filled(w, h, S.BACKGROUND_RGBA)
     depth = np.zeros((h, w), dtype=np.float64)
-    for idx in layout.draw_order():
-        person = layout.persons[idx]
+    zs = layout.zs.tolist()
+    for idx in sorted(range(len(zs)), key=lambda i: (zs[i], i)):
         color = np.array([*S.person_color(idx), 255], dtype=np.uint8)
-        r = person.radius
-        for a, b in person.segments():
+        r = layout.radii[idx]
+        for a, b in layout.keypoints[idx][S._EDGE_INDEX]:
             x0 = max(int(math.floor(min(a[0], b[0]) - r - 1.0)), 0)
             x1 = min(int(math.ceil(max(a[0], b[0]) + r + 1.0)), w - 1)
             y0 = max(int(math.floor(min(a[1], b[1]) - r - 1.0)), 0)
@@ -144,7 +160,7 @@ def render_per_segment(layout):
             inside = S._capsule_sq_dist(px[None, :], py[:, None],
                                         a[0], a[1], b[0], b[1]) <= r * r
             raster.pixels[y0:y1 + 1, x0:x1 + 1][inside] = color
-            depth[y0:y1 + 1, x0:x1 + 1][inside] = person.z
+            depth[y0:y1 + 1, x0:x1 + 1][inside] = zs[idx]
     return raster, depth
 
 
@@ -164,7 +180,7 @@ def random_layout(rng, w=48, h=40):
             kps[13] = kps[12]
         persons.append(person_layout(kps, z=float(rng.choice([0.2, 0.5, 0.9])),
                                      radius=radius))
-    return S.SceneLayout(w, h, persons)
+    return scene_layout(w, h, persons)
 
 
 class TestRenderConsistency:
@@ -189,7 +205,7 @@ class TestRenderConsistency:
             record = S._layout_record(layout, f"s{i}")
             raster, depth = S.render_layout(layout)
             color_to_person = {S.person_color(j): j
-                               for j in range(len(layout.persons))}
+                               for j in range(len(layout.zs))}
             for pi, person in enumerate(record.persons):
                 for kp in person.pose.keypoints:
                     px, py = int(math.floor(kp.x)), int(math.floor(kp.y))
@@ -198,7 +214,7 @@ class TestRenderConsistency:
                     rgb = tuple(int(v) for v in raster.pixels[py, px, :3])
                     owner = color_to_person.get(rgb)
                     assert owner is not None, "keypoint pixel must be painted"
-                    assert depth[py, px] == layout.persons[owner].z
+                    assert depth[py, px] == layout.zs[owner]
                     occluded = kp.vis is Visibility.OCCLUDED
                     assert occluded == (owner != pi)
 
@@ -308,6 +324,23 @@ class TestCorpus:
                                   f"with {accepted}/40 accepted")
         assert err.value.achieved == achieved
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("seed", [1673986675, 1125567838])
+    def test_crowded_corpus_plans_at_default_budget(self, seed):
+        """70 scenes of 2-20 persons weighted to the hard bins, as the
+        crowded eval corpus: at these seeds the plan spends more than 50
+        candidates per scene, so the default budget must plan it and
+        retry_factor=50 runs out."""
+        weights = (1, 1, 1, 1, 1, 2, 2, 3, 4, 4)
+
+        def corpus_cfg(**kw):
+            return S.CorpusConfig(
+                scenes=70, scene_cfg=S.SceneConfig(seed=seed, person_count_range=(2, 20)),
+                target_histogram=tuple(w / sum(weights) for w in weights), **kw)
+
+        assert len(S.plan_corpus(corpus_cfg())) == 70
+        with pytest.raises(TargetingError):
+            S.plan_corpus(corpus_cfg(retry_factor=50))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_budget_edge_across_jobs(self, jobs):
