@@ -519,34 +519,42 @@ def parse_dataset(data: bytes, format: str) -> Dataset:
                          f"({type(exc).__name__}: {exc})") from exc
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def image_json(img: ImageRecord) -> str:
+    """One image's entry in a native document's "images" list, as text."""
+    return _dumps({
+        "id": img.id,
+        "width": img.width,
+        "height": img.height,
+        "source": img.source,
+        "persons": [
+            {
+                "bbox": [p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h],
+                "score": p.score,
+                "track_id": p.track_id,
+                "segmentation": _segmentation_to_json(p.segmentation),
+                "keypoints": p.pose.to_json(),
+            }
+            for p in img.persons
+        ],
+    })
+
+
+def native_document(schema: PoseSchema, meta: dict, image_entries) -> bytes:
+    """A native document from image_json entries: the bytes that one
+    json.dumps of the whole document, keys sorted, would give."""
+    head = _dumps({"format": NATIVE_FORMAT_TAG})[:-1]
+    tail = _dumps({"meta": meta, "schema": {"name": schema.name,
+                                             "keypoint_names": list(schema.keypoint_names)}})
+    return (f'{head},"images":[{",".join(image_entries)}],{tail[1:]}\n').encode("utf-8")
+
+
 def serialize_dataset(dataset: Dataset) -> bytes:
     """Serialize to the native format. Deterministic: equal datasets give equal bytes."""
-    doc = {
-        "format": NATIVE_FORMAT_TAG,
-        "schema": {"name": dataset.schema.name,
-                   "keypoint_names": list(dataset.schema.keypoint_names)},
-        "meta": dataset.meta,
-        "images": [
-            {
-                "id": img.id,
-                "width": img.width,
-                "height": img.height,
-                "source": img.source,
-                "persons": [
-                    {
-                        "bbox": [p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h],
-                        "score": p.score,
-                        "track_id": p.track_id,
-                        "segmentation": _segmentation_to_json(p.segmentation),
-                        "keypoints": p.pose.to_json(),
-                    }
-                    for p in img.persons
-                ],
-            }
-            for img in dataset.images
-        ],
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return native_document(dataset.schema, dataset.meta, map(image_json, dataset.images))
 
 
 def default_jta_to_crowdpose_mapping() -> tuple[int, ...]:

@@ -10,8 +10,9 @@ input file or an output path that collides with a file), 2 usage error
 `heatmap decode` without `--bbox`). Diagnostics go to stderr, where the
 CrowdIndex's per-person ratio-0 warnings become one summary line; data goes
 to files or stdout only.
-`gen --jobs` plans and renders runs of scenes in worker processes and
-writes every file in the main process, without changing any output byte;
+`gen --jobs` plans and renders runs of scenes, and builds each scene's
+dataset.json entry, in worker processes; the main process writes every
+file, without changing any output byte;
 it is the only command that fans out. `augment` and `eval` run in one
 process and accept --jobs only for compatibility, because a process pool
 made each of them slower (README gives the measurements).
@@ -214,16 +215,17 @@ def _cmd_augment(args):
 
 def _gen_run(cfg: synthgen.CorpusConfig, rasters: bool, run):
     """Plan a run of slots and render each accepted scene; yields
-    (scene without layout, candidates spent, PAM bytes, depth PAM bytes)
-    per slot, with None for what the slot did not make."""
+    (scene without layout, candidates spent, dataset.json entry, PAM bytes,
+    depth PAM bytes) per slot, with None for what the slot did not make."""
     for scene, spent in synthgen.plan_slots(cfg, run):
-        pam = depth_pam = None
+        entry = pam = depth_pam = None
         if scene is not None:
+            entry = anno.image_json(scene.record)
             if rasters:
                 raster, depth = synthgen.render_layout(scene.layout)
                 pam, depth_pam = masks.write_pam(raster), masks.write_depth_pam(depth)
             scene = dataclasses.replace(scene, layout=None)
-        yield scene, spent, pam, depth_pam
+        yield scene, spent, entry, pam, depth_pam
 
 
 def _gen_outputs(cfg: synthgen.CorpusConfig, jobs: int, rasters: bool):
@@ -307,14 +309,15 @@ def _cmd_gen(args):
 
     planned = _gen_outputs(corpus_cfg, args.jobs, not args.no_rasters)
     try:
-        scenes = []
-        for scene, _, pam, depth_pam in synthgen.within_budget(corpus_cfg, planned):
+        scenes, entries = [], []
+        for scene, _, entry, pam, depth_pam in synthgen.within_budget(corpus_cfg, planned):
             scenes.append(scene)
+            entries.append(entry)
             if pam is not None:
                 write(f"{scene.record.id}.pam", pam)
                 write(f"{scene.record.id}_depth.pam", depth_pam)
         dataset = synthgen.corpus_dataset(corpus_cfg, scenes)
-        write("dataset.json", anno.serialize_dataset(dataset))
+        write("dataset.json", anno.native_document(dataset.schema, dataset.meta, entries))
     except BaseException:
         # a failed gen leaves no output behind, nor any directory it made
         for path in written:

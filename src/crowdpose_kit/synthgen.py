@@ -106,9 +106,12 @@ _TEMPLATE_JITTER = np.array([jitter for jitter, _ in _TEMPLATES])[:, None, None]
 
 # Upper bounds that keep one scene's arrays small: a raster side of 4096 px
 # is 64 MB of RGBA, and the flag kernel's (14n, 13n) float64 arrays are
-# about 15 MB each at 100 persons.
+# about 15 MB each at 100 persons. A person height above twice the largest
+# image side adds only area that rendering clips away; the cap also keeps
+# every drawn coordinate and its squares finite.
 MAX_IMAGE_SIDE = 4096
 MAX_PERSONS = 100
+MAX_PERSON_HEIGHT = 2 * MAX_IMAGE_SIDE
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,9 @@ class SceneConfig:
             raise ConfigError(f"bad person count range {self.person_count_range}: "
                               f"need 1 <= low <= high <= {MAX_PERSONS}")
         slo, shi = self.scale_range
-        if not (0 < slo <= shi):
-            raise ConfigError(f"bad scale range {self.scale_range}")
+        if not (0 < slo <= shi <= MAX_PERSON_HEIGHT):
+            raise ConfigError(f"bad scale range {self.scale_range}: need "
+                              f"0 < low <= high <= {MAX_PERSON_HEIGHT}")
         if slo > max(self.image_w, self.image_h):
             raise ConfigError(f"minimum person height {slo} exceeds image "
                               f"{self.image_w}x{self.image_h}")
@@ -182,20 +186,29 @@ def _draw_persons(rng: np.random.Generator, cfg: SceneConfig, count: int,
 
     The loop only draws, per person and in this order: template, height,
     attachment, center, keypoint noise, depth. The keypoints of all
-    persons are then computed at once from the drawn values."""
+    persons are then computed at once from the drawn values.
+
+    Each uniform value in [a, b) is a + (b - a) * rng.random(), the
+    expression rng.uniform(a, b) evaluates for float bounds, so the stream
+    and the values are uniform's without its per-call argument checks.
+    SceneConfig keeps the bounds finite."""
     ground_plane = cfg.depth_model == DEPTH_GROUND_PLANE
+    s_lo, s_hi = map(float, cfg.scale_range)
+    s_span = s_hi - s_lo
+    image_w, image_h = float(cfg.image_w), float(cfg.image_h)
+    random = rng.random
     templates, heights, cxs, cys, zs = [], [], [], [], []
     noise = np.empty((count, 14, 2))
     for i in range(count):
         templates.append(int(rng.integers(len(_TEMPLATES))))
-        height = rng.uniform(*cfg.scale_range)
-        if i > 0 and rng.random() < p_attach:
+        height = s_lo + s_span * random()
+        if i > 0 and random() < p_attach:
             j = int(rng.integers(i))
             cx = cxs[j] + rng.normal(0.0, sigma_attach * heights[j])
             cy = cys[j] + rng.normal(0.0, sigma_attach * heights[j])
         else:
-            cx = rng.uniform(0.0, cfg.image_w)
-            cy = rng.uniform(0.0, cfg.image_h)
+            cx = image_w * random()
+            cy = image_h * random()
         heights.append(height)
         cxs.append(cx)
         cys.append(cy)
@@ -204,7 +217,7 @@ def _draw_persons(rng: np.random.Generator, cfg: SceneConfig, count: int,
             foot_y = cy + height / 2.0
             zs.append(0.05 + 0.9 * min(max(foot_y / cfg.image_h, 0.0), 1.0))
         else:
-            zs.append(rng.uniform(0.05, 1.0))
+            zs.append(0.05 + 0.95 * random())
     h = np.array(heights)[:, None]
     w = BODY_WIDTH_FRAC * h
     local = _TEMPLATE_BASE[templates] + noise * _TEMPLATE_JITTER[templates]
@@ -323,33 +336,43 @@ def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
     (0 = background, larger = nearer).
 
     All limbs of one person share its color and depth, so each person is
-    painted once with the union of its capsules over its clipped window."""
+    painted once with the union of its capsules. Each segment is tested
+    only over its own window, the cells within r + 1 px of it clipped to
+    the image; one kernel call covers all 13, each window padded to the
+    largest and shifted left or up to stay inside the image. A cell
+    outside a segment's window is farther than r from it, so the padding
+    never paints."""
     w, h = layout.width, layout.height
     raster = RasterImage.filled(w, h, BACKGROUND_RGBA)
     depth = np.zeros((h, w), dtype=np.float64)
+    # one uint32 per RGBA pixel, so a cell is painted with one store
+    flat_rgba = raster.pixels.view(np.uint32).reshape(-1)
+    flat_depth = depth.reshape(-1)
+    segs = layout.keypoints[:, _EDGE_INDEX]                      # (n, 13, 2, 2)
+    pad = (layout.radii + 1.0)[:, None, None]
+    lo = np.maximum(np.floor(segs.min(axis=2) - pad), 0.0)      # (n, 13, 2)
+    hi = np.minimum(np.ceil(segs.max(axis=2) + pad), (w - 1, h - 1))
+    sizes = (hi - lo).max(axis=1).astype(np.int64) + 1          # (n, 2) cols, rows
+    starts = np.minimum(lo, (w, h) - sizes[:, None]).astype(np.int64)
+    ends = segs[..., None, None]                                 # (n, 13, 2, 2, 1, 1)
     for idx in layout.draw_order():
-        r = layout.radii[idx]
-        kps = layout.keypoints[idx]
-        x0 = max(int(math.floor(kps[:, 0].min() - r - 1.0)), 0)
-        x1 = min(int(math.ceil(kps[:, 0].max() + r + 1.0)), w - 1)
-        y0 = max(int(math.floor(kps[:, 1].min() - r - 1.0)), 0)
-        y1 = min(int(math.ceil(kps[:, 1].max() + r + 1.0)), h - 1)
-        if x0 > x1 or y0 > y1:
+        cols, rows = sizes[idx].tolist()
+        if cols <= 0 or rows <= 0:
             continue
-        color = np.array([*person_color(idx), 255], dtype=np.uint8)
-        segs = kps[_EDGE_INDEX][:, :, :, None, None]            # (13, 2, 2, 1, 1)
-        px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
+        r = layout.radii[idx]
+        a, b = ends[idx, :, 0], ends[idx, :, 1]
+        xs = starts[idx, :, 0, None] + np.arange(cols)           # (13, cols)
+        px = (xs + 0.5)[:, None, :]
+        color = np.array([*person_color(idx), 255], dtype=np.uint8).view(np.uint32)
         # bands of rows keep the (13, rows, cols) temporaries near 2 MB each
-        band = max(1, _RENDER_BAND_CELLS // (len(segs) * len(px)))
-        for b0 in range(y0, y1 + 1, band):
-            b1 = min(b0 + band, y1 + 1)
-            py = np.arange(b0, b1, dtype=np.float64) + 0.5
-            inside = np.any(_capsule_sq_dist(px[None, :], py[:, None],
-                                             segs[:, 0, 0], segs[:, 0, 1],
-                                             segs[:, 1, 0], segs[:, 1, 1]) <= r * r,
-                            axis=0)
-            raster.pixels[b0:b1, x0:x1 + 1][inside] = color
-            depth[b0:b1, x0:x1 + 1][inside] = layout.zs[idx]
+        band = max(1, _RENDER_BAND_CELLS // (len(_EDGE_INDEX) * cols))
+        for b0 in range(0, rows, band):
+            ys = starts[idx, :, 1, None] + np.arange(b0, min(b0 + band, rows))
+            inside = _capsule_sq_dist(px, (ys + 0.5)[:, :, None], a[:, 0], a[:, 1],
+                                      b[:, 0], b[:, 1]) <= r * r   # (13, band, cols)
+            cells = ((ys * w)[:, :, None] + xs[:, None, :])[inside]
+            flat_rgba[cells] = color
+            flat_depth[cells] = layout.zs[idx]
     return raster, depth
 
 

@@ -14,26 +14,31 @@ the native parser as it was when a pose was a tuple of Keypoint objects;
 each person's pose is a PoseReference that keeps that tuple as parsed.
 match_rows_reference is eval's greedy matcher as it was before it matched a
 run of images at every threshold at once; eval_report_reference builds the
-whole eval report from the scalar matcher and AP.
+whole eval report from the scalar matcher and AP. draw_persons_reference,
+render_layout_reference and serialize_dataset_reference are gen's draw
+loop with rng.uniform, its full-window capsule renderer and the one-call
+json.dumps serializer, as they were before the package replaced them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from crowdpose_kit import synthgen as S
 from crowdpose_kit.annotations import (NATIVE_FORMAT_TAG, VISIBILITY_BY_TAG, BBox,
                                        Dataset, ImageRecord, Keypoint, PersonInstance,
                                        Pose, PoseSchema, Visibility,
-                                       _segmentation_from_json)
+                                       _segmentation_from_json, _segmentation_to_json)
 from crowdpose_kit.errors import ParseError
 from crowdpose_kit.errors import MaskDecodeError, UndefinedMetricError
 from crowdpose_kit.heatmaps import (HEATMAP_H, HEATMAP_W, STRIDE, DecodeResult, Heatmap,
                                     HeatmapPair)
-from crowdpose_kit.masks import _parse_pam_header
+from crowdpose_kit.masks import RasterImage, _parse_pam_header
 
 
 def point_in_polygon(px: float, py: float, poly) -> bool:
@@ -498,3 +503,119 @@ def parse_native_reference(doc) -> Dataset:
             source=img.get("source"),
         ))
     return Dataset(schema=schema, images=tuple(records), meta=dict(doc.get("meta", {})))
+
+
+# --- gen as it was before per-segment windows, scalar draws and per-image
+# --- JSON entries ------------------------------------------------------------
+
+def draw_persons_reference(rng: np.random.Generator, cfg, count: int,
+                           p_attach: float, sigma_attach: float):
+    """synthgen._draw_persons drawing every uniform value with
+    rng.uniform; returns (zs, radii, keypoints) arrays."""
+    ground_plane = cfg.depth_model == S.DEPTH_GROUND_PLANE
+    templates, heights, cxs, cys, zs = [], [], [], [], []
+    noise = np.empty((count, 14, 2))
+    for i in range(count):
+        templates.append(int(rng.integers(len(S._TEMPLATES))))
+        height = rng.uniform(*cfg.scale_range)
+        if i > 0 and rng.random() < p_attach:
+            j = int(rng.integers(i))
+            cx = cxs[j] + rng.normal(0.0, sigma_attach * heights[j])
+            cy = cys[j] + rng.normal(0.0, sigma_attach * heights[j])
+        else:
+            cx = rng.uniform(0.0, cfg.image_w)
+            cy = rng.uniform(0.0, cfg.image_h)
+        heights.append(height)
+        cxs.append(cx)
+        cys.append(cy)
+        rng.standard_normal((14, 2), out=noise[i])
+        if ground_plane:
+            foot_y = cy + height / 2.0
+            zs.append(0.05 + 0.9 * min(max(foot_y / cfg.image_h, 0.0), 1.0))
+        else:
+            zs.append(rng.uniform(0.05, 1.0))
+    h = np.array(heights)[:, None]
+    w = S.BODY_WIDTH_FRAC * h
+    local = S._TEMPLATE_BASE[templates] + noise * S._TEMPLATE_JITTER[templates]
+    kps = np.empty((count, 14, 2))
+    kps[:, :, 0] = np.array(cxs)[:, None] - w / 2.0 + local[:, :, 0] * w
+    kps[:, :, 1] = np.array(cys)[:, None] - h / 2.0 + local[:, :, 1] * h
+    radii = np.maximum(1.0, cfg.limb_radius_frac * h[:, 0])
+    return np.array(zs), radii, kps
+
+
+def _capsule_sq_dist_reference(px, py, ax, ay, bx, by):
+    """synthgen._capsule_sq_dist as render_layout_reference used it."""
+    abx = bx - ax
+    aby = by - ay
+    denom = abx * abx + aby * aby
+    dx = px - ax
+    dy = py - ay
+    t = dx * abx + dy * aby
+    t /= np.where(denom > 0.0, denom, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = dx - t * abx
+    ey = dy - t * aby
+    return ex * ex + ey * ey
+
+
+def render_layout_reference(layout):
+    """synthgen.render_layout testing all 13 segments of a person over the
+    person's whole clipped window, in bands of rows of at most
+    _RENDER_BAND_CELLS (13, rows, cols) cells."""
+    w, h = layout.width, layout.height
+    raster = RasterImage.filled(w, h, S.BACKGROUND_RGBA)
+    depth = np.zeros((h, w), dtype=np.float64)
+    for idx in np.argsort(layout.zs, kind="stable").tolist():
+        r = layout.radii[idx]
+        kps = layout.keypoints[idx]
+        x0 = max(int(math.floor(kps[:, 0].min() - r - 1.0)), 0)
+        x1 = min(int(math.ceil(kps[:, 0].max() + r + 1.0)), w - 1)
+        y0 = max(int(math.floor(kps[:, 1].min() - r - 1.0)), 0)
+        y1 = min(int(math.ceil(kps[:, 1].max() + r + 1.0)), h - 1)
+        if x0 > x1 or y0 > y1:
+            continue
+        color = np.array([*S.person_color(idx), 255], dtype=np.uint8)
+        segs = kps[S._EDGE_INDEX][:, :, :, None, None]
+        px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
+        band = max(1, S._RENDER_BAND_CELLS // (len(segs) * len(px)))
+        for b0 in range(y0, y1 + 1, band):
+            b1 = min(b0 + band, y1 + 1)
+            py = np.arange(b0, b1, dtype=np.float64) + 0.5
+            inside = np.any(_capsule_sq_dist_reference(
+                px[None, :], py[:, None], segs[:, 0, 0], segs[:, 0, 1],
+                segs[:, 1, 0], segs[:, 1, 1]) <= r * r, axis=0)
+            raster.pixels[b0:b1, x0:x1 + 1][inside] = color
+            depth[b0:b1, x0:x1 + 1][inside] = layout.zs[idx]
+    return raster, depth
+
+
+def serialize_dataset_reference(dataset: Dataset) -> bytes:
+    """annotations.serialize_dataset as one json.dumps of the whole
+    document."""
+    doc = {
+        "format": NATIVE_FORMAT_TAG,
+        "schema": {"name": dataset.schema.name,
+                   "keypoint_names": list(dataset.schema.keypoint_names)},
+        "meta": dataset.meta,
+        "images": [
+            {
+                "id": img.id,
+                "width": img.width,
+                "height": img.height,
+                "source": img.source,
+                "persons": [
+                    {
+                        "bbox": [p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h],
+                        "score": p.score,
+                        "track_id": p.track_id,
+                        "segmentation": _segmentation_to_json(p.segmentation),
+                        "keypoints": p.pose.to_json(),
+                    }
+                    for p in img.persons
+                ],
+            }
+            for img in dataset.images
+        ],
+    }
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")

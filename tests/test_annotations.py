@@ -411,3 +411,41 @@ class TestArrayPoses:
             Keypoint(k.x + 1.0, k.y, k.vis) for k in base.keypoints))
         assert moved.xy[:, 0].tolist() == [2.0] * 14
         assert moved.codes.tolist() == base.codes.tolist()
+
+
+_SCORES = st.none() | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+_TEXT = st.text(max_size=4) | st.sampled_from(["é", "人群", " ", "\x00", '"\\'])
+
+
+@st.composite
+def datasets(draw):
+    """Datasets with polygon, RLE or no segmentation, any score, non-ASCII
+    ids and meta, and images with no persons."""
+    polygons = st.lists(st.lists(st.tuples(_FINITE, _FINITE), max_size=3), max_size=2).map(
+        lambda polys: SegmentMask(kind="polygons",
+                                  polygons=tuple(tuple(p) for p in polys)))
+    rle = st.lists(st.integers(0, 9), max_size=4).map(
+        lambda counts: SegmentMask(kind="rle", rle_size=(2, 3), rle_counts=tuple(counts)))
+    person = st.builds(
+        PersonInstance,
+        bbox=st.builds(BBox, _FINITE, _FINITE, _FINITE, _FINITE),
+        pose=st.lists(st.tuples(st.floats(), st.floats()), min_size=14, max_size=14).map(
+            make_pose),
+        segmentation=st.none() | polygons | rle, score=_SCORES,
+        track_id=st.none() | st.integers(0, 9))
+    image = st.builds(ImageRecord, id=_TEXT, width=st.integers(1, 99),
+                      height=st.integers(1, 99),
+                      persons=st.lists(person, max_size=3).map(tuple),
+                      source=st.none() | _TEXT)
+    meta = st.dictionaries(_TEXT, st.none() | _TEXT | _SCORES | st.lists(st.integers()),
+                           max_size=3)
+    return Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(draw(st.lists(image, max_size=3))),
+                   meta=draw(meta))
+
+
+class TestSerializer:
+    @settings(max_examples=300, deadline=None)
+    @example(Dataset(schema=CROWDPOSE_SCHEMA))
+    @given(datasets())
+    def test_bytes_equal_one_dumps_of_the_document(self, ds):
+        assert anno.serialize_dataset(ds) == oracles.serialize_dataset_reference(ds)

@@ -101,6 +101,16 @@ class TestGen:
         with_rasters, without = self.GEN_DIGESTS[(seed, depth)]
         assert digests == [with_rasters, with_rasters, without]
 
+    def test_tallest_person_generates_without_warnings(self, tmp_path, capsys):
+        """Person heights at the cap draw, flag and render in finite
+        arithmetic: gen exits 0 and prints nothing."""
+        top = synthgen.MAX_PERSON_HEIGHT
+        config = _write(tmp_path / "c.json", {"scale_range": [40.0, top]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*_gen(tmp_path, "--bins", "1", "--config", config)) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unreachable_target_fails_alike_at_any_jobs(self, tmp_path, capsys):
         """One person per scene never reaches the top CrowdIndex bin. Each
         --jobs exits 1 with the serial message, removes what it wrote and
@@ -526,6 +536,10 @@ BAD_INPUTS = {
     "gen_config_huge_count": (lambda d: _gen(
         d, "--no-rasters", "--bins", "1",
         "--config", _write(d / "c.json", {"person_count_range": [1, 101]})), 1),
+    # an infinite-looking person height overflowed the draw and the kernels
+    "gen_config_huge_scale": (lambda d: _gen(
+        d, "--no-rasters", "--bins", "1",
+        "--config", _write(d / "c.json", {"scale_range": [40, 1e308]})), 1),
     "gen_config_attach_prob": (lambda d: _gen(
         d, "--config", _write(d / "c.json", {"attach_prob": 0.5})), 1),
     "gen_target_bins_mismatch": (lambda d: _gen(
@@ -620,7 +634,7 @@ class TestExitCodes:
         removes the files and directories it made."""
         def full(*_):
             raise OSError(28, "No space left on device", "dataset.json")
-        monkeypatch.setattr(anno, "serialize_dataset", full)
+        monkeypatch.setattr(anno, "native_document", full)
         out = tmp_path / "new" / "gen"
         assert run(*_gen(tmp_path)[:-2], "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: No space left on device: dataset.json\n"

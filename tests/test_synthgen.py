@@ -3,6 +3,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdpose_kit import cli
 from crowdpose_kit import synthgen as S
@@ -183,7 +185,28 @@ def random_layout(rng, w=48, h=40):
     return scene_layout(w, h, persons)
 
 
+def one_big_person(rng, w=320, h=240):
+    """One person whose limbs cross the image and leave it: its padded
+    segment windows hold more than _RENDER_BAND_CELLS cells."""
+    kps = rng.uniform([-60.0, -60.0], [w + 60.0, h + 60.0], (14, 2))
+    return scene_layout(w, h, [person_layout(kps, z=0.5, radius=6.0)])
+
+
 class TestRenderConsistency:
+    @pytest.mark.parametrize("band_cells", [None, 13])
+    def test_render_equals_full_window_reference(self, band_cells, monkeypatch):
+        """Per-segment windows paint what testing every segment over the
+        person's whole window painted. band_cells 13 makes one-row bands."""
+        if band_cells is not None:
+            monkeypatch.setattr(S, "_RENDER_BAND_CELLS", band_cells)
+        layouts = [random_layout(substream(i, "render_full")) for i in range(60)]
+        layouts += [one_big_person(substream(i, "render_big")) for i in range(4)]
+        for i, layout in enumerate(layouts):
+            raster, depth = S.render_layout(layout)
+            ref_raster, ref_depth = oracles.render_layout_reference(layout)
+            assert raster.pixels.tobytes() == ref_raster.pixels.tobytes(), f"layout {i}"
+            assert depth.tobytes() == ref_depth.tobytes(), f"layout {i}"
+
     @pytest.mark.parametrize("band_cells", [None, 13 * 8])
     def test_per_person_render_equals_per_segment(self, band_cells, monkeypatch):
         # a small band budget forces one- or two-row bands through the loop
@@ -235,6 +258,39 @@ class TestRenderConsistency:
         assert len(colors) == 200
 
 
+@st.composite
+def draw_cases(draw):
+    """(SceneConfig, count, p_attach, sigma_attach, seed): both depth models,
+    integer-valued and fractional scale bounds (some passed as ints) and
+    image sizes other than the default."""
+    w, h = draw(st.integers(1, 640)), draw(st.integers(1, 640))
+    lo = draw(st.integers(1, max(w, h)) | st.floats(0.25, max(w, h)))
+    hi = lo + draw(st.integers(0, 200) | st.floats(0.0, 200.0))
+    cfg = S.SceneConfig(image_w=w, image_h=h, scale_range=(lo, hi),
+                        depth_model=draw(st.sampled_from([S.DEPTH_UNIFORM,
+                                                          S.DEPTH_GROUND_PLANE])))
+    p_attach = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return (cfg, draw(st.integers(1, S.MAX_PERSONS)), p_attach,
+            draw(st.floats(0.03, 2.0)), draw(st.integers(0, 2 ** 32)))
+
+
+class TestDrawPersons:
+    @settings(max_examples=150, deadline=None)
+    @given(draw_cases())
+    def test_same_stream_as_uniform_draws(self, case):
+        """The scalar draws give uniform's values from the same stream and
+        leave the generator in the same state."""
+        cfg, count, p_attach, sigma_attach, seed = case
+        rng, ref_rng = substream(seed, "draw"), substream(seed, "draw")
+        layout = S._draw_persons(rng, cfg, count, p_attach, sigma_attach)
+        zs, radii, kps = oracles.draw_persons_reference(ref_rng, cfg, count,
+                                                        p_attach, sigma_attach)
+        assert layout.keypoints.tobytes() == kps.tobytes()
+        assert layout.zs.tobytes() == zs.tobytes()
+        assert layout.radii.tobytes() == radii.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestSceneConfigValidation:
     def test_person_larger_than_image(self):
         with pytest.raises(ConfigError):
@@ -246,9 +302,12 @@ class TestSceneConfigValidation:
 
     def test_upper_bounds(self):
         S.SceneConfig(image_w=S.MAX_IMAGE_SIDE, image_h=S.MAX_IMAGE_SIDE,
-                      person_count_range=(1, S.MAX_PERSONS))
+                      person_count_range=(1, S.MAX_PERSONS),
+                      scale_range=(40.0, S.MAX_PERSON_HEIGHT))
         for kw in ({"image_w": S.MAX_IMAGE_SIDE + 1}, {"image_h": S.MAX_IMAGE_SIDE + 1},
-                   {"person_count_range": (1, S.MAX_PERSONS + 1)}):
+                   {"person_count_range": (1, S.MAX_PERSONS + 1)},
+                   {"scale_range": (40.0, S.MAX_PERSON_HEIGHT + 0.5)},
+                   {"scale_range": (40.0, math.inf)}, {"scale_range": (40.0, math.nan)}):
             with pytest.raises(ConfigError):
                 S.SceneConfig(**kw)
 
@@ -355,7 +414,7 @@ class TestCorpus:
             planned = cli._gen_outputs(corpus_cfg, jobs, False)
             try:
                 return [(s.record, s.slot, s.attempt)
-                        for s, _, _, _ in S.within_budget(corpus_cfg, planned)]
+                        for s, *_ in S.within_budget(corpus_cfg, planned)]
             except TargetingError as err:
                 return str(err), err.achieved
             finally:
