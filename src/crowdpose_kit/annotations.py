@@ -519,6 +519,20 @@ def parse_dataset(data: bytes, format: str) -> Dataset:
                          f"({type(exc).__name__}: {exc})") from exc
 
 
+def require_schema_lengths(dataset: Dataset) -> Dataset:
+    """The dataset itself when every pose has its schema's keypoint count;
+    otherwise SchemaError naming the first pose that has not. `validate`
+    reports such a pose as `schema_mismatch` instead."""
+    count = dataset.schema.count
+    for img in dataset.images:
+        for pi, person in enumerate(img.persons):
+            if len(person.pose.codes) != count:
+                raise SchemaError(f"person {pi} of image {img.id!r} has "
+                                  f"{len(person.pose.codes)} keypoints; schema "
+                                  f"{dataset.schema.name!r} expects {count}")
+    return dataset
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

@@ -1,32 +1,30 @@
 """crowdpose-kit command line: reproducible pipelines over the toolkit.
 
-`dispatch` is the one command runner. It times each subcommand and, for
-every run given `--out`, writes a manifest (argv, seed, content digest of
-the inputs the subcommand names, version, the Python and numpy versions,
-duration). It is also the one place that maps failures to exit codes: 0
-success, 1 domain error (`CrowdKitError`, or an `OSError` such as a missing
-input file or an output path that collides with a file), 2 usage error
-(argparse, which also rejects `heatmap encode` without `--out` and
-`heatmap decode` without `--bbox`). Diagnostics go to stderr, where the
-CrowdIndex's per-person ratio-0 warnings become one summary line; data goes
-to files or stdout only.
-`gen --jobs` plans and renders runs of scenes, and builds each scene's
-dataset.json entry, in worker processes; the main process writes every
-file, without changing any output byte;
-it is the only command that fans out. `augment` and `eval` run in one
-process and accept --jobs only for compatibility, because a process pool
-made each of them slower (README gives the measurements).
+`dispatch` is the one command runner. Its `_run` times each subcommand and,
+for every run given `--out`, writes a manifest (argv, seed, content digest
+of the named inputs, version, Python and numpy versions, duration). If the
+subcommand or its manifest write fails, `_run` removes every path that is
+new under the output roots (`--out`, `--csv`, the manifest); a path that
+existed before stays, with whatever bytes were written into it. `_run` maps
+failures to exit codes: 0 success, 1 domain error (`CrowdKitError` or any
+`OSError`), 2 usage error. Diagnostics go to stderr, the CrowdIndex's ratio-0
+warnings as one summary line; data goes to files or stdout only. Only `gen`
+fans out over processes; `augment` and `eval` accept --jobs and ignore it,
+because a process pool made each of them slower (see README).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 import math
+import os
 import re
+import shutil
 import sys
 import time
 import warnings
@@ -62,6 +60,13 @@ def _digest_paths(paths) -> str:
     return h.hexdigest()
 
 
+def _manifest_path(out: Path) -> Path:
+    """Inside a directory --out without a suffix; beside any other --out."""
+    if out.suffix or not out.is_dir():
+        return out.with_suffix(out.suffix + ".manifest.json")
+    return out / "manifest.json"
+
+
 def _write_manifest(out: Path, argv, inputs, seed, duration_s: float) -> None:
     manifest = {
         "command": ["crowdpose-kit", *argv],
@@ -72,13 +77,29 @@ def _write_manifest(out: Path, argv, inputs, seed, duration_s: float) -> None:
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         "duration_s": round(duration_s, 3),
     }
-    if out.suffix or out.is_file():  # file output: manifest next to it
-        path = out.with_suffix(out.suffix + ".manifest.json")
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _manifest_path(out).write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                                   + "\n", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _rolled_back(roots):
+    """On a failure in the block, remove what is new under the output roots,
+    deepest first: new entries of a directory root, new roots and parents."""
+    roots = [Path(r) for r in roots if r]
+    new = {p for r in roots for p in (r, *r.parents) if not os.path.lexists(p)}
+    entries = {r: set(os.listdir(r)) for r in roots if r.is_dir()}
+    try:
+        yield
+    except BaseException:
+        new.update(d / name for d, names in entries.items() if d.is_dir()
+                   for name in set(os.listdir(d)) - names)
+        for path in sorted(new, key=lambda p: len(p.parts), reverse=True):
+            with contextlib.suppress(OSError):  # gone already, or never made
+                if path.is_dir() and not path.is_symlink():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink()
+        raise
 
 
 def _format_name(flag: str) -> str:
@@ -167,7 +188,7 @@ def _cmd_validate(args):
 
 
 def _cmd_analyze(args):
-    dataset = _read_dataset(args.infile, "native")
+    dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
     stats = crowd_metrics.dataset_histogram(dataset, args.bins, args.count_mode)
     _emit(stats.to_json(), args.out)
     return [args.infile]
@@ -299,14 +320,7 @@ def _cmd_gen(args):
         scenes=args.scenes, scene_cfg=scene_cfg,
         target_histogram=_target_histogram(args.target, args.bins))
     out = Path(args.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def write(name: str, data: bytes) -> None:
-        written.append(out / name)
-        written[-1].write_bytes(data)
-
     planned = _gen_outputs(corpus_cfg, args.jobs, not args.no_rasters)
     try:
         scenes, entries = [], []
@@ -314,18 +328,11 @@ def _cmd_gen(args):
             scenes.append(scene)
             entries.append(entry)
             if pam is not None:
-                write(f"{scene.record.id}.pam", pam)
-                write(f"{scene.record.id}_depth.pam", depth_pam)
+                (out / f"{scene.record.id}.pam").write_bytes(pam)
+                (out / f"{scene.record.id}_depth.pam").write_bytes(depth_pam)
         dataset = synthgen.corpus_dataset(corpus_cfg, scenes)
-        write("dataset.json", anno.native_document(dataset.schema, dataset.meta, entries))
-    except BaseException:
-        # a failed gen leaves no output behind, nor any directory it made
-        for path in written:
-            if not path.is_dir():  # a directory in a file's place was not written
-                path.unlink(missing_ok=True)
-        for d in made:
-            d.rmdir()
-        raise
+        (out / "dataset.json").write_bytes(
+            anno.native_document(dataset.schema, dataset.meta, entries))
     finally:
         planned.close()
     return [args.config]
@@ -335,7 +342,7 @@ def _cmd_heatmap(args):
     if args.action == "encode":
         if not args.out:
             args.usage_error("encode requires --out")
-        dataset = _read_dataset(args.infile, "native")
+        dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         index = {}
@@ -345,12 +352,9 @@ def _cmd_heatmap(args):
                 pair, in_bounds = heatmaps.encode(person.pose, transform, args.sigma)
                 name = f"{img.id}_p{pi}.hm"
                 (out / name).write_bytes(heatmaps.write_heatmap_pair(pair))
-                index[name] = {
-                    "image_id": img.id, "person_index": pi,
-                    "bbox": [person.bbox.x, person.bbox.y, person.bbox.w,
-                             person.bbox.h],
-                    "encoded": [bool(b) for b in in_bounds],
-                }
+                bbox = [person.bbox.x, person.bbox.y, person.bbox.w, person.bbox.h]
+                index[name] = {"image_id": img.id, "person_index": pi, "bbox": bbox,
+                               "encoded": [bool(b) for b in in_bounds]}
         (out / "heatmaps.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return [args.infile]
@@ -361,12 +365,9 @@ def _cmd_heatmap(args):
     bx, by, bw, bh = args.bbox
     transform = heatmaps.bbox_to_crop(anno.BBox(bx, by, bw, bh))
     result = heatmaps.decode(pair, transform, args.threshold)
-    payload = {
-        "keypoints": result.pose.to_json(),
-        "confidences": [float(c) for c in result.confidences],
-        "low_confidence": [bool(b) for b in result.low_confidence],
-    }
-    _emit(payload, args.out)
+    _emit({"keypoints": result.pose.to_json(),
+           "confidences": [float(c) for c in result.confidences],
+           "low_confidence": [bool(b) for b in result.low_confidence]}, args.out)
     return [args.infile]
 
 
@@ -402,13 +403,11 @@ def _cmd_eval(args):
 
 
 def _write_report_csv(path: Path, report: evaluator.EvalReport) -> None:
-    def cell(v):
-        return "" if v is None else f"{v:.3f}"
+    cells = ["" if v is None else f"{v:.3f}"
+             for v in (report.ap, report.ap_easy, report.ap_medium, report.ap_hard)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        "AP,AP_Easy,AP_Med,AP_Hard\n"
-        f"{cell(report.ap)},{cell(report.ap_easy)},{cell(report.ap_medium)},"
-        f"{cell(report.ap_hard)}\n", encoding="utf-8")
+    path.write_text("AP,AP_Easy,AP_Med,AP_Hard\n" + ",".join(cells) + "\n",
+                    encoding="utf-8")
 
 
 # --- parser ----------------------------------------------------------------
@@ -507,11 +506,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(argv: list) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        started = time.time()
-        inputs = args.func(args)
-        if getattr(args, "out", None):
-            _write_manifest(Path(args.out), argv, inputs, args.seed,
-                            time.time() - started)
+        out = Path(args.out) if getattr(args, "out", None) else None
+        with _rolled_back([out, out and _manifest_path(out), getattr(args, "csv", None)]):
+            started = time.time()
+            inputs = args.func(args)
+            if out:
+                _write_manifest(out, argv, inputs, args.seed, time.time() - started)
     except SystemExit as exc:  # usage error (2), or --help (0)
         return int(exc.code or 0)
     except CrowdKitError as exc:

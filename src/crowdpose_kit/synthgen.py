@@ -107,8 +107,8 @@ _TEMPLATE_JITTER = np.array([jitter for jitter, _ in _TEMPLATES])[:, None, None]
 # Upper bounds that keep one scene's arrays small: a raster side of 4096 px
 # is 64 MB of RGBA, and the flag kernel's (14n, 13n) float64 arrays are
 # about 15 MB each at 100 persons. A person height above twice the largest
-# image side adds only area that rendering clips away; the cap also keeps
-# every drawn coordinate and its squares finite.
+# image side adds only area that rendering clips away; the cap, which also
+# bounds a limb radius, keeps every drawn coordinate and its squares finite.
 MAX_IMAGE_SIDE = 4096
 MAX_PERSONS = 100
 MAX_PERSON_HEIGHT = 2 * MAX_IMAGE_SIDE
@@ -139,8 +139,9 @@ class SceneConfig:
         if slo > max(self.image_w, self.image_h):
             raise ConfigError(f"minimum person height {slo} exceeds image "
                               f"{self.image_w}x{self.image_h}")
-        if self.limb_radius_frac <= 0:
-            raise ConfigError("limb_radius_frac must be positive")
+        if not 0 < self.limb_radius_frac * shi <= MAX_PERSON_HEIGHT:
+            raise ConfigError(f"bad limb_radius_frac {self.limb_radius_frac}: need 0 < "
+                              f"limb_radius_frac * {shi} <= {MAX_PERSON_HEIGHT}")
         if self.depth_model not in (DEPTH_UNIFORM, DEPTH_GROUND_PLANE):
             raise ConfigError(f"unknown depth model {self.depth_model!r}")
 

@@ -111,6 +111,16 @@ class TestGen:
             assert run(*_gen(tmp_path, "--bins", "1", "--config", config)) == 0
         assert capsys.readouterr().err == ""
 
+    def test_widest_limbs_generate_without_warnings(self, tmp_path, capsys):
+        """A limb radius at its cap, on the tallest persons, flags and
+        renders in finite arithmetic."""
+        config = _write(tmp_path / "c.json", {"scale_range": [40.0, synthgen.MAX_PERSON_HEIGHT],
+                                              "limb_radius_frac": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*_gen(tmp_path, "--bins", "1", "--config", config)) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unreachable_target_fails_alike_at_any_jobs(self, tmp_path, capsys):
         """One person per scene never reaches the top CrowdIndex bin. Each
         --jobs exits 1 with the serial message, removes what it wrote and
@@ -208,6 +218,23 @@ class TestAnalyzeValidate:
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
         assert capsys.readouterr().err == (
             "note: 2 persons with no own keypoints in their box counted as ratio 0\n")
+
+    def test_pose_length_must_match_the_schema(self, tmp_path, capsys):
+        """analyze and heatmap encode refuse a pose whose length differs
+        from its schema, as eval does; validate reports it."""
+        doc = _write(tmp_path / "a.json", _short_pose(_native_doc()))
+        message = ("error: person 0 of image 'a' has 3 keypoints; schema "
+                   "'crowdpose' expects 14\n")
+        assert run("analyze", "--in", doc) == 1
+        assert capsys.readouterr().err == message
+        assert run("heatmap", "encode", "--in", doc, "--out", str(tmp_path / "hm")) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "hm").exists()
+        assert run("eval", "--gt", doc, "--pred", doc) == 1
+        capsys.readouterr()
+        assert run("validate", "--in", doc) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [v["kind"] for v in report["violations"]] == ["schema_mismatch"]
 
     def test_other_warnings_pass_through(self, gen_dir, monkeypatch, capsys):
         def analyze(args):
@@ -424,6 +451,13 @@ def _bogus_visibility(doc):
     return doc
 
 
+def _short_pose(doc):
+    """The first person cut to 3 keypoints of the 14-keypoint schema."""
+    person = doc["images"][0]["persons"][0]
+    person["keypoints"] = person["keypoints"][:3]
+    return doc
+
+
 def _keypoint_row(row):
     """A document edit that sets the first keypoint row to `row`."""
     def edit(doc):
@@ -540,6 +574,10 @@ BAD_INPUTS = {
     "gen_config_huge_scale": (lambda d: _gen(
         d, "--no-rasters", "--bins", "1",
         "--config", _write(d / "c.json", {"scale_range": [40, 1e308]})), 1),
+    # a limb radius far above every person height overflowed the flag kernel
+    "gen_config_huge_limb_radius": (lambda d: _gen(
+        d, "--no-rasters", "--bins", "1",
+        "--config", _write(d / "c.json", {"limb_radius_frac": 1e300})), 1),
     "gen_config_attach_prob": (lambda d: _gen(
         d, "--config", _write(d / "c.json", {"attach_prob": 0.5})), 1),
     "gen_target_bins_mismatch": (lambda d: _gen(
@@ -590,9 +628,12 @@ BAD_INPUTS = {
         "--in", _write(d / "a.json", _native_doc())], 1),
     "losscheck_alpha_nan": (lambda d: ["losscheck", "--trials", "1", "--alpha", "nan"], 1),
     "losscheck_alpha_inf": (lambda d: ["losscheck", "--trials", "1", "--alpha", "inf"], 1),
-    # finite, but the loss overflows: a NaN error must fail the check
+    # finite, but above the caps that keep the check's loss from
+    # overflowing: a config error, not a failed check
     "losscheck_alpha_huge": (lambda d: [
         "losscheck", "--trials", "1", "--alpha", "1e308"], 1),
+    "losscheck_fd_step_huge": (lambda d: [
+        "losscheck", "--trials", "1", "--fd-step", "1e308"], 1),
     "losscheck_fd_step_nan": (lambda d: [
         "losscheck", "--trials", "1", "--fd-step", "nan"], 1),
     "losscheck_fd_step_inf": (lambda d: [
@@ -603,9 +644,88 @@ BAD_INPUTS = {
         d, box=[0, 0, 1e308, 10]), 1),
     "augment_box_edge_overflow": (lambda d: _augment(
         d, box=[1e308, 0, 1e308, 1]), 1),
+    # a pose shorter than its schema encoded to a 3-channel pair
+    "encode_pose_length_3": (lambda d: [
+        "heatmap", "encode", "--out", str(d / "hm"),
+        "--in", _write(d / "a.json", _short_pose(_native_doc()))], 1),
+    "analyze_pose_length_3": (lambda d: [
+        "analyze", "--in", _write(d / "a.json", _short_pose(_native_doc()))], 1),
     "encode_without_out": (lambda d: [
         "heatmap", "encode", "--in", _write(d / "a.json", _native_doc())], 2),
 }
+
+
+# Commands that write, each made to fail partway or at its manifest by a
+# directory in a file's place or a missing input. Each takes the work dir,
+# the directory `root` that holds --out, and a 12-scene corpus, and returns
+# the argv and the path the error names.
+
+def _gen_partway(d, root, corpus):
+    (root / "g" / "scene_00004_depth.pam").mkdir(parents=True)
+    return _gen(root), root / "g" / "scene_00004_depth.pam"
+
+
+def _gen_manifest(d, root, corpus):
+    (root / "g" / "manifest.json").mkdir(parents=True)
+    return _gen(root), root / "g" / "manifest.json"
+
+
+def _augment_missing_pam(d, root, corpus):
+    (corpus / "scene_00010.pam").unlink()
+    AUG.save_inventory(d / "inv", AUG.CutoutInventory(
+        objects=[blob_cutout(np.random.default_rng(0), 6, 6)]))
+    return (["augment", "--method", "objects", "--seed", "1", "--inventory", str(d / "inv"),
+             "--in", str(corpus / "dataset.json"), "--out", str(root / "new" / "aug")],
+            corpus / "scene_00010.pam")
+
+
+def _encode_partway(d, root, corpus):
+    (root / "hm" / "scene_00005_p0.hm").mkdir(parents=True)
+    return (["heatmap", "encode", "--in", str(corpus / "dataset.json"),
+             "--out", str(root / "hm")], root / "hm" / "scene_00005_p0.hm")
+
+
+def _convert_manifest(d, root, corpus):
+    (root / "c.json.manifest.json").mkdir()
+    return _convert(d)[:-2] + ["--out", str(root / "c.json")], root / "c.json.manifest.json"
+
+
+def _analyze_manifest(d, root, corpus):
+    (root / "out1" / "a.json.manifest.json").mkdir(parents=True)
+    return (["analyze", "--in", str(corpus / "dataset.json"),
+             "--out", str(root / "out1" / "a.json")], root / "out1" / "a.json.manifest.json")
+
+
+def _validate_manifest(d, root, corpus):
+    # a file --out without a suffix gets its manifest beside it
+    (root / "v.manifest.json").mkdir()
+    return (["validate", "--in", str(corpus / "dataset.json"), "--out", str(root / "v")],
+            root / "v.manifest.json")
+
+
+def _decode_manifest(d, root, corpus):
+    (root / "p.json.manifest.json").mkdir()
+    return (["heatmap", "decode", "--in", _hm_file(d), "--bbox", "0", "0", "10", "10",
+             "--out", str(root / "p.json")], root / "p.json.manifest.json")
+
+
+def _eval_csv(d, root, corpus):
+    # the report lands in directories the run makes, then --csv fails
+    (root / "r.csv").mkdir()
+    return (_eval(d)[:-2] + ["--out", str(root / "new" / "deep" / "r.json"),
+                             "--csv", str(root / "r.csv")], root / "r.csv")
+
+
+FAILING_WRITES = {f.__name__.lstrip("_"): f for f in (
+    _gen_partway, _gen_manifest, _augment_missing_pam, _encode_partway,
+    _convert_manifest, _analyze_manifest, _validate_manifest, _decode_manifest,
+    _eval_csv)}
+
+
+def _tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 class TestExitCodes:
@@ -650,6 +770,37 @@ class TestExitCodes:
             f"error: Is a directory: {out / 'dataset.json'}\n"
         assert [p.name for p in out.iterdir()] == ["dataset.json"]
         assert not any((out / "dataset.json").iterdir())
+
+    @pytest.mark.parametrize("name", sorted(FAILING_WRITES))
+    def test_failed_command_leaves_out_as_it_was(self, name, gen_dir, tmp_path, capsys):
+        """A command that fails after writing some of its output, or at its
+        manifest, removes what it made; what was there before stays."""
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "keep.txt").write_text("kept")
+        argv, culprit = FAILING_WRITES[name](tmp_path, root, gen_dir)
+        before = _tree(root)
+        assert run(*argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and str(culprit) in errors[0]
+        assert _tree(root) == before
+
+    def test_partial_manifest_is_removed(self, tmp_path, capsys, monkeypatch):
+        """A disk that fills while the manifest is written: the report and
+        the part of the manifest beside it both go."""
+        write_text = cli.Path.write_text
+
+        def full(path, text, **kw):
+            if not path.name.endswith(".manifest.json"):
+                return write_text(path, text, **kw)
+            write_text(path, text[:10], **kw)
+            raise OSError(28, "No space left on device", str(path))
+        monkeypatch.setattr(cli.Path, "write_text", full)
+        (tmp_path / "keep.txt").write_text("kept")
+        assert run("analyze", "--in", _write(tmp_path / "a.json", _native_doc()),
+                   "--out", str(tmp_path / "stats.json")) == 1
+        assert capsys.readouterr().err.startswith("error: No space left on device")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "keep.txt"]
 
     def test_gen_tolerance_is_not_an_option(self, tmp_path, capsys):
         assert run(*_gen(tmp_path, "--tolerance", "0.03")) == 2
@@ -822,6 +973,9 @@ class TestFloatFuzz:
     @example(target="eval", field=("keypoints", 0, 0), value=-math.inf)
     # a huge box's area overflowed with a numpy warning
     @example(target="eval", field=("bbox", 2), value=1e308)
+    # a huge alpha or step overflowed the check's loss, and warned on exit 1
+    @example(target="--alpha", field=("score",), value=1e308)
+    @example(target="--fd-step", field=("score",), value=1e308)
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(target=st.sampled_from(sorted(_FLOAT_FLAGS) + sorted(_DOC_COMMANDS)
@@ -842,9 +996,8 @@ class TestFloatFuzz:
             code = dispatch(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
-        # a successful run prints no numpy warning lines
-        if code == 0:
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # no run prints numpy warning lines, whether it succeeds or fails
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if "PASS" in out.getvalue():
             error = float(out.getvalue().split("=")[1].split()[0])
             assert math.isfinite(error) and error < 1e-5

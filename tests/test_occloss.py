@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,10 +125,25 @@ class TestGradient:
         assert a == b
 
     def test_grad_check_guards(self):
-        with pytest.raises(DimensionError):
-            L.grad_check(cfg(), trials=5, fd_step=0.0)
+        for step in (0.0, -1e-4, 2 * L.MAX_FD_STEP, 1e308, math.inf, math.nan):
+            with pytest.raises(DimensionError):
+                L.grad_check(cfg(), trials=5, fd_step=step)
         with pytest.raises(DimensionError):
             L.grad_check(cfg(), trials=0)
+
+    def test_alpha_cap(self):
+        L.LossConfig(alpha=L.MAX_ALPHA)
+        for alpha in (0.0, 2 * L.MAX_ALPHA, 1e308, math.inf, math.nan):
+            with pytest.raises(DimensionError):
+                L.LossConfig(alpha=alpha)
+
+    def test_check_at_the_caps_stays_finite(self):
+        """The largest alpha and step keep every loss finite: no warning,
+        and the check still passes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = L.grad_check(cfg(alpha=L.MAX_ALPHA), trials=1, fd_step=L.MAX_FD_STEP)
+        assert err < 1e-5
 
 
 class TestFitDirect:

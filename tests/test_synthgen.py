@@ -301,13 +301,17 @@ class TestSceneConfigValidation:
             S.SceneConfig(person_count_range=(0, 3))
 
     def test_upper_bounds(self):
+        # a limb radius, limb_radius_frac times the top height, has the same cap
         S.SceneConfig(image_w=S.MAX_IMAGE_SIDE, image_h=S.MAX_IMAGE_SIDE,
                       person_count_range=(1, S.MAX_PERSONS),
-                      scale_range=(40.0, S.MAX_PERSON_HEIGHT))
+                      scale_range=(40.0, S.MAX_PERSON_HEIGHT), limb_radius_frac=1.0)
         for kw in ({"image_w": S.MAX_IMAGE_SIDE + 1}, {"image_h": S.MAX_IMAGE_SIDE + 1},
                    {"person_count_range": (1, S.MAX_PERSONS + 1)},
                    {"scale_range": (40.0, S.MAX_PERSON_HEIGHT + 0.5)},
-                   {"scale_range": (40.0, math.inf)}, {"scale_range": (40.0, math.nan)}):
+                   {"scale_range": (40.0, math.inf)}, {"scale_range": (40.0, math.nan)},
+                   {"scale_range": (40.0, 128.0), "limb_radius_frac": S.MAX_PERSON_HEIGHT / 127},
+                   {"limb_radius_frac": 1e300}, {"limb_radius_frac": math.nan},
+                   {"limb_radius_frac": 0.0}):
             with pytest.raises(ConfigError):
                 S.SceneConfig(**kw)
 
