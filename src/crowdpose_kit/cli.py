@@ -1,16 +1,25 @@
 """crowdpose-kit command line: reproducible pipelines over the toolkit.
 
-`dispatch` is the one command runner. Its `_run` times each subcommand and,
-for every run given `--out`, writes a manifest (argv, seed, content digest
-of the named inputs, version, Python and numpy versions, duration). If the
-subcommand or its manifest write fails, `_run` removes every path that is
-new under the output roots (`--out`, `--csv`, the manifest); a path that
-existed before stays, with whatever bytes were written into it. `_run` maps
-failures to exit codes: 0 success, 1 domain error (`CrowdKitError` or any
-`OSError`), 2 usage error. Diagnostics go to stderr, the CrowdIndex's ratio-0
-warnings as one summary line; data goes to files or stdout only. Only `gen`
-fans out over processes; `augment` and `eval` accept --jobs and ignore it,
-because a process pool made each of them slower (see README).
+`dispatch` is the one command runner. It times each subcommand and, for
+every run given `--out`, writes a manifest (argv, seed, content digest of
+the inputs the subcommand names, version, the Python and numpy versions,
+duration). It is also the one place that maps failures to exit codes: 0
+success, 1 domain error (`CrowdKitError`, or an `OSError` such as a missing
+input file or an output path that collides with a file), 2 usage error
+(argparse, which also rejects `heatmap encode` without `--out` and
+`heatmap decode` without `--bbox`). Diagnostics go to stderr, where the
+CrowdIndex's per-person ratio-0 warnings become one summary line; data goes
+to files or stdout only.
+`_run` owns the rollback: if the subcommand or its manifest write fails,
+it removes what is new under the output roots (`--out`, `--csv`, the
+manifest); a path that existed before stays, with whatever bytes were
+written into it.
+`gen --jobs` plans and renders runs of scenes, and builds each scene's
+dataset.json entry, in worker processes; the main process writes every
+file, without changing any output byte;
+it is the only command that fans out. `augment` and `eval` run in one
+process and accept --jobs only for compatibility, because a process pool
+made each of them slower (README gives the measurements).
 """
 
 from __future__ import annotations
@@ -77,28 +86,32 @@ def _write_manifest(out: Path, argv, inputs, seed, duration_s: float) -> None:
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         "duration_s": round(duration_s, 3),
     }
-    _manifest_path(out).write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                                   + "\n", encoding="utf-8")
+    _emit(manifest, _manifest_path(out))
 
 
 @contextlib.contextmanager
 def _rolled_back(roots):
-    """On a failure in the block, remove what is new under the output roots,
-    deepest first: new entries of a directory root, new roots and parents."""
+    """On a failure in the block, remove each new root and new entry of a
+    directory root with all it holds, then each new parent directory that
+    is empty: one that holds another run's output stays."""
     roots = [Path(r) for r in roots if r]
-    new = {p for r in roots for p in (r, *r.parents) if not os.path.lexists(p)}
+    new = [r for r in roots if not os.path.lexists(r)]
+    parents = {p for r in roots for p in r.parents if not os.path.lexists(p)}
     entries = {r: set(os.listdir(r)) for r in roots if r.is_dir()}
     try:
         yield
     except BaseException:
-        new.update(d / name for d, names in entries.items() if d.is_dir()
-                   for name in set(os.listdir(d)) - names)
-        for path in sorted(new, key=lambda p: len(p.parts), reverse=True):
+        new += [d / name for d, names in entries.items() if d.is_dir()
+                for name in set(os.listdir(d)) - names]
+        for path in new:
             with contextlib.suppress(OSError):  # gone already, or never made
                 if path.is_dir() and not path.is_symlink():
                     shutil.rmtree(path)
                 else:
                     path.unlink()
+        for d in sorted(parents, reverse=True):  # a child sorts after its parent
+            with contextlib.suppress(OSError):  # not empty, gone, or never made
+                d.rmdir()
         raise
 
 
@@ -352,9 +365,12 @@ def _cmd_heatmap(args):
                 pair, in_bounds = heatmaps.encode(person.pose, transform, args.sigma)
                 name = f"{img.id}_p{pi}.hm"
                 (out / name).write_bytes(heatmaps.write_heatmap_pair(pair))
-                bbox = [person.bbox.x, person.bbox.y, person.bbox.w, person.bbox.h]
-                index[name] = {"image_id": img.id, "person_index": pi, "bbox": bbox,
-                               "encoded": [bool(b) for b in in_bounds]}
+                index[name] = {
+                    "image_id": img.id, "person_index": pi,
+                    "bbox": [person.bbox.x, person.bbox.y, person.bbox.w,
+                             person.bbox.h],
+                    "encoded": [bool(b) for b in in_bounds],
+                }
         (out / "heatmaps.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return [args.infile]
@@ -365,9 +381,12 @@ def _cmd_heatmap(args):
     bx, by, bw, bh = args.bbox
     transform = heatmaps.bbox_to_crop(anno.BBox(bx, by, bw, bh))
     result = heatmaps.decode(pair, transform, args.threshold)
-    _emit({"keypoints": result.pose.to_json(),
-           "confidences": [float(c) for c in result.confidences],
-           "low_confidence": [bool(b) for b in result.low_confidence]}, args.out)
+    payload = {
+        "keypoints": result.pose.to_json(),
+        "confidences": [float(c) for c in result.confidences],
+        "low_confidence": [bool(b) for b in result.low_confidence],
+    }
+    _emit(payload, args.out)
     return [args.infile]
 
 
@@ -403,11 +422,13 @@ def _cmd_eval(args):
 
 
 def _write_report_csv(path: Path, report: evaluator.EvalReport) -> None:
-    cells = ["" if v is None else f"{v:.3f}"
-             for v in (report.ap, report.ap_easy, report.ap_medium, report.ap_hard)]
+    def cell(v):
+        return "" if v is None else f"{v:.3f}"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("AP,AP_Easy,AP_Med,AP_Hard\n" + ",".join(cells) + "\n",
-                    encoding="utf-8")
+    path.write_text(
+        "AP,AP_Easy,AP_Med,AP_Hard\n"
+        f"{cell(report.ap)},{cell(report.ap_easy)},{cell(report.ap_medium)},"
+        f"{cell(report.ap_hard)}\n", encoding="utf-8")
 
 
 # --- parser ----------------------------------------------------------------

@@ -8,6 +8,7 @@ truth is zero, peaks predicted in the wrong branch are penalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,8 @@ def grad_check(cfg: LossConfig, trials: int = 100, fd_step: float = 1e-4,
     the typical gradient magnitude, so near-zero cells are still held to an
     absolute deviation of 1e-8 at the 1e-5 acceptance bound instead of
     dividing FD rounding noise by itself. With alpha and fd_step under
-    their caps, no loss here overflows, so the error is never NaN.
+    their caps no loss here overflows; a NaN error, from any other cause,
+    is returned at once: it fails any bound.
     """
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
@@ -122,6 +124,8 @@ def grad_check(cfg: LossConfig, trials: int = 100, fd_step: float = 1e-4,
                 fd = (up - down) / (2.0 * fd_step)
                 a = grad.reshape(-1)[idx]
                 rel = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
+                if math.isnan(rel):  # a NaN loss: nothing was checked
+                    return rel
                 if rel > worst:
                     worst = rel
     return worst

@@ -785,6 +785,22 @@ class TestExitCodes:
         assert len(errors) == 1 and str(culprit) in errors[0]
         assert _tree(root) == before
 
+    def test_new_parent_keeps_a_sibling_output(self, tmp_path, capsys, monkeypatch):
+        """Two runs into runs/1 and runs/2 both find runs/ new. When one
+        fails, it removes its own output but not runs/, which holds the
+        other's finished corpus."""
+        sibling = tmp_path / "runs" / "2" / "dataset.json"
+
+        def full(*_):
+            sibling.parent.mkdir(parents=True)
+            sibling.write_text("other run")
+            raise OSError(28, "No space left on device", "dataset.json")
+        monkeypatch.setattr(anno, "native_document", full)
+        assert run(*_gen(tmp_path)[:-2], "--out", str(tmp_path / "runs" / "1")) == 1
+        assert capsys.readouterr().err == "error: No space left on device: dataset.json\n"
+        assert _tree(tmp_path) == {"runs": None, "runs/2": None,
+                                   "runs/2/dataset.json": b"other run"}
+
     def test_partial_manifest_is_removed(self, tmp_path, capsys, monkeypatch):
         """A disk that fills while the manifest is written: the report and
         the part of the manifest beside it both go."""

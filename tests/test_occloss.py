@@ -145,6 +145,14 @@ class TestGradient:
             err = L.grad_check(cfg(alpha=L.MAX_ALPHA), trials=1, fd_step=L.MAX_FD_STEP)
         assert err < 1e-5
 
+    def test_nan_loss_fails_the_check(self, monkeypatch):
+        """A loss that reads NaN is reported as a NaN error, which fails
+        every bound, not skipped."""
+        def nan_loss(p, g, c):
+            return L.LossValue(math.nan, math.nan, math.nan)
+        monkeypatch.setattr(L, "loss", nan_loss)
+        assert math.isnan(L.grad_check(cfg(), trials=1))
+
 
 class TestFitDirect:
     def test_init_at_optimum_stays(self):
