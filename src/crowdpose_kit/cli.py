@@ -3,13 +3,14 @@
 `dispatch` is the one command runner. It times each subcommand and, for
 every run given `--out`, writes a manifest (argv, seed, content digest of
 the inputs the subcommand names, version, the Python and numpy versions,
-duration). It is also the one place that maps failures to exit codes: 0
+duration). Each command takes only the flags it reads, so `--seed` belongs
+to `gen`, `augment` and `losscheck`; other manifests record a null seed.
+`dispatch` is also the one place that maps failures to exit codes: 0
 success, 1 domain error (`CrowdKitError`, or an `OSError` such as a missing
 input file or an output path that collides with a file), 2 usage error
-(argparse, which also rejects `heatmap encode` without `--out` and
-`heatmap decode` without `--bbox`). Diagnostics go to stderr, where the
-CrowdIndex's per-person ratio-0 warnings become one summary line; data goes
-to files or stdout only.
+(argparse: an unknown, missing or invalid flag). Diagnostics go to stderr,
+where the CrowdIndex's per-person ratio-0 warnings become one summary line;
+data goes to files or stdout only.
 `_run` owns the rollback: if the subcommand or its manifest write fails,
 it removes what is new under the output roots (`--out`, `--csv`, the
 manifest); a path that existed before stays, with whatever bytes were
@@ -164,7 +165,7 @@ def _json_pair(read):
     return read_pair
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | Path | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -226,7 +227,7 @@ def _augment_one(images_dir: str, inventory: aug.CutoutInventory, seed: int,
 def _cmd_augment(args):
     if not Path(args.inventory).is_dir():
         raise InventoryError(f"inventory directory not found: {args.inventory}")
-    dataset = _read_dataset(args.infile, "native")
+    dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
     inventory = aug.load_inventory(Path(args.inventory))
     config = aug.AugmentConfig(method=args.method)
     images_dir = args.images or str(Path(args.infile).parent)
@@ -242,8 +243,7 @@ def _cmd_augment(args):
     augmented = anno.Dataset(schema=dataset.schema, images=tuple(new_images),
                              meta=dict(dataset.meta))
     (out / "dataset.json").write_bytes(anno.serialize_dataset(augmented))
-    (out / "augment_log.json").write_text(
-        json.dumps(log, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _emit(log, out / "augment_log.json")
     return [args.infile, images_dir, args.inventory]
 
 
@@ -351,32 +351,28 @@ def _cmd_gen(args):
     return [args.config]
 
 
-def _cmd_heatmap(args):
-    if args.action == "encode":
-        if not args.out:
-            args.usage_error("encode requires --out")
-        dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        index = {}
-        for img in dataset.images:
-            for pi, person in enumerate(img.persons):
-                transform = heatmaps.bbox_to_crop(person.bbox)
-                pair, in_bounds = heatmaps.encode(person.pose, transform, args.sigma)
-                name = f"{img.id}_p{pi}.hm"
-                (out / name).write_bytes(heatmaps.write_heatmap_pair(pair))
-                index[name] = {
-                    "image_id": img.id, "person_index": pi,
-                    "bbox": [person.bbox.x, person.bbox.y, person.bbox.w,
-                             person.bbox.h],
-                    "encoded": [bool(b) for b in in_bounds],
-                }
-        (out / "heatmaps.json").write_text(
-            json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return [args.infile]
-    # decode
-    if not args.bbox:
-        args.usage_error("decode requires --bbox X Y W H")
+def _cmd_heatmap_encode(args):
+    dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    index = {}
+    for img in dataset.images:
+        for pi, person in enumerate(img.persons):
+            transform = heatmaps.bbox_to_crop(person.bbox)
+            pair, in_bounds = heatmaps.encode(person.pose, transform, args.sigma)
+            name = f"{img.id}_p{pi}.hm"
+            (out / name).write_bytes(heatmaps.write_heatmap_pair(pair))
+            index[name] = {
+                "image_id": img.id, "person_index": pi,
+                "bbox": [person.bbox.x, person.bbox.y, person.bbox.w,
+                         person.bbox.h],
+                "encoded": [bool(b) for b in in_bounds],
+            }
+    _emit(index, out / "heatmaps.json")
+    return [args.infile]
+
+
+def _cmd_heatmap_decode(args):
     pair = heatmaps.read_heatmap_pair(Path(args.infile).read_bytes())
     bx, by, bw, bh = args.bbox
     transform = heatmaps.bbox_to_crop(anno.BBox(bx, by, bw, bh))
@@ -439,12 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Crowded-scene pose data toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, seed_required=False):
-        p = sub.add_parser(name, help=help)
-        # --seed is accepted everywhere and recorded in the manifest even
-        # for commands whose output is a pure function of their inputs
-        p.add_argument("--seed", type=int, required=seed_required, default=0)
-        p.set_defaults(func=func, usage_error=p.error)
+    def command(name, func, help, parent=sub):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(func=func)
         return p
 
     p = command("convert", _cmd_convert, "convert between annotation schemas")
@@ -468,8 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             crowd_metrics.COUNT_VISIBLE_ONLY))
     p.add_argument("--out")
 
-    p = command("augment", _cmd_augment, "paste occlusion cutouts over a dataset",
-                seed_required=True)
+    p = command("augment", _cmd_augment, "paste occlusion cutouts over a dataset")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--method", required=True, choices=aug.METHODS)
     p.add_argument("--inventory", required=True)
     p.add_argument("--in", dest="infile", required=True)
@@ -480,8 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored: augment runs "
                         "in one process")
 
-    p = command("gen", _cmd_gen, "generate a synthetic annotated crowd corpus",
-                seed_required=True)
+    p = command("gen", _cmd_gen, "generate a synthetic annotated crowd corpus")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--target", default="uniform",
                    help="'uniform', 'easy', or a JSON file of bin weights")
@@ -497,17 +490,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-rasters", action="store_true",
                    help="skip PAM raster and depth outputs")
 
-    p = command("heatmap", _cmd_heatmap, "encode or decode dual-branch heatmaps")
-    p.add_argument("action", choices=("encode", "decode"))
+    heatmap = sub.add_parser("heatmap", help="encode or decode dual-branch heatmaps")
+    actions = heatmap.add_subparsers(required=True)
+    p = command("encode", _cmd_heatmap_encode, "heatmap pairs of every person", actions)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.add_argument("--sigma", type=float, default=heatmaps.DEFAULT_SIGMA)
+    p = command("decode", _cmd_heatmap_decode, "the pose in one heatmap pair", actions)
+    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bbox", type=float, nargs=4, metavar=("X", "Y", "W", "H"),
-                   help="person box in image coordinates (decode)")
+                   required=True, help="person box in image coordinates")
     p.add_argument("--threshold", type=float, default=heatmaps.DEFAULT_CONF_THRESHOLD)
+    p.add_argument("--out")
 
     p = command("losscheck", _cmd_losscheck,
                 "finite-difference check of the loss gradient")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=occloss.DEFAULT_ALPHA)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--fd-step", type=float, default=1e-4)
@@ -532,7 +530,8 @@ def _run(argv: list) -> int:
             started = time.time()
             inputs = args.func(args)
             if out:
-                _write_manifest(out, argv, inputs, args.seed, time.time() - started)
+                _write_manifest(out, argv, inputs, getattr(args, "seed", None),
+                                time.time() - started)
     except SystemExit as exc:  # usage error (2), or --help (0)
         return int(exc.code or 0)
     except CrowdKitError as exc:

@@ -1,12 +1,16 @@
+import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
 import multiprocessing
 import platform
 import struct
+import textwrap
 import warnings
 from dataclasses import replace
 
@@ -652,6 +656,7 @@ BAD_INPUTS = {
         "analyze", "--in", _write(d / "a.json", _short_pose(_native_doc()))], 1),
     "encode_without_out": (lambda d: [
         "heatmap", "encode", "--in", _write(d / "a.json", _native_doc())], 2),
+    "augment_pose_length_3": (lambda d: _augment(d, doc=_short_pose(_native_doc())), 1),
 }
 
 
@@ -890,13 +895,19 @@ class TestExitCodes:
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers(-100, 100)
                 | st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf])
                 | st.text(max_size=6))
-_JSON = st.recursive(
-    _JSON_LEAVES,
-    lambda children: (st.lists(children, max_size=5)
-                      | st.dictionaries(st.sampled_from(sorted(
-                          f.name for f in dataclasses.fields(synthgen.SceneConfig)))
-                          | st.text(max_size=6), children, max_size=4)),
-    max_leaves=16)
+
+
+def _json_containers(children):
+    # a named def: hypothesis parses `extend`'s source to check that it uses
+    # its argument, and a lambda's source inside a call does not parse alone
+    return (st.lists(children, max_size=5)
+            | st.dictionaries(st.sampled_from(sorted(
+                f.name for f in dataclasses.fields(synthgen.SceneConfig)))
+                | st.text(max_size=6), children, max_size=4))
+
+
+_JSON = st.recursive(_JSON_LEAVES, _json_containers, max_leaves=16)
+
 
 def _small_gen(d, *extra):
     return ["gen", "--seed", "1", "--scenes", "3", "--no-rasters", "--out",
@@ -1017,3 +1028,81 @@ class TestFloatFuzz:
         if "PASS" in out.getvalue():
             error = float(out.getvalue().split("=")[1].split()[0])
             assert math.isfinite(error) and error < 1e-5
+
+
+def _leaf_commands(parser, words=()):
+    """(command words, parser) for every command that has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, (*words, name))
+
+
+def _args_read(func) -> set:
+    """Every name that `func` reads as `args.<name>`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+# Flags a command takes without reading them, each with the callers that
+# pass it and would fail if it went.
+UNREAD_FLAGS = {
+    ("augment", "--jobs"): "bench/workloads.py train_prep step 'augment'; ACCEPTANCE 9",
+    ("eval", "--jobs"): "bench/workloads.py eval_crowded step 'eval'; ACCEPTANCE 9",
+}
+
+def _doc_command(name):
+    """The _DOC_COMMANDS argv of `name` over a valid document."""
+    return lambda d: _DOC_COMMANDS[name](d, _write(d / "a.json", _native_doc()))
+
+
+def _decode(d):
+    return ["heatmap", "decode", "--in", _hm_file(d), "--bbox", "0", "0", "10", "10"]
+
+
+# Each flag that a command once took and ignored: a function of the work dir
+# that returns a valid argv for that command, and the flag with its value.
+_SEED = ["--seed", "1"]
+_REMOVED_FLAGS = {
+    "convert --seed": (_convert, _SEED),
+    "validate --seed": (_doc_command("validate"), _SEED),
+    "analyze --seed": (_doc_command("analyze"), _SEED),
+    "eval --seed": (_eval, _SEED),
+    "heatmap encode --seed": (_doc_command("heatmap encode"), _SEED),
+    "heatmap encode --bbox": (_doc_command("heatmap encode"), ["--bbox", "0", "0", "10", "10"]),
+    "heatmap encode --threshold": (_doc_command("heatmap encode"), ["--threshold", "0.5"]),
+    "heatmap decode --seed": (_decode, _SEED),
+    "heatmap decode --sigma": (_decode, ["--sigma", "2"]),
+}
+
+
+class TestFlags:
+    def test_every_flag_is_read_by_its_command(self):
+        """Each option of each command is read as args.<dest> in the
+        function that runs it; only UNREAD_FLAGS are not."""
+        unread = []
+        for command, parser in _leaf_commands(cli._build_parser()):
+            read = _args_read(parser.get_default("func"))
+            unread += [(command, action.option_strings[0]) for action in parser._actions
+                       if action.option_strings and action.dest != "help"
+                       and action.dest not in read]
+        assert sorted(unread) == sorted(UNREAD_FLAGS)
+
+    @pytest.mark.parametrize("name", sorted(_REMOVED_FLAGS))
+    def test_removed_flag_is_a_usage_error(self, name, tmp_path, capsys):
+        build, flag = _REMOVED_FLAGS[name]
+        argv = build(tmp_path)
+        assert run(*argv) == 0
+        capsys.readouterr()
+        assert run(*argv, *flag) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_manifest_seed_is_null_without_a_seed_flag(self, tmp_path):
+        out = tmp_path / "stats.json"
+        assert run("analyze", "--in", _write(tmp_path / "a.json", _native_doc()),
+                   "--out", str(out)) == 0
+        manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
+        assert manifest["seed"] is None
