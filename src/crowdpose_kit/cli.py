@@ -15,12 +15,14 @@ data goes to files or stdout only.
 it removes what is new under the output roots (`--out`, `--csv`, the
 manifest); a path that existed before stays, with whatever bytes were
 written into it.
-`gen --jobs` plans and renders runs of scenes, and builds each scene's
-dataset.json entry, in worker processes; the main process writes every
-file, without changing any output byte;
-it is the only command that fans out. `augment` and `eval` run in one
-process and accept --jobs only for compatibility, because a process pool
-made each of them slower (README gives the measurements).
+`gen --jobs` plans and renders runs of at most `RUN_SLOTS` (5) scenes, and
+builds each scene's dataset.json entry, in worker processes, two runs in
+flight per worker; the main process writes every file, without changing
+any output byte. When `gen` stops, on success or on a failure, its workers
+stop too: `map_jobs` signals them, and planning checks the signal at every
+candidate. `gen` is the only command that fans out. `augment` and `eval`
+run in one process and accept --jobs only for compatibility, because a
+process pool made each of them slower (README gives the measurements).
 """
 
 from __future__ import annotations
@@ -262,25 +264,35 @@ def _gen_run(cfg: synthgen.CorpusConfig, rasters: bool, run):
         yield scene, spent, entry, pam, depth_pam
 
 
+# The most slots in one run of gen --jobs N > 1. A run's PAMs are held at
+# once in its worker, in transit and in this process, so this bounds the
+# memory that the fan-out holds, whatever --scenes is.
+RUN_SLOTS = 5
+
+
 def _gen_outputs(cfg: synthgen.CorpusConfig, jobs: int, rasters: bool):
     """_gen_run's outputs for every slot, in slot order. With jobs > 1 the
-    slots are cut into contiguous runs, about four per job so that one slow
-    run does not leave the other workers idle, and map_jobs fans the runs
-    out; otherwise one run is planned in this process."""
+    slots are cut into contiguous runs, four per job (or one per slot if
+    there are fewer) so that one slow run does not leave the other workers
+    idle, or more so that no run holds over RUN_SLOTS slots, and map_jobs
+    fans the runs out; otherwise one run is planned in this process."""
     slots = synthgen.corpus_slots(cfg)
-    parts = min(4 * jobs, len(slots)) if jobs > 1 else 1
+    parts = (max(min(4 * jobs, len(slots)), math.ceil(len(slots) / RUN_SLOTS))
+             if jobs > 1 else 1)
     runs = [slots[len(slots) * i // parts:len(slots) * (i + 1) // parts]
             for i in range(parts)]
     return map_jobs(functools.partial(_gen_run, cfg, rasters), runs, jobs)
 
 
 DEFAULT_BINS = 10
+# --target values that name a histogram; any other value is a weights file
+NAMED_TARGETS = ("uniform", "easy")
 
 
 def _target_histogram(target: str, bins: int | None) -> tuple[float, ...]:
     """Bin weights summing to 1. A weights file sets the bin count itself;
     an explicit --bins must then agree with it."""
-    if target in ("uniform", "easy"):
+    if target in NAMED_TARGETS:
         bins = DEFAULT_BINS if bins is None else bins
         if bins < 1:
             raise ConfigError(f"--bins must be at least 1, got {bins}")
@@ -348,7 +360,7 @@ def _cmd_gen(args):
             anno.native_document(dataset.schema, dataset.meta, entries))
     finally:
         planned.close()
-    return [args.config]
+    return [args.config, args.target if args.target not in NAMED_TARGETS else None]
 
 
 def _cmd_heatmap_encode(args):

@@ -29,7 +29,7 @@ from .annotations import (CODE_OCCLUDED, CODE_SELF_OCCLUDED, CODE_VISIBLE,
 from .crowd_metrics import crowd_index_arrays, histogram_bin
 from .errors import ConfigError, TargetingError
 from .masks import RasterImage
-from .seeding import substream
+from .seeding import stopped, substream
 
 DEPTH_UNIFORM = "uniform_z"
 DEPTH_GROUND_PLANE = "ground_plane"
@@ -427,7 +427,8 @@ def plan_slots(cfg: CorpusConfig, run: list[tuple[int, int]]):
     earlier slot spent at least one candidate, so the floor never exceeds
     the true spend before the slot, and a slot that the serial budget lets
     finish is accepted at the same attempt. within_budget applies the true
-    spend."""
+    spend. In a map_jobs worker whose caller has closed, each slot gives up
+    at its next candidate: nothing the run yields would be taken."""
     bins = len(cfg.target_histogram)
     seed = cfg.scene_cfg.seed
     budget = cfg.retry_factor * cfg.scenes
@@ -435,7 +436,7 @@ def plan_slots(cfg: CorpusConfig, run: list[tuple[int, int]]):
     for slot, bin_index in run:
         scene = None
         attempt = 0
-        while scene is None and floor + attempt < budget:
+        while scene is None and floor + attempt < budget and not stopped():
             rng = substream(seed, "corpus", slot, attempt)
             count, p_attach, sigma_attach = _density_for_bin(bin_index, bins, rng,
                                                              cfg.scene_cfg)

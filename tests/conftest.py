@@ -104,19 +104,23 @@ def single_person_dataset(box=BBox(10, 10, 50, 80), image_id="img_0",
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, and after
-    each submit how many submitted calls are in flight (their results not
-    yet taken). A call runs in this process when its result is taken, so no
-    worker is started."""
+    """Stands in for ProcessPoolExecutor: records the pool size, each
+    submitted call's last argument, and after each submit how many
+    submitted calls are in flight (their results not yet taken). A call
+    runs in this process when its result is taken, so no worker is
+    started. The initializer never runs: in this process it would leave
+    seeding.stopped() true for every later in-process run."""
     sizes: list = []
+    submitted: list = []
     in_flight: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
         self.pending = 0
 
     def submit(self, fn, *args):
         self.pending += 1
+        self.submitted.append(args[-1])
         self.in_flight.append(self.pending)
         return _TakenLater(self, fn, args)
 
@@ -140,6 +144,7 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(seeding.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "submitted", [])
     monkeypatch.setattr(RecordingPool, "in_flight", [])
     return RecordingPool.sizes
 
@@ -148,3 +153,9 @@ def pool_sizes(monkeypatch):
 def pool_in_flight(pool_sizes):
     """RecordingPool.in_flight, with pool_sizes in place."""
     return RecordingPool.in_flight
+
+
+@pytest.fixture
+def pool_submitted(pool_sizes):
+    """RecordingPool.submitted: the item of each call, in submit order."""
+    return RecordingPool.submitted

@@ -169,6 +169,26 @@ class TestGen:
         assert pool_sizes == [4]
         assert digests[0] == digests[1]
 
+    def test_runs_hold_at_most_five_slots(self, tmp_path, pool_submitted):
+        """--jobs 2 over 200 scenes submits 40 runs of 5 slots, in slot
+        order, rather than 8 runs of 25."""
+        assert run("gen", "--seed", "1", "--scenes", "200", "--jobs", "2",
+                   "--no-rasters", "--out", str(tmp_path / "g")) == 0
+        assert [len(r) for r in pool_submitted] == [cli.RUN_SLOTS] * 40
+        assert [slot for r in pool_submitted for slot, _ in r] == list(range(200))
+
+    def test_target_file_is_digested(self, tmp_path):
+        """The manifest's config_digest covers a --target weights file; a
+        named target adds nothing to it."""
+        digests = []
+        for name, target in [("a", [1, 2]), ("b", [2, 1]), ("uniform", None)]:
+            argv = ["--target", _write(tmp_path / f"{name}.json", target)] if target else []
+            assert run(*_gen(tmp_path / name, "--no-rasters", *argv)) == 0
+            manifest = json.loads((tmp_path / name / "g" / "manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        assert digests[0] != digests[1]
+        assert digests[2] == hashlib.sha256(b"").hexdigest()
+
     @pytest.mark.parametrize("bins", [[], ["--bins", "3"]])
     def test_target_file_sets_bins(self, tmp_path, bins):
         target = _write(tmp_path / "t.json", [1, 1, 1])
@@ -1028,6 +1048,38 @@ class TestFloatFuzz:
         if "PASS" in out.getvalue():
             error = float(out.getvalue().split("=")[1].split()[0])
             assert math.isfinite(error) and error < 1e-5
+
+
+# The float and integer extremes, and each SceneConfig cap with the value
+# just above it.
+_CONFIG_EDGES = [1e308, 5e-324, -0.0, 2**63] + [
+    v for cap in (synthgen.MAX_IMAGE_SIDE, synthgen.MAX_PERSONS,
+                  synthgen.MAX_PERSON_HEIGHT) for v in (cap, cap + 1)]
+
+
+class TestConfigEdges:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(sorted(cli._SCENE_FIELDS)),
+           value=st.sampled_from(_CONFIG_EDGES))
+    def test_edge_value_exits_cleanly(self, tmp_path, field, value):
+        """One `gen --config` field at an edge: a pair field gets it as
+        both ends. Every value exits 0, 1 or 2, with one error line on 1,
+        no traceback and no numpy warning."""
+        config = _write(tmp_path / "c.json",
+                        {field: [value, value] if field.endswith("_range") else value})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = dispatch(["gen", "--seed", "1", "--scenes", "2", "--bins", "1",
+                             "--no-rasters", "--config", config,
+                             "--out", str(tmp_path / "g")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 1:
+            assert err.getvalue().count("error:") == 1
 
 
 def _leaf_commands(parser, words=()):

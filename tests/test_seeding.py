@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,11 +43,11 @@ def test_unknown_cpu_count_runs_in_process(pool_sizes, monkeypatch):
 
 @pytest.mark.parametrize("jobs, items", [(2, 10), (3, 10), (64, 9), (4, 4)])
 def test_one_item_in_flight_per_worker(pool_sizes, pool_in_flight, jobs, items):
-    """Items are submitted in a window of one per worker, in item order."""
+    """Items are submitted in a window of two per worker, in item order."""
     out = list(seeding.map_jobs(lambda i: [i, -i], range(items), jobs))
     assert out == [v for i in range(items) for v in (i, -i)]
     assert len(pool_in_flight) == items
-    assert max(pool_in_flight) == pool_sizes[0]
+    assert max(pool_in_flight) == min(2 * pool_sizes[0], items)
 
 
 def test_closing_early_submits_no_more(pool_sizes, pool_in_flight):
@@ -53,4 +56,38 @@ def test_closing_early_submits_no_more(pool_sizes, pool_in_flight):
     outputs = seeding.map_jobs(lambda i: [i], range(100), 2)
     assert next(outputs) == 0
     outputs.close()
-    assert pool_in_flight == [1, 2, 2]
+    assert pool_in_flight == [1, 2, 3, 4, 4]
+
+
+def test_stopped_is_false_outside_a_worker(pool_sizes):
+    """Neither this process nor a recorded pool ever reads as stopped."""
+    outputs = seeding.map_jobs(lambda i: [seeding.stopped()], range(4), 2)
+    assert next(outputs) is False
+    outputs.close()
+    assert not seeding.stopped()
+
+
+# How long the looping item below may run before it gives up on the stop.
+STOP_TIMEOUT_S = 10.0
+
+
+def _first_returns_rest_loop(i):
+    """Item 0 returns at once; any other loops until its map_jobs closes
+    (or the timeout passes)."""
+    deadline = time.monotonic() + STOP_TIMEOUT_S
+    while i and not seeding.stopped() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return [i]
+
+
+def test_closing_stops_running_workers(monkeypatch):
+    """A real pool: closing map_jobs after its first output stops the
+    worker that is looping on another item, and leaves no child running."""
+    monkeypatch.setattr(seeding.os, "cpu_count", lambda: 2)
+    outputs = seeding.map_jobs(_first_returns_rest_loop, range(4), 2)
+    assert next(outputs) == 0
+    started = time.monotonic()
+    outputs.close()
+    assert time.monotonic() - started < STOP_TIMEOUT_S / 3
+    assert not multiprocessing.active_children()
+    assert not seeding.stopped()

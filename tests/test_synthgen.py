@@ -432,6 +432,18 @@ class TestCorpus:
         assert outcome(1) == ("exhausted 2 candidate scenes with 1/2 accepted", [1, 0])
         assert not multiprocessing.active_children()
 
+    def test_stopped_worker_gives_up_each_slot(self, monkeypatch):
+        """Once stopped() reads true, as in a worker whose gen has closed,
+        the slot being searched gives up before its next candidate and the
+        rest of the run spends none."""
+        checks = iter([False] * 3 + [True] * 10)
+        monkeypatch.setattr(S, "stopped", lambda: next(checks))
+        corpus_cfg = S.CorpusConfig(
+            scenes=4, scene_cfg=S.SceneConfig(seed=3, person_count_range=(1, 1)),
+            target_histogram=(0.0, 1.0))  # one person never reaches the top bin
+        run = S.corpus_slots(corpus_cfg)
+        assert list(S.plan_slots(corpus_cfg, run)) == [(None, 3)] + [(None, 0)] * 3
+
     def test_corpus_determinism(self):
         corpus_cfg = S.CorpusConfig(scenes=12, scene_cfg=small_cfg(),
                                     target_histogram=(0.5, 0.5))
