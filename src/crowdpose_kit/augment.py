@@ -233,7 +233,7 @@ def _cutout_for(placement: Placement, inventory: CutoutInventory) -> Cutout:
         return cut
     px, py, pw, ph = placement.src_rect
     part = cut.raster.pixels[py:py + ph, px:px + pw]
-    return Cutout(raster=RasterImage(pw, ph, part.copy()),
+    return Cutout(raster=RasterImage(part.copy()),
                   src_bbox=BBox(float(px), float(py), float(pw), float(ph)),
                   kind=CUTOUT_BODY_PART)
 

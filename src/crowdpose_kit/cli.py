@@ -6,8 +6,9 @@ the inputs the subcommand names, version, the Python and numpy versions,
 duration). Each command takes only the flags it reads, so `--seed` belongs
 to `gen`, `augment` and `losscheck`; other manifests record a null seed.
 `dispatch` is also the one place that maps failures to exit codes: 0
-success, 1 domain error (`CrowdKitError`, or an `OSError` such as a missing
-input file or an output path that collides with a file), 2 usage error
+success, 1 domain error (`CrowdKitError`, an `OSError` such as a missing
+input file or an output path that collides with a file, or a `MemoryError`
+from an input too large for this machine's memory), 2 usage error
 (argparse: an unknown, missing or invalid flag). Diagnostics go to stderr,
 where the CrowdIndex's per-person ratio-0 warnings become one summary line;
 data goes to files or stdout only.
@@ -294,8 +295,9 @@ def _target_histogram(target: str, bins: int | None) -> tuple[float, ...]:
     an explicit --bins must then agree with it."""
     if target in NAMED_TARGETS:
         bins = DEFAULT_BINS if bins is None else bins
-        if bins < 1:
-            raise ConfigError(f"--bins must be at least 1, got {bins}")
+        if not 1 <= bins <= crowd_metrics.MAX_BINS:
+            raise ConfigError(f"--bins must be in [1, {crowd_metrics.MAX_BINS}], "
+                              f"got {bins}")
         if target == "uniform":
             return (1.0 / bins,) * bins
         return (1.0,) + (0.0,) * (bins - 1)
@@ -548,6 +550,9 @@ def _run(argv: list) -> int:
         return int(exc.code or 0)
     except CrowdKitError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: missing input: {exc.filename}\n")

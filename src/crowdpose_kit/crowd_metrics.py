@@ -28,6 +28,11 @@ COUNT_VISIBLE_ONLY = "visible_only"
 # The text shared by every ratio-0 warning of crowd_index_arrays.
 NO_OWN_KEYPOINTS = "has no own keypoints inside its bbox"
 
+# The most histogram bins: a list of this many counts is built before any
+# image is read. 10,000 bins resolve the CrowdIndex to 1e-4, far finer than
+# any use (the tests, the bench and the README use at most 10).
+MAX_BINS = 10_000
+
 
 def crowd_index(record: ImageRecord, count_mode: str = COUNT_LABELED) -> float:
     """CrowdIndex of one image: min(mean_i(N_a_i / N_b_i), 1.0).
@@ -112,8 +117,8 @@ def histogram_bin(c: float, bins: int) -> int:
 def dataset_histogram(dataset: Dataset, bins: int,
                       count_mode: str = COUNT_LABELED) -> CrowdIndexStats:
     """Per-image CrowdIndex, a fixed-width histogram over [0, 1], and level counts."""
-    if bins < 1:
-        raise UndefinedMetricError(f"need at least 1 bin, got {bins}")
+    if not 1 <= bins <= MAX_BINS:
+        raise UndefinedMetricError(f"need 1 to {MAX_BINS} bins, got {bins}")
     stats = CrowdIndexStats(histogram=[0] * bins,
                             levels={level: 0 for level in LEVELS})
     for img in dataset.images:

@@ -5,7 +5,9 @@ padding factor); heatmaps are 64x48, stride 4. Ground-truth targets are
 unnormalized Gaussians (peak 1, truncated at 3 sigma) written into the
 visible branch for visible and self-occluded keypoints and into the
 occluded branch for occluded keypoints; the opposite branch stays zero, so
-wrong-branch predictions are penalized by the loss.
+wrong-branch predictions are penalized by the loss. A pair is one
+(2, K, H, W) float64 array, visible branch first; its shape is the only
+place its sizes are stored.
 """
 
 from __future__ import annotations
@@ -88,34 +90,30 @@ class Heatmap:
 
     values: np.ndarray
 
-    @classmethod
-    def zeros(cls, k: int, h: int = HEATMAP_H, w: int = HEATMAP_W) -> "Heatmap":
-        return cls(np.zeros((k, h, w), dtype=np.float64))
-
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class HeatmapPair:
-    """Visible-branch and occluded-branch heatmap stacks of equal shape."""
+    """Both branch stacks in one (2, K, H, W) array, visible branch first."""
 
-    visible: Heatmap
-    occluded: Heatmap
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.visible.shape != self.occluded.shape:
-            raise DimensionError(f"branch shapes differ: {self.visible.shape} vs "
-                                 f"{self.occluded.shape}")
+        if self.values.ndim != 4 or self.values.shape[0] != 2:
+            raise DimensionError(f"a heatmap pair must have shape (2, K, H, W), "
+                                 f"got {self.values.shape}")
+
+    @property
+    def visible(self) -> Heatmap:
+        return Heatmap(self.values[0])
+
+    @property
+    def occluded(self) -> Heatmap:
+        return Heatmap(self.values[1])
 
     @property
     def shape(self):
-        return self.visible.shape
-
-    @classmethod
-    def zeros(cls, k: int, h: int = HEATMAP_H, w: int = HEATMAP_W) -> "HeatmapPair":
-        return cls(Heatmap.zeros(k, h, w), Heatmap.zeros(k, h, w))
+        """(K, H, W) of each branch."""
+        return self.values.shape[1:]
 
 
 def encode(pose: Pose, transform: CropTransform,
@@ -131,9 +129,8 @@ def encode(pose: Pose, transform: CropTransform,
         raise DimensionError(f"sigma must be finite and positive, with 2 * sigma**2 "
                              f"a normal float, got {sigma}")
     k = len(pose.codes)
-    # one buffer; its two halves are the visible and the occluded branch
     grids = np.zeros((2, k, HEATMAP_H, HEATMAP_W), dtype=np.float64)
-    pair = HeatmapPair(Heatmap(grids[0]), Heatmap(grids[1]))
+    pair = HeatmapPair(grids)
     in_bounds = np.zeros(k, dtype=bool)
     # a non-finite coordinate can never land in the grid
     usable = np.flatnonzero((pose.codes != CODE_UNLABELED) &
@@ -194,8 +191,7 @@ def decode(pair: HeatmapPair, transform: CropTransform,
         raise DimensionError(f"confidence threshold must be finite, got {conf_threshold}")
     k, h, w = pair.shape
     inv = transform.inverse()
-    vis = pair.visible.values.reshape(k, h * w)
-    occ = pair.occluded.values.reshape(k, h * w)
+    vis, occ = pair.values.reshape(2, k, h * w)
     rows = np.arange(k)
     # argmax takes the first maximum, and a NaN as the maximum, like max
     vis_arg, occ_arg = vis.argmax(axis=1), occ.argmax(axis=1)
@@ -227,17 +223,15 @@ def decode(pair: HeatmapPair, transform: CropTransform,
     )
 
 
-# --- binary dump format: 16-byte header (magic, K, H, W), float32 LE planes ---
+# --- binary dump format: 16-byte header (magic, K, H, W), then the pair's
+# (2, K, H, W) values as float32 LE: every visible plane, then every occluded ---
 
 DUMP_MAGIC = b"CPKH"
 
 
 def write_heatmap_pair(pair: HeatmapPair) -> bytes:
     k, h, w = pair.shape
-    header = DUMP_MAGIC + struct.pack("<III", k, h, w)
-    vis = pair.visible.values.astype("<f4").tobytes()
-    occ = pair.occluded.values.astype("<f4").tobytes()
-    return header + vis + occ
+    return DUMP_MAGIC + struct.pack("<III", k, h, w) + pair.values.astype("<f4").tobytes()
 
 
 def read_heatmap_pair(data: bytes) -> HeatmapPair:
@@ -250,6 +244,4 @@ def read_heatmap_pair(data: bytes) -> HeatmapPair:
     floats = np.frombuffer(data[16:16 + 2 * plane * 4], dtype="<f4")
     if floats.size != 2 * plane:
         raise MaskDecodeError("truncated heatmap dump")
-    vis = floats[:plane].reshape((k, h, w)).astype(np.float64)
-    occ = floats[plane:].reshape((k, h, w)).astype(np.float64)
-    return HeatmapPair(Heatmap(vis), Heatmap(occ))
+    return HeatmapPair(floats.reshape((2, k, h, w)).astype(np.float64))

@@ -3,7 +3,8 @@
 Masks decode from polygons (even-odd rule at pixel centers). Cutouts are
 tight RGBA crops with binary alpha; compositing uses nearest-neighbor
 scaling with floor rounding in integer arithmetic, so results are
-bit-exact across platforms.
+bit-exact across platforms. A raster is its (H, W, 4) uint8 pixel array
+alone: its width and height are read from that array's shape.
 """
 
 from __future__ import annotations
@@ -22,19 +23,25 @@ from .errors import GeometryError, MaskDecodeError
 class RasterImage:
     """Row-major RGBA pixel buffer, 8 bits per channel."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # (height, width, 4) uint8
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
     @classmethod
     def filled(cls, width: int, height: int, rgba=(0, 0, 0, 255)) -> "RasterImage":
         px = np.empty((height, width, 4), dtype=np.uint8)
         # one uint32 store per pixel: 20x faster than broadcasting 4 bytes
         px.view(np.uint32)[...] = np.asarray(rgba, dtype=np.uint8).view(np.uint32)
-        return cls(width, height, px)
+        return cls(px)
 
     def copy(self) -> "RasterImage":
-        return RasterImage(self.width, self.height, self.pixels.copy())
+        return RasterImage(self.pixels.copy())
 
 
 CUTOUT_OBJECT = "object"
@@ -103,12 +110,11 @@ def extract_cutout(image: RasterImage, mask: np.ndarray, kind: str,
     x0, x1 = np.nonzero(cols)[0][[0, -1]]
     crop = image.pixels[y0:y1 + 1, x0:x1 + 1].copy()
     crop[:, :, 3] = np.where(mask[y0:y1 + 1, x0:x1 + 1], 255, 0)
-    raster = RasterImage(int(x1 - x0 + 1), int(y1 - y0 + 1), crop)
     local_kps = None
     if keypoints is not None:
         local_kps = tuple(Keypoint(k.x - float(x0), k.y - float(y0), k.vis)
                           for k in keypoints)
-    return Cutout(raster=raster, kind=kind,
+    return Cutout(raster=RasterImage(crop), kind=kind,
                   src_bbox=BBox(float(x0), float(y0), float(x1 - x0 + 1),
                                 float(y1 - y0 + 1)),
                   keypoints=local_kps)
@@ -197,5 +203,5 @@ def read_pam(data: bytes) -> RasterImage:
     px = np.frombuffer(data[offset:offset + w * h * 4], dtype=np.uint8)
     if px.size != w * h * 4:
         raise MaskDecodeError("truncated PAM payload")
-    return RasterImage(w, h, px.reshape((h, w, 4)).copy())
+    return RasterImage(px.reshape((h, w, 4)).copy())
 

@@ -1,9 +1,11 @@
 """Dual-branch occlusion loss kernels.
 
-total = (visible_term + alpha * occluded_term) / n, where each per-keypoint
-term is the mean of squared differences between predicted and
-ground-truth heatmaps on its branch (MSE). Because wrong-branch ground
-truth is zero, peaks predicted in the wrong branch are penalized.
+total = (visible_term + alpha * occluded_term) / n, where n is the pair's
+keypoint count K and each per-keypoint term is the mean of squared
+differences between predicted and ground-truth heatmaps on its branch
+(MSE). Because wrong-branch ground truth is zero, peaks predicted in the
+wrong branch are penalized. Every kernel makes one pass over the pair's
+(2, K, H, W) array, with the branch weight (1, alpha) applied per branch.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .heatmaps import Heatmap, HeatmapPair
+from .heatmaps import HeatmapPair
 from .seeding import substream
 
 DEFAULT_ALPHA = 1.5
@@ -27,13 +29,10 @@ MAX_FD_STEP = 1.0
 @dataclass(frozen=True)
 class LossConfig:
     alpha: float = DEFAULT_ALPHA
-    n: int = 14  # keypoint count in the denominator
 
     def __post_init__(self):
         if not 0 < self.alpha <= MAX_ALPHA:
             raise DimensionError(f"alpha must be in (0, {MAX_ALPHA:g}], got {self.alpha}")
-        if self.n < 1:
-            raise DimensionError(f"n must be >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -43,46 +42,34 @@ class LossValue:
     occluded_term: float
 
 
-def _check_shapes(p: HeatmapPair, g: HeatmapPair, cfg: LossConfig) -> None:
+def _check_shapes(p: HeatmapPair, g: HeatmapPair) -> None:
     if p.shape != g.shape:
         raise DimensionError(f"prediction shape {p.shape} != ground truth {g.shape}")
-    if cfg.n != p.shape[0]:
-        raise DimensionError(f"cfg.n = {cfg.n} but pair has {p.shape[0]} keypoints")
-
-
-def _branch_terms(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    diff = p - g
-    diff *= diff
-    return np.mean(diff, axis=(1, 2))
 
 
 def loss(p: HeatmapPair, g: HeatmapPair, cfg: LossConfig) -> LossValue:
     """Evaluate the weighted dual-branch loss."""
-    _check_shapes(p, g, cfg)
-    vis = float(np.sum(_branch_terms(p.visible.values, g.visible.values)))
-    occ = float(np.sum(_branch_terms(p.occluded.values, g.occluded.values)))
-    return LossValue(total=(vis + cfg.alpha * occ) / cfg.n,
+    _check_shapes(p, g)
+    diff = p.values - g.values
+    diff *= diff
+    vis, occ = np.mean(diff, axis=(2, 3)).sum(axis=1).tolist()
+    return LossValue(total=(vis + cfg.alpha * occ) / p.shape[0],
                      visible_term=vis, occluded_term=occ)
 
 
 def loss_grad(p: HeatmapPair, g: HeatmapPair, cfg: LossConfig) -> HeatmapPair:
     """Analytic gradient of loss().total with respect to the prediction."""
-    _check_shapes(p, g, cfg)
-    _, h, w = p.shape
-    cells = h * w
-    # in place, in the order of 2.0 * alpha * (p - g) / (n * cells)
-    gvis = p.visible.values - g.visible.values
-    gvis *= 2.0
-    gvis /= cfg.n * cells
-    gocc = p.occluded.values - g.occluded.values
-    gocc *= 2.0 * cfg.alpha
-    gocc /= cfg.n * cells
-    return HeatmapPair(Heatmap(gvis), Heatmap(gocc))
+    _check_shapes(p, g)
+    k, h, w = p.shape
+    # in place, in the order (p - g) * 2.0 * weight / (K * H * W)
+    grad = p.values - g.values
+    grad *= np.array([2.0, 2.0 * cfg.alpha])[:, None, None, None]
+    grad /= k * h * w
+    return HeatmapPair(grad)
 
 
 def _random_pair(rng: np.random.Generator, k: int, h: int, w: int) -> HeatmapPair:
-    return HeatmapPair(Heatmap(rng.standard_normal((k, h, w))),
-                       Heatmap(rng.standard_normal((k, h, w))))
+    return HeatmapPair(rng.standard_normal((2, k, h, w)))
 
 
 def grad_check(cfg: LossConfig, trials: int = 100, fd_step: float = 1e-4,
@@ -103,31 +90,27 @@ def grad_check(cfg: LossConfig, trials: int = 100, fd_step: float = 1e-4,
     if not 0 < fd_step <= MAX_FD_STEP:
         raise DimensionError(f"fd_step must be in (0, {MAX_FD_STEP:g}], got {fd_step}")
     k, h, w = 3, 16, 12
-    cfg = LossConfig(alpha=cfg.alpha, n=k)
     rng = substream(seed, "grad_check")
     worst = 0.0
     for _ in range(trials):
         p = _random_pair(rng, k, h, w)
         g = _random_pair(rng, k, h, w)
-        analytic = loss_grad(p, g, cfg)
-        for branch_name in ("visible", "occluded"):
-            values = getattr(p, branch_name).values
-            grad = getattr(analytic, branch_name).values
-            flat = values.reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + fd_step
-                up = loss(p, g, cfg).total
-                flat[idx] = orig - fd_step
-                down = loss(p, g, cfg).total
-                flat[idx] = orig
-                fd = (up - down) / (2.0 * fd_step)
-                a = grad.reshape(-1)[idx]
-                rel = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
-                if math.isnan(rel):  # a NaN loss: nothing was checked
-                    return rel
-                if rel > worst:
-                    worst = rel
+        grad = loss_grad(p, g, cfg).values.reshape(-1)
+        flat = p.values.reshape(-1)  # a view: visible cells, then occluded
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + fd_step
+            up = loss(p, g, cfg).total
+            flat[idx] = orig - fd_step
+            down = loss(p, g, cfg).total
+            flat[idx] = orig
+            fd = (up - down) / (2.0 * fd_step)
+            a = grad[idx]
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
+            if math.isnan(rel):  # a NaN loss: nothing was checked
+                return rel
+            if rel > worst:
+                worst = rel
     return worst
 
 
@@ -141,14 +124,12 @@ def fit_direct(g: HeatmapPair, init: HeatmapPair, cfg: LossConfig, lr: float,
     """
     if lr <= 0:
         raise DimensionError(f"learning rate must be positive, got {lr}")
-    p = HeatmapPair(Heatmap(init.visible.values.copy()),
-                    Heatmap(init.occluded.values.copy()))
+    p = HeatmapPair(init.values.copy())
     trajectory = [loss(p, g, cfg).total]
     initial = trajectory[0]
     for _ in range(steps):
         grad = loss_grad(p, g, cfg)
-        p.visible.values -= lr * grad.visible.values
-        p.occluded.values -= lr * grad.occluded.values
+        p.values -= lr * grad.values
         current = loss(p, g, cfg).total
         trajectory.append(current)
         if initial > 0 and current > 1e6 * initial:
@@ -156,7 +137,8 @@ def fit_direct(g: HeatmapPair, init: HeatmapPair, cfg: LossConfig, lr: float,
     return p, trajectory
 
 
-def stable_lr(cfg: LossConfig, h: int, w: int) -> float:
-    """Half the quadratic stability bound for the MSE objective."""
-    curvature = 2.0 * max(1.0, cfg.alpha) / (cfg.n * h * w)
+def stable_lr(cfg: LossConfig, k: int, h: int, w: int) -> float:
+    """Half the quadratic stability bound for the MSE objective over a
+    pair of shape (2, k, h, w)."""
+    curvature = 2.0 * max(1.0, cfg.alpha) / (k * h * w)
     return 1.0 / curvature  # = 0.5 * (2 / curvature)

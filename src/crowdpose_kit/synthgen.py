@@ -112,6 +112,10 @@ _TEMPLATE_JITTER = np.array([jitter for jitter, _ in _TEMPLATES])[:, None, None]
 MAX_IMAGE_SIDE = 4096
 MAX_PERSONS = 100
 MAX_PERSON_HEIGHT = 2 * MAX_IMAGE_SIDE
+# The most scenes in one corpus: a list of every slot is built before any
+# scene is planned. It is 50 times the README's 2,000-scene corpus, whose
+# dataset.json alone is about 10 MB.
+MAX_SCENES = 100_000
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,8 @@ class CorpusConfig:
             raise ConfigError("target histogram weights must be non-negative")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ConfigError("target histogram weights must sum to 1")
+        if self.scenes > MAX_SCENES:
+            raise ConfigError(f"at most {MAX_SCENES} scenes, got {self.scenes}")
         if self.scenes < len(weights):
             raise ConfigError(f"need at least one scene per bin "
                               f"({len(weights)} bins, {self.scenes} scenes)")

@@ -63,7 +63,7 @@ def rand_record(rng, image_id="img", width=200, height=150, max_persons=6,
 def rand_raster(rng, w, h):
     px = rng.integers(0, 256, size=(h, w, 4), dtype=np.uint8)
     px[:, :, 3] = 255
-    return RasterImage(int(w), int(h), np.ascontiguousarray(px))
+    return RasterImage(np.ascontiguousarray(px))
 
 
 def blob_cutout(rng, w, h, kind=CUTOUT_OBJECT, keypoints=None):
@@ -72,7 +72,7 @@ def blob_cutout(rng, w, h, kind=CUTOUT_OBJECT, keypoints=None):
     alpha = rng.random((h, w)) < 0.7
     alpha[0, 0] = alpha[-1, -1] = alpha[0, -1] = alpha[-1, 0] = True
     px[:, :, 3] = np.where(alpha, 255, 0)
-    return Cutout(raster=RasterImage(int(w), int(h), np.ascontiguousarray(px)),
+    return Cutout(raster=RasterImage(np.ascontiguousarray(px)),
                   src_bbox=BBox(0.0, 0.0, float(w), float(h)), kind=kind,
                   keypoints=keypoints)
 

@@ -36,8 +36,7 @@ from crowdpose_kit.annotations import (NATIVE_FORMAT_TAG, VISIBILITY_BY_TAG, BBo
                                        _segmentation_from_json, _segmentation_to_json)
 from crowdpose_kit.errors import ParseError
 from crowdpose_kit.errors import MaskDecodeError, UndefinedMetricError
-from crowdpose_kit.heatmaps import (HEATMAP_H, HEATMAP_W, STRIDE, DecodeResult, Heatmap,
-                                    HeatmapPair)
+from crowdpose_kit.heatmaps import HEATMAP_H, HEATMAP_W, STRIDE, DecodeResult, HeatmapPair
 from crowdpose_kit.masks import RasterImage, _parse_pam_header
 
 
@@ -381,7 +380,7 @@ def _write_gaussian(grid: np.ndarray, hx: float, hy: float, sigma: float) -> Non
 def encode_reference(pose, transform, sigma: float):
     """heatmaps.encode one keypoint at a time (sigma already validated)."""
     k = len(pose.keypoints)
-    pair = HeatmapPair.zeros(k)
+    pair = HeatmapPair(np.zeros((2, k, HEATMAP_H, HEATMAP_W)))
     in_bounds = np.zeros(k, dtype=bool)
     with np.errstate(over="ignore"):
         for i, kp in enumerate(pose.keypoints):
@@ -458,7 +457,7 @@ def loss_grad_reference(p, g, alpha: float, n: int):
     cells = h * w
     gvis = 2.0 * (p.visible.values - g.visible.values) / (n * cells)
     gocc = 2.0 * alpha * (p.occluded.values - g.occluded.values) / (n * cells)
-    return HeatmapPair(Heatmap(gvis), Heatmap(gocc))
+    return HeatmapPair(np.stack([gvis, gocc]))
 
 
 # --- the native parser over Keypoint objects -------------------------------

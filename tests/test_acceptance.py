@@ -26,7 +26,7 @@ from crowdpose_kit import synthgen as S
 from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, JTA_SCHEMA, BBox, Dataset,
                                        ImageRecord, Keypoint, PersonInstance, Pose,
                                        Visibility)
-from crowdpose_kit.heatmaps import Heatmap, HeatmapPair
+from crowdpose_kit.heatmaps import HeatmapPair
 from crowdpose_kit.masks import CUTOUT_FULL_BODY
 from crowdpose_kit.seeding import substream
 
@@ -48,7 +48,7 @@ def test_criterion_1_loss_gradient_check():
     started = time.time()
     worst = 0.0
     for alpha in (0.5, 1.5, 3.0):
-        cfg = L.LossConfig(alpha=alpha, n=3)
+        cfg = L.LossConfig(alpha=alpha)
         worst = max(worst, L.grad_check(cfg, trials=34, fd_step=1e-4,
                                         seed=int(alpha * 100)))
     elapsed = time.time() - started
@@ -62,10 +62,10 @@ def test_criterion_1_loss_gradient_check():
 def test_criterion_2_alpha_ratio_identity():
     rng = substream(42, "alpha-ratio")
     residual = rng.standard_normal((3, 16, 12))
-    zeros = lambda: HeatmapPair.zeros(3, 16, 12)  # noqa: E731
-    in_vis = HeatmapPair(Heatmap(residual.copy()), Heatmap(np.zeros_like(residual)))
-    in_occ = HeatmapPair(Heatmap(np.zeros_like(residual)), Heatmap(residual.copy()))
-    cfg = L.LossConfig(alpha=1.5, n=3)
+    zeros = lambda: HeatmapPair(np.zeros((2, 3, 16, 12)))  # noqa: E731
+    in_vis = HeatmapPair(np.stack([residual, np.zeros_like(residual)]))
+    in_occ = HeatmapPair(np.stack([np.zeros_like(residual), residual]))
+    cfg = L.LossConfig(alpha=1.5)
     ratio = L.loss(in_occ, zeros(), cfg).total / L.loss(in_vis, zeros(), cfg).total
     check(2, abs(ratio - 1.5) <= 1e-12 * 1.5,
           f"wrong-branch loss ratio {ratio!r} equals alpha=1.5 within 1e-12")
@@ -74,13 +74,11 @@ def test_criterion_2_alpha_ratio_identity():
 # 3 ---------------------------------------------------------------------------
 
 def test_criterion_3_direct_fit_convergence():
-    cfg = L.LossConfig(alpha=1.5, n=2)
+    cfg = L.LossConfig(alpha=1.5)
     rng = substream(7, "fit")
-    g = HeatmapPair(Heatmap(rng.standard_normal((2, 16, 12))),
-                    Heatmap(rng.standard_normal((2, 16, 12))))
-    init = HeatmapPair(Heatmap(rng.standard_normal((2, 16, 12))),
-                       Heatmap(rng.standard_normal((2, 16, 12))))
-    _, trajectory = L.fit_direct(g, init, cfg, lr=L.stable_lr(cfg, 16, 12),
+    g = HeatmapPair(rng.standard_normal((2, 2, 16, 12)))
+    init = HeatmapPair(rng.standard_normal((2, 2, 16, 12)))
+    _, trajectory = L.fit_direct(g, init, cfg, lr=L.stable_lr(cfg, 2, 16, 12),
                                  steps=5000)
     monotone = all(b <= a + 1e-15 for a, b in zip(trajectory, trajectory[1:]))
     check(3, trajectory[-1] < 1e-6 and monotone,

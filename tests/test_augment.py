@@ -19,7 +19,7 @@ BOX = BBox(10.0, 5.0, 100.0, 200.0)
 
 def square_cutout(side=20, value=180):
     px = np.full((side, side, 4), value, dtype=np.uint8)
-    return Cutout(raster=RasterImage(side, side, px),
+    return Cutout(raster=RasterImage(px),
                   src_bbox=BBox(0, 0, side, side), kind=CUTOUT_OBJECT)
 
 
@@ -142,7 +142,7 @@ class TestApplyAugmentation:
         assert covered_any, "some paste must cover a keypoint in this setup"
 
     def test_transparent_cutout_is_identity(self, rng):
-        ghost = Cutout(raster=RasterImage(8, 8, np.zeros((8, 8, 4), np.uint8)),
+        ghost = Cutout(raster=RasterImage(np.zeros((8, 8, 4), np.uint8)),
                        src_bbox=BBox(0, 0, 8, 8), kind=CUTOUT_OBJECT)
         inv = AUG.CutoutInventory(objects=[ghost])
         record = little_record()

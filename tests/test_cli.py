@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from crowdpose_kit import annotations as anno
 from crowdpose_kit import augment as AUG
 from crowdpose_kit import cli
+from crowdpose_kit import crowd_metrics
 from crowdpose_kit import heatmaps as H
 from crowdpose_kit import synthgen
 from crowdpose_kit.cli import dispatch
@@ -210,6 +211,15 @@ class TestAnalyzeValidate:
         assert run("analyze", "--in", str(gen_dir / "dataset.json")) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sum(payload["levels"].values()) == 12
+
+    def test_bins_cap(self, gen_dir, capsys):
+        path = str(gen_dir / "dataset.json")
+        cap = crowd_metrics.MAX_BINS
+        assert run("analyze", "--in", path, "--bins", str(cap)) == 0
+        assert len(json.loads(capsys.readouterr().out)["histogram"]) == cap
+        assert run("analyze", "--in", path, "--bins", str(cap + 1)) == 1
+        assert capsys.readouterr().err == (
+            f"error: need 1 to {cap} bins, got {cap + 1}\n")
 
     def test_validate_clean(self, gen_dir, capsys):
         assert run("validate", "--in", str(gen_dir / "dataset.json")) == 0
@@ -541,6 +551,9 @@ def _augment(d, inventory_index=None, image_pam=None, method="objects", box=None
             "--inventory", str(d / "inv"), "--out", str(d / "aug")]
 
 
+# A heatmap dump of an all-zero 14-keypoint pair.
+_ZERO_DUMP = H.write_heatmap_pair(H.HeatmapPair(np.zeros((2, 14, H.HEATMAP_H, H.HEATMAP_W))))
+
 # Inputs that once escaped dispatch with a traceback: argv builder, exit code.
 BAD_INPUTS = {
     "top_level_array": (lambda d: ["analyze", "--in", _write(d / "a.json", [])], 1),
@@ -577,6 +590,13 @@ BAD_INPUTS = {
     "gen_config_unknown_key": (lambda d: _gen(
         d, "--config", _write(d / "c.json", {"no_such_field": 1})), 1),
     "gen_bins_0": (lambda d: _gen(d, "--bins", "0"), 1),
+    # above the caps, each of these built a list of 10**9 items first
+    "analyze_bins_huge": (lambda d: [
+        "analyze", "--bins", "1000000000", "--in", _write(d / "a.json", _native_doc())], 1),
+    "gen_scenes_huge": (lambda d: [
+        "gen", "--seed", "1", "--scenes", "1000000000", "--bins", "1",
+        "--out", str(d / "g")], 1),
+    "gen_bins_huge": (lambda d: _gen(d, "--bins", "1000000000"), 1),
     "gen_target_all_zero": (lambda d: _gen(
         d, "--target", _write(d / "t.json", [0, 0, 0])), 1),
     "gen_config_count_range_int": (lambda d: _gen(
@@ -618,7 +638,7 @@ BAD_INPUTS = {
         d, "--mapping", _write(d / "m.json", {"a": 1})), 1),
     "decode_zero_bbox": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "0", "0", "--in",
-        _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+        _write(d / "x.hm", _ZERO_DUMP)], 1),
     "decode_empty_grid": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--in",
         _write(d / "x.hm", H.DUMP_MAGIC + struct.pack("<III", 1, 0, 5))], 1),
@@ -633,14 +653,14 @@ BAD_INPUTS = {
         _write(d / "x.hm", H.DUMP_MAGIC + struct.pack("<III", 0, 64, 48))], 1),
     "decode_bbox_nan": (lambda d: [
         "heatmap", "decode", "--bbox", "nan", "0", "10", "10", "--in",
-        _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+        _write(d / "x.hm", _ZERO_DUMP)], 1),
     # the crop scale 192 / 5e-324 overflows to inf
     "decode_bbox_subnormal": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "5e-324", "5e-324", "--in",
-        _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+        _write(d / "x.hm", _ZERO_DUMP)], 1),
     "decode_threshold_nan": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--threshold", "nan",
-        "--in", _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))], 1),
+        "--in", _write(d / "x.hm", _ZERO_DUMP)], 1),
     "encode_sigma_inf": (lambda d: [
         "heatmap", "encode", "--sigma", "inf", "--out", str(d / "hm"),
         "--in", _write(d / "a.json", _native_doc())], 1),
@@ -783,6 +803,18 @@ class TestExitCodes:
         out = tmp_path / "new" / "gen"
         assert run(*_gen(tmp_path)[:-2], "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: No space left on device: dataset.json\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        """A command that runs out of memory after writing part of its
+        output exits 1 with one error line and leaves nothing behind."""
+        def exhausted(args):
+            (cli.Path(args.out) / "sub").mkdir(parents=True)
+            (cli.Path(args.out) / "sub" / "part.pam").write_bytes(b"x")
+            raise MemoryError
+        monkeypatch.setattr(cli, "_cmd_gen", exhausted)
+        assert run(*_gen(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_gen_into_a_directory_in_a_file_place(self, tmp_path, capsys):
@@ -968,7 +1000,7 @@ _EXTREME_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
 
 
 def _hm_file(d):
-    return _write(d / "x.hm", H.write_heatmap_pair(H.HeatmapPair.zeros(14)))
+    return _write(d / "x.hm", _ZERO_DUMP)
 
 
 # Float flags, each with a function of the work dir and the value as text

@@ -127,7 +127,7 @@ class TestDecode:
         assert worst <= 2.0
 
     def test_all_zero_pair(self):
-        pair = H.HeatmapPair.zeros(14)
+        pair = H.HeatmapPair(np.zeros((2, 14, H.HEATMAP_H, H.HEATMAP_W)))
         result = H.decode(pair, crop_for_scale_2())
         assert (result.confidences == 0.0).all()
         assert result.low_confidence.all()
@@ -144,8 +144,7 @@ class TestDecode:
     def test_argmax_invariant_to_positive_scaling(self):
         t = crop_for_scale_2()
         pair, _ = H.encode(pose_at_cells([(11, 23)] * 14), t)
-        scaled = H.HeatmapPair(H.Heatmap(pair.visible.values * 0.25),
-                               H.Heatmap(pair.occluded.values * 0.25))
+        scaled = H.HeatmapPair(pair.values * 0.25)
         a = H.decode(pair, t)
         b = H.decode(scaled, t)
         for ka, kb in zip(a.pose.keypoints, b.pose.keypoints):
@@ -183,8 +182,17 @@ class TestDumpFormat:
                 pair.occluded.values.astype(np.float32).astype(np.float64)).all()
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            H.HeatmapPair(H.Heatmap.zeros(3), H.Heatmap.zeros(4))
+        for shape in ((2, 64, 48), (3, 14, 64, 48)):  # 3-D; three branches
+            with pytest.raises(DimensionError):
+                H.HeatmapPair(np.zeros(shape))
+
+    def test_branches_are_views(self):
+        pair = H.HeatmapPair(np.zeros((2, 3, 4, 5)))
+        pair.visible.values[1, 2, 3] = 7.0
+        pair.occluded.values[0, 0, 0] = -1.0
+        assert pair.values[0, 1, 2, 3] == 7.0 and pair.values[1, 0, 0, 0] == -1.0
+        assert np.count_nonzero(pair.values) == 2
+        assert pair.shape == (3, 4, 5)
 
 
 # --- the array kernels against the per-keypoint reference ------------------
@@ -247,7 +255,7 @@ def grid_pairs(draw):
     k, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     cells = draw(st.lists(_CELL, min_size=2 * k * h * w, max_size=2 * k * h * w))
     grids = np.array(cells, dtype=np.float64).reshape(2, k, h, w)
-    return H.HeatmapPair(H.Heatmap(grids[0].copy()), H.Heatmap(grids[1].copy()))
+    return H.HeatmapPair(grids)
 
 
 def _pair_bytes(pair):
@@ -301,7 +309,7 @@ class TestMatchesPerKeypointReference:
     @pytest.mark.parametrize("shape", [(14, H.HEATMAP_H, H.HEATMAP_W), (1, 1, 1),
                                        (3, 1, 4)])
     def test_decode_of_all_zero_pair(self, shape):
-        pair = H.HeatmapPair.zeros(*shape)
+        pair = H.HeatmapPair(np.zeros((2, *shape)))
         transform = crop_for_scale_2()
         assert _decoded(H.decode(pair, transform)) == _decoded(
             oracles.decode_reference(pair, transform, H.DEFAULT_CONF_THRESHOLD))

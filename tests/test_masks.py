@@ -93,7 +93,7 @@ class TestComposite:
     def test_transparent_identity(self, rng):
         img = rand_raster(rng, 16, 16)
         px = np.zeros((4, 4, 4), dtype=np.uint8)
-        ghost = Cutout(raster=RasterImage(4, 4, px),
+        ghost = Cutout(raster=RasterImage(px),
                        src_bbox=BBox(0, 0, 4, 4), kind=M.CUTOUT_OBJECT)
         out = M.composite_with_mask(img, ghost, 3, 3, 8, 8)[0]
         assert out.pixels.tobytes() == img.pixels.tobytes()
@@ -102,7 +102,7 @@ class TestComposite:
     def test_opaque_2x2_at_origin(self, rng):
         img = rand_raster(rng, 6, 6)
         px = np.full((2, 2, 4), 200, dtype=np.uint8)
-        cut = Cutout(raster=RasterImage(2, 2, px),
+        cut = Cutout(raster=RasterImage(px),
                      src_bbox=BBox(0, 0, 2, 2), kind=M.CUTOUT_OBJECT)
         out = M.composite_with_mask(img, cut, 0, 0, 2, 2)[0]
         assert (out.pixels[:2, :2] == 200).all()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from crowdpose_kit import occloss as L
 from crowdpose_kit.errors import DimensionError, DivergenceError
-from crowdpose_kit.heatmaps import Heatmap, HeatmapPair
+from crowdpose_kit.heatmaps import HeatmapPair
 from crowdpose_kit.seeding import substream
 
 import oracles
@@ -17,17 +17,16 @@ CELLS = HH * WW
 
 
 def zeros():
-    return HeatmapPair.zeros(K, HH, WW)
+    return HeatmapPair(np.zeros((2, K, HH, WW)))
 
 
 def rand_pair(seed):
     rng = substream(seed, "pair")
-    return HeatmapPair(Heatmap(rng.standard_normal((K, HH, WW))),
-                       Heatmap(rng.standard_normal((K, HH, WW))))
+    return HeatmapPair(rng.standard_normal((2, K, HH, WW)))
 
 
 def cfg(alpha=1.5):
-    return L.LossConfig(alpha=alpha, n=K)
+    return L.LossConfig(alpha=alpha)
 
 
 class TestLossValue:
@@ -55,8 +54,8 @@ class TestLossValue:
         # same residual placed in visible vs occluded branch
         rng = substream(7, "resid")
         residual = rng.standard_normal((K, HH, WW))
-        p_vis = HeatmapPair(Heatmap(residual.copy()), Heatmap(np.zeros((K, HH, WW))))
-        p_occ = HeatmapPair(Heatmap(np.zeros((K, HH, WW))), Heatmap(residual.copy()))
+        p_vis = HeatmapPair(np.stack([residual, np.zeros((K, HH, WW))]))
+        p_occ = HeatmapPair(np.stack([np.zeros((K, HH, WW)), residual]))
         alpha = 1.5
         lv = L.loss(p_vis, zeros(), cfg(alpha=alpha)).total
         lo = L.loss(p_occ, zeros(), cfg(alpha=alpha)).total
@@ -74,8 +73,8 @@ class TestLossValue:
         p, g = rand_pair(6), rand_pair(7)
         alpha = 1.5
         v = L.loss(p, g, cfg(alpha=alpha))
-        swapped_p = HeatmapPair(p.occluded, p.visible)
-        swapped_g = HeatmapPair(g.occluded, g.visible)
+        swapped_p = HeatmapPair(p.values[::-1])
+        swapped_g = HeatmapPair(g.values[::-1])
         sv = L.loss(swapped_p, swapped_g, cfg(alpha=alpha))
         assert sv.total == pytest.approx(
             (v.visible_term * alpha + v.occluded_term) / K, rel=1e-12)
@@ -92,9 +91,7 @@ class TestLossValue:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            L.loss(zeros(), HeatmapPair.zeros(K, 8, 6), cfg())
-        with pytest.raises(DimensionError):
-            L.loss(zeros(), zeros(), L.LossConfig(n=5))
+            L.loss(zeros(), HeatmapPair(np.zeros((2, K, 8, 6))), cfg())
 
 
 class TestGradient:
@@ -161,26 +158,23 @@ class TestFitDirect:
         assert trajectory == [0.0] * 21
 
     def test_convergence_and_monotonicity(self):
-        c = L.LossConfig(alpha=1.5, n=2)
+        c = L.LossConfig(alpha=1.5)
         rng = substream(16, "fit")
-        g = HeatmapPair(Heatmap(rng.standard_normal((2, 16, 12))),
-                        Heatmap(rng.standard_normal((2, 16, 12))))
-        init = HeatmapPair(Heatmap(rng.standard_normal((2, 16, 12))),
-                           Heatmap(rng.standard_normal((2, 16, 12))))
-        lr = L.stable_lr(c, 16, 12)
+        g = HeatmapPair(rng.standard_normal((2, 2, 16, 12)))
+        init = HeatmapPair(rng.standard_normal((2, 2, 16, 12)))
+        lr = L.stable_lr(c, 2, 16, 12)
         final, trajectory = L.fit_direct(g, init, c, lr=lr, steps=5000)
         assert trajectory[-1] < 1e-6
         assert all(b <= a + 1e-15 for a, b in zip(trajectory, trajectory[1:]))
         assert np.abs(final.visible.values - g.visible.values).max() < 1e-3
 
     def test_divergence_detected(self):
-        c = L.LossConfig(alpha=1.5, n=2)
-        g = HeatmapPair.zeros(2, 16, 12)
+        c = L.LossConfig(alpha=1.5)
+        g = HeatmapPair(np.zeros((2, 2, 16, 12)))
         init = rand_pair(17)
-        init2 = HeatmapPair(Heatmap(init.visible.values[:2]),
-                            Heatmap(init.occluded.values[:2]))
+        init2 = HeatmapPair(init.values[:, :2])
         with pytest.raises(DivergenceError):
-            L.fit_direct(g, init2, c, lr=50.0 * L.stable_lr(c, 16, 12), steps=400)
+            L.fit_direct(g, init2, c, lr=50.0 * L.stable_lr(c, 2, 16, 12), steps=400)
 
 
 class TestMatchesReference:
@@ -193,11 +187,10 @@ class TestMatchesReference:
            alpha=st.one_of(st.sampled_from((0.5, 1.5, 3.0)), st.floats(1e-3, 1e3)))
     def test_loss_and_grad(self, seed, shape, scale, alpha):
         rng = np.random.default_rng(seed)
-        p, g = (HeatmapPair(Heatmap(scale * rng.standard_normal(shape)),
-                            Heatmap(scale * rng.standard_normal(shape))) for _ in range(2))
+        p, g = (HeatmapPair(scale * rng.standard_normal((2, *shape))) for _ in range(2))
         before = [a.tobytes() for a in (p.visible.values, p.occluded.values,
                                         g.visible.values, g.occluded.values)]
-        c = L.LossConfig(alpha=alpha, n=shape[0])
+        c = L.LossConfig(alpha=alpha)
         with np.errstate(over="ignore"):  # 1e160 squared is inf on both sides
             value = L.loss(p, g, c)
             want = oracles.loss_reference(p, g, alpha, shape[0])

@@ -317,6 +317,12 @@ class TestSceneConfigValidation:
 
 
 class TestCorpus:
+    def test_scene_cap(self):
+        cfg = S.CorpusConfig(scenes=S.MAX_SCENES, scene_cfg=small_cfg())
+        assert len(S.corpus_slots(cfg)) == S.MAX_SCENES
+        with pytest.raises(ConfigError):
+            S.CorpusConfig(scenes=S.MAX_SCENES + 1, scene_cfg=small_cfg())
+
     def test_quota_split(self):
         assert S._quotas((0.5, 0.5), 5) == [3, 2]
         assert S._quotas((0.1,) * 10, 2000) == [200] * 10
