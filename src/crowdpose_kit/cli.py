@@ -10,9 +10,9 @@ success, 1 domain error (`CrowdKitError`, an `OSError` such as a missing
 input file or an output path that collides with a file, or a `MemoryError`
 from an input too large for this machine's memory), 2 usage error
 (argparse: an unknown, missing or invalid flag). Diagnostics go to stderr,
-where the CrowdIndex's per-person ratio-0 warnings become one summary line;
-data goes to files or stdout only.
-`_run` owns the rollback: if the subcommand or its manifest write fails,
+data to files or stdout only; `analyze` and `eval` add one `note:` line with
+the persons that the CrowdIndex counted as ratio 0.
+`dispatch` owns the rollback: if the subcommand or its manifest write fails,
 it removes what is new under the output roots (`--out`, `--csv`, the
 manifest); a path that existed before stays, with whatever bytes were
 written into it.
@@ -36,11 +36,9 @@ import hashlib
 import json
 import math
 import os
-import re
 import shutil
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +175,14 @@ def _emit(payload: dict, out: str | Path | None) -> None:
         sys.stdout.write(text)
 
 
+def _note_ratio_zero(persons: int) -> None:
+    """One stderr line for the persons with no own keypoints in their box."""
+    if persons:
+        noun = "person" if persons == 1 else "persons"
+        sys.stderr.write(f"note: {persons} {noun} with no own keypoints in "
+                         f"their box counted as ratio 0\n")
+
+
 # --- subcommands -----------------------------------------------------------
 # Each returns the inputs its manifest digests.
 
@@ -208,23 +214,8 @@ def _cmd_analyze(args):
     dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
     stats = crowd_metrics.dataset_histogram(dataset, args.bins, args.count_mode)
     _emit(stats.to_json(), args.out)
+    _note_ratio_zero(stats.no_own_keypoints)
     return [args.infile]
-
-
-def _augment_one(images_dir: str, inventory: aug.CutoutInventory, seed: int,
-                 config: aug.AugmentConfig, record: anno.ImageRecord):
-    raster = masks.read_pam((Path(images_dir) / f"{record.id}.pam").read_bytes())
-    if not record.persons:
-        return masks.write_pam(raster), record, {"placements": [], "flag_changes": []}
-    rng = substream(seed, "augment", record.id)
-    target = int(rng.integers(len(record.persons)))
-    result = aug.apply_augmentation(rng, raster, record, target, config, inventory)
-    log = {
-        "target_person": target,
-        "placements": [p.to_json() for p in result.placements],
-        "flag_changes": [c.to_json() for c in result.flag_changes],
-    }
-    return masks.write_pam(result.image), result.record, log
 
 
 def _cmd_augment(args):
@@ -239,8 +230,19 @@ def _cmd_augment(args):
     log = {}
     new_images = []
     for image in dataset.images:
-        pam, record, entry = _augment_one(images_dir, inventory, args.seed, config, image)
-        (out / f"{image.id}.pam").write_bytes(pam)
+        raster = masks.read_pam((Path(images_dir) / f"{image.id}.pam").read_bytes())
+        record, entry = image, {"placements": [], "flag_changes": []}
+        if image.persons:
+            rng = substream(args.seed, "augment", image.id)
+            target = int(rng.integers(len(image.persons)))
+            result = aug.apply_augmentation(rng, raster, image, target, config, inventory)
+            raster, record = result.image, result.record
+            entry = {
+                "target_person": target,
+                "placements": [p.to_json() for p in result.placements],
+                "flag_changes": [c.to_json() for c in result.flag_changes],
+            }
+        (out / f"{image.id}.pam").write_bytes(masks.write_pam(raster))
         new_images.append(record)
         log[image.id] = entry
     augmented = anno.Dataset(schema=dataset.schema, images=tuple(new_images),
@@ -313,7 +315,7 @@ def _target_histogram(target: str, bins: int | None) -> tuple[float, ...]:
 
 
 # The SceneConfig fields `gen --config` may set, each with a description of
-# its JSON value and the reader for it. `seed` is absent: --seed always wins.
+# its JSON value and the reader for it. `seed` is absent: --seed sets it.
 _SCENE_FIELDS = {
     "image_w": ("an integer", _json_int),
     "image_h": ("an integer", _json_int),
@@ -326,11 +328,9 @@ _SCENE_FIELDS = {
 
 def _scene_overrides(path: str) -> dict:
     overrides = _read_json(path)
-    fields = _SCENE_FIELDS.keys() | {"seed"}
-    if not (isinstance(overrides, dict) and overrides.keys() <= fields):
+    if not (isinstance(overrides, dict) and overrides.keys() <= _SCENE_FIELDS.keys()):
         raise ConfigError(f"{path}: expected a JSON object with keys "
-                          f"from {sorted(fields)}")
-    overrides.pop("seed", None)
+                          f"from {sorted(_SCENE_FIELDS)}")
     out = {}
     for key, value in overrides.items():
         expected, read = _SCENE_FIELDS[key]
@@ -428,6 +428,7 @@ def _cmd_eval(args):
     _emit(report.to_json(), args.out)
     if args.csv:
         _write_report_csv(Path(args.csv), report)
+    _note_ratio_zero(report.no_own_keypoints)
     return [args.gt, args.pred, args.sigmas]
 
 
@@ -536,7 +537,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(argv: list) -> int:
+def dispatch(argv) -> int:
+    """Run one subcommand, write its manifest when it was given --out, and
+    return the process exit code."""
+    argv = list(argv)
     try:
         args = _build_parser().parse_args(argv)
         out = Path(args.out) if getattr(args, "out", None) else None
@@ -562,29 +566,6 @@ def _run(argv: list) -> int:
         sys.stderr.write(f"error: {exc.strerror or exc}{where}\n")
         return 1
     return 0
-
-
-_RATIO_ZERO = f".*{re.escape(crowd_metrics.NO_OWN_KEYPOINTS)}"
-
-
-def dispatch(argv) -> int:
-    """Run one subcommand, write its manifest when it was given --out, and
-    return the process exit code. The CrowdIndex's ratio-0 warnings are
-    counted into one note on stderr; any other warning passes through."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", _RATIO_ZERO, UserWarning)
-        code = _run(list(argv))
-    ratio_zero = 0
-    for w in caught:
-        if w.category is UserWarning and re.match(_RATIO_ZERO, str(w.message)):
-            ratio_zero += 1
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if ratio_zero:
-        persons = "person" if ratio_zero == 1 else "persons"
-        sys.stderr.write(f"note: {ratio_zero} {persons} with no own keypoints in "
-                         f"their box counted as ratio 0\n")
-    return code
 
 
 def main() -> None:

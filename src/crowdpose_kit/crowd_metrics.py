@@ -9,7 +9,6 @@ easy [0, 0.1), medium [0.1, 0.8) and hard [0.8, 1.0] levels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,11 @@ LEVELS = (LEVEL_EASY, LEVEL_MEDIUM, LEVEL_HARD)
 COUNT_LABELED = "labeled"        # visible + occluded + self-occluded
 COUNT_VISIBLE_ONLY = "visible_only"
 
-# The text shared by every ratio-0 warning of crowd_index_arrays.
-NO_OWN_KEYPOINTS = "has no own keypoints inside its bbox"
+# The most cells of one in-box matrix: crowd_index_arrays compares the
+# points with as many persons' boxes at a time as fit, so its memory grows
+# with an image's points, not with their square. A gen scene (at most 100
+# persons of 14 keypoints, 140,000 cells) is one block.
+_INDEX_BLOCK_CELLS = 1 << 20
 
 # The most histogram bins: a list of this many counts is built before any
 # image is read. 10,000 bins resolve the CrowdIndex to 1e-4, far finer than
@@ -34,13 +36,14 @@ NO_OWN_KEYPOINTS = "has no own keypoints inside its bbox"
 MAX_BINS = 10_000
 
 
-def crowd_index(record: ImageRecord, count_mode: str = COUNT_LABELED) -> float:
-    """CrowdIndex of one image: min(mean_i(N_a_i / N_b_i), 1.0).
+def crowd_index(record: ImageRecord,
+                count_mode: str = COUNT_LABELED) -> tuple[float, int]:
+    """CrowdIndex of one image, min(mean_i(N_a_i / N_b_i), 1.0), and the
+    number of persons with N_b_i = 0.
 
     N_b_i counts person i's own labeled keypoints inside (or on the
     boundary of) its box; N_a_i counts labeled keypoints of every other
-    person inside that box. Persons with N_b_i = 0 contribute ratio 0 and
-    raise a warning instead of failing.
+    person inside that box. A person with N_b_i = 0 contributes ratio 0.
     """
     n = len(record.persons)
     if n == 0:
@@ -54,34 +57,35 @@ def crowd_index(record: ImageRecord, count_mode: str = COUNT_LABELED) -> float:
     points = np.concatenate([pose.xy for pose in poses])
     boxes = np.array([(p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h)
                       for p in record.persons], dtype=np.float64)
-    return crowd_index_arrays(boxes, points[counted], owners[counted], image_id=record.id)
+    return crowd_index_arrays(boxes, points[counted], owners[counted])
 
 
-def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray, owners: np.ndarray,
-                       image_id: str = "?") -> float:
+def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray,
+                       owners: np.ndarray) -> tuple[float, int]:
     """Array-core CrowdIndex: boxes (N, 4) as x/y/w/h, labeled keypoint
-    coordinates (T, 2) with an owner index per point.
+    coordinates (T, 2) with an owner index per point. Returns the index and
+    the number of persons with no own point in their box.
 
-    One (N, T) comparison matrix says which points lie in which box. The
+    An (n, T) comparison matrix says which points lie in which of n boxes,
+    for blocks of n persons that keep it within _INDEX_BLOCK_CELLS. The
     in-box test is a pure comparison, so the counts match a scalar
     point-in-box loop exactly; the counts divide as Python ints and the
     ratio sum uses fsum, making the result independent of person order.
     """
     n = len(boxes)
     x, y = points[:, 0], points[:, 1]
-    x0, y0 = boxes[:, 0, None], boxes[:, 1, None]
-    inside = ((x >= x0) & (x <= x0 + boxes[:, 2, None]) &
-              (y >= y0) & (y <= y0 + boxes[:, 3, None]))              # (N, T)
-    n_in = inside.sum(axis=1)
-    n_own = (inside & (owners == np.arange(n)[:, None])).sum(axis=1)
+    block = max(_INDEX_BLOCK_CELLS // max(len(points), 1), 1)
     ratios = []
-    for i, (n_a, n_b) in enumerate(zip((n_in - n_own).tolist(), n_own.tolist())):
-        if n_b == 0:
-            warnings.warn(f"person {i} in image {image_id!r} {NO_OWN_KEYPOINTS}; "
-                          f"contributes ratio 0", stacklevel=2)
-            continue
-        ratios.append(n_a / n_b)
-    return min(math.fsum(ratios) / n, 1.0)
+    for start in range(0, n, block):
+        b = boxes[start:start + block]
+        x0, y0 = b[:, 0, None], b[:, 1, None]
+        inside = ((x >= x0) & (x <= x0 + b[:, 2, None]) &
+                  (y >= y0) & (y <= y0 + b[:, 3, None]))          # (n, T)
+        n_in = inside.sum(axis=1)
+        n_own = (inside & (owners == np.arange(start, start + len(b))[:, None])).sum(axis=1)
+        ratios += [n_a / n_b for n_a, n_b in zip((n_in - n_own).tolist(), n_own.tolist())
+                   if n_b]
+    return min(math.fsum(ratios) / n, 1.0), n - len(ratios)
 
 
 def partition(c: float) -> str:
@@ -100,6 +104,7 @@ class CrowdIndexStats:
     per_image: list[tuple[str, float]] = field(default_factory=list)
     histogram: list[int] = field(default_factory=list)
     levels: dict[str, int] = field(default_factory=dict)
+    no_own_keypoints: int = 0  # persons counted as ratio 0; not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -122,7 +127,8 @@ def dataset_histogram(dataset: Dataset, bins: int,
     stats = CrowdIndexStats(histogram=[0] * bins,
                             levels={level: 0 for level in LEVELS})
     for img in dataset.images:
-        c = crowd_index(img, count_mode)
+        c, no_own = crowd_index(img, count_mode)
+        stats.no_own_keypoints += no_own
         stats.per_image.append((img.id, c))
         stats.histogram[histogram_bin(c, bins)] += 1
         stats.levels[partition(c)] += 1

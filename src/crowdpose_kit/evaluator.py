@@ -191,6 +191,7 @@ class EvalReport:
     ap_hard: Optional[float]
     per_threshold: list[tuple[float, float]] = field(default_factory=list)
     counts: dict = field(default_factory=dict)
+    no_own_keypoints: int = 0  # gt persons counted as ratio 0; not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -240,11 +241,13 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
     spans = [(slice(*gt_at[n:n + 2]), slice(*pred_at[n:n + 2])) for n in range(len(image_ids))]
 
     levels: dict[str, list[int]] = {level: [] for level in LEVELS}
+    no_own_keypoints = 0
     for n, (g, _) in enumerate(spans):
         if gts[n]:
-            levels[partition(crowd_index_arrays(boxes[g], gt_xy[g][labeled[g]],
-                                                np.nonzero(labeled[g])[0],
-                                                image_id=image_ids[n]))].append(n)
+            c, no_own = crowd_index_arrays(boxes[g], gt_xy[g][labeled[g]],
+                                           np.nonzero(labeled[g])[0])
+            levels[partition(c)].append(n)
+            no_own_keypoints += no_own
     assigned = _match(((_oks_arrays(pred_xy[p], gt_xy[g], labeled[g], area[g], cfg.sigmas),
                         order) for (g, p), order in zip(spans, orders)), DEFAULT_THRESHOLDS)
     hits = np.concatenate([np.empty((len(DEFAULT_THRESHOLDS), 0), dtype=bool)] +
@@ -272,4 +275,5 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
             "total_images": len(image_ids),
             "total_instances": len(all_gts),
         },
+        no_own_keypoints=no_own_keypoints,
     )

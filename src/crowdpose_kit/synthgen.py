@@ -321,10 +321,11 @@ def _candidate_crowd_index(layout: SceneLayout) -> float:
 
     The boxes are _layout_record's _boxes and the count goes through the
     same array core as crowd_index(record), so screening and the stored
-    value agree bit for bit."""
+    value agree bit for bit. A generated box holds all of its person's
+    keypoints, so no person counts as ratio 0 and only the index is kept."""
     kps = layout.keypoints
     owners = np.repeat(np.arange(len(kps)), 14)
-    return crowd_index_arrays(_boxes(kps, layout.radii), kps.reshape(-1, 2), owners)
+    return crowd_index_arrays(_boxes(kps, layout.radii), kps.reshape(-1, 2), owners)[0]
 
 
 def person_color(index: int) -> tuple[int, int, int]:

@@ -83,6 +83,42 @@ def nearest_scale_rgba(pixels, src_w: int, src_h: int, dst_w: int, dst_h: int):
     return out
 
 
+def augment_flags_reference(record, placements, inventory):
+    """The visibility each keypoint of `record` should have after the logged
+    pastes, one list per person: the paste mask is rebuilt from the log
+    with nearest_scale_rgba, and a visible or self-occluded keypoint whose
+    pixel a pasted alpha > 0 covers becomes occluded."""
+    painted = [[False] * record.width for _ in range(record.height)]
+    for placement in placements:
+        pool = inventory.objects if placement.kind == "object" else inventory.persons
+        pixels = pool[placement.cutout_index].raster.pixels
+        if placement.src_rect is not None:
+            sx, sy, sw, sh = placement.src_rect
+            pixels = pixels[sy:sy + sh, sx:sx + sw]
+        scaled = nearest_scale_rgba(pixels.tolist(), pixels.shape[1], pixels.shape[0],
+                                    placement.dst_w, placement.dst_h)
+        for yy in range(placement.dst_h):
+            ty = placement.dst_y + yy
+            if not 0 <= ty < record.height:
+                continue
+            for xx in range(placement.dst_w):
+                tx = placement.dst_x + xx
+                if 0 <= tx < record.width and scaled[yy][xx][3] > 0:
+                    painted[ty][tx] = True
+    expected = []
+    for person in record.persons:
+        flags = []
+        for kp in person.pose.keypoints:
+            vis = kp.vis
+            if vis in (Visibility.VISIBLE, Visibility.SELF_OCCLUDED):
+                px, py = math.floor(kp.x), math.floor(kp.y)
+                if 0 <= px < record.width and 0 <= py < record.height and painted[py][px]:
+                    vis = Visibility.OCCLUDED
+            flags.append(vis)
+        expected.append(flags)
+    return expected
+
+
 def crowd_index_bruteforce(record) -> float:
     """Direct transliteration of the CrowdIndex formula, scalar arithmetic."""
     persons = record.persons

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -219,37 +217,12 @@ class TestApplyAugmentation:
             cfg = AUG.AugmentConfig(method=method)
             result = AUG.apply_augmentation(substream(i, "oracle"), img, record,
                                             0, cfg, inventory)
-            painted = np.zeros((record.height, record.width), dtype=bool)
-            for placement in result.placements:
-                pool = inventory.objects if placement.kind == "object" \
-                    else inventory.persons
-                cut = pool[placement.cutout_index]
-                pixels = cut.raster.pixels
-                if placement.src_rect is not None:
-                    sx, sy, sw, sh = placement.src_rect
-                    pixels = pixels[sy:sy + sh, sx:sx + sw]
-                scaled = oracles.nearest_scale_rgba(
-                    pixels.tolist(), pixels.shape[1], pixels.shape[0],
-                    placement.dst_w, placement.dst_h)
-                for yy in range(placement.dst_h):
-                    ty = placement.dst_y + yy
-                    if not 0 <= ty < record.height:
-                        continue
-                    for xx in range(placement.dst_w):
-                        tx = placement.dst_x + xx
-                        if 0 <= tx < record.width and scaled[yy][xx][3] > 0:
-                            painted[ty, tx] = True
-            for pi, person in enumerate(record.persons):
-                for ki, kp in enumerate(person.pose.keypoints):
-                    expected = kp.vis
-                    if kp.vis in (Visibility.VISIBLE, Visibility.SELF_OCCLUDED):
-                        px, py = math.floor(kp.x), math.floor(kp.y)
-                        if 0 <= px < record.width and 0 <= py < record.height \
-                                and painted[py, px]:
-                            expected = Visibility.OCCLUDED
-                    actual = result.record.persons[pi].pose.keypoints[ki].vis
-                    total += 1
-                    agreement += actual is expected
+            expected = oracles.augment_flags_reference(record, result.placements,
+                                                       inventory)
+            for person, flags in zip(result.record.persons, expected):
+                total += len(flags)
+                agreement += sum(kp.vis is vis for kp, vis in
+                                 zip(person.pose.keypoints, flags))
         assert agreement == total
 
     def test_bad_target_index(self, rng, inventory):

@@ -237,7 +237,7 @@ class TestAnalyzeValidate:
     @pytest.mark.parametrize("command", ["analyze", "eval"])
     def test_ratio_zero_persons_make_one_note(self, tmp_path, capsys, command):
         """Persons whose box holds none of their own keypoints are counted
-        into one stderr note instead of a warning each."""
+        into one stderr note, with no warning."""
         doc = _native_doc()
         person = doc["images"][0]["persons"][0]
         person["score"] = 0.5
@@ -624,6 +624,9 @@ BAD_INPUTS = {
         "--config", _write(d / "c.json", {"limb_radius_frac": 1e300})), 1),
     "gen_config_attach_prob": (lambda d: _gen(
         d, "--config", _write(d / "c.json", {"attach_prob": 0.5})), 1),
+    # --seed sets the seed; a config seed used to be accepted and dropped
+    "gen_config_seed": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"seed": 5})), 1),
     "gen_target_bins_mismatch": (lambda d: _gen(
         d, "--target", _write(d / "t.json", [1, 1, 1]), "--bins", "2"), 1),
     "eval_sigmas_object": (lambda d: _eval(

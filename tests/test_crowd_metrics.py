@@ -1,4 +1,5 @@
-import warnings
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,41 +36,63 @@ def crowd_arrays(draw):
     return boxes, points, owners
 
 
+def _index_arrays(boxes, points, owners):
+    return CM.crowd_index_arrays(np.array(boxes, dtype=np.float64).reshape(-1, 4),
+                                 np.array(points, dtype=np.float64).reshape(-1, 2),
+                                 np.array(owners, dtype=np.int64))
+
+
 class TestCrowdIndex:
     @settings(max_examples=300, deadline=None)
     @given(crowd_arrays())
     def test_array_core_matches_scalar_loop(self, arrays):
         boxes, points, owners = arrays
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = CM.crowd_index_arrays(
-                np.array(boxes, dtype=np.float64).reshape(-1, 4),
-                np.array(points, dtype=np.float64).reshape(-1, 2),
-                np.array(owners, dtype=np.int64), image_id="h")
         want, empty = oracles.crowd_index_arrays_reference(boxes, points, owners)
-        assert got == want
-        # numpy may add a RuntimeWarning for inf + -inf edges; that is not ours
-        assert [str(w.message) for w in caught if w.category is UserWarning] == [
-            f"person {i} in image 'h' has no own keypoints inside its bbox; "
-            f"contributes ratio 0" for i in empty]
+        assert _index_arrays(boxes, points, owners) == (want, len(empty))
+
+    @settings(max_examples=200, deadline=None)
+    @given(crowd_arrays())
+    def test_blocks_of_one_person_match_one_block(self, arrays):
+        boxes, points, owners = arrays
+        whole = _index_arrays(boxes, points, owners)
+        with mock.patch.object(CM, "_INDEX_BLOCK_CELLS", 1):
+            assert _index_arrays(boxes, points, owners) == whole
+
+    def test_large_image_memory_is_bounded(self):
+        """1,500 persons of 14 points: one in-box matrix of all of them
+        takes 31.5 MB per bool temporary; a block takes at most
+        _INDEX_BLOCK_CELLS bytes."""
+        rng = np.random.default_rng(5)
+        n = 1500
+        corners = rng.uniform(0, 1000, (n, 2))
+        boxes = np.concatenate([corners, np.full((n, 2), 50.0)], axis=1)
+        points = (corners[:, None, :] + rng.uniform(-10, 60, (n, 14, 2))).reshape(-1, 2)
+        owners = np.repeat(np.arange(n), 14)
+        tracemalloc.start()
+        try:
+            c, empty = CM.crowd_index_arrays(boxes, points, owners)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < c <= 1 and 0 <= empty < n
+        assert peak < 8 * CM._INDEX_BLOCK_CELLS
 
     def test_single_person_zero(self):
         box = BBox(0, 0, 20, 40)
         rec = ImageRecord("a", 100, 100,
                           persons=(person_at(box, [(5, 5)] * 14),))
-        assert CM.crowd_index(rec) == 0.0
+        assert CM.crowd_index(rec) == (0.0, 0)
 
     def test_two_identical_overlapping(self):
         box = BBox(0, 0, 20, 40)
         p = person_at(box, [(5.0 + i * 0.5, 6.0 + i) for i in range(14)])
         rec = ImageRecord("a", 100, 100, persons=(p, p))
-        assert CM.crowd_index(rec) == 1.0
+        assert CM.crowd_index(rec) == (1.0, 0)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_bruteforce_oracle_exact(self, rng):
         for i in range(200):
             rec = rand_record(rng, image_id=f"r{i}")
-            assert CM.crowd_index(rec) == oracles.crowd_index_bruteforce(rec)
+            assert CM.crowd_index(rec)[0] == oracles.crowd_index_bruteforce(rec)
 
     def test_boundary_keypoint_counts_inside(self):
         box = BBox(0, 0, 10, 10)
@@ -80,14 +103,13 @@ class TestCrowdIndex:
         rec = ImageRecord("a", 100, 100, persons=(
             person_at(box, own), person_at(other_box, foreign)))
         # one foreign point among 14 own -> mean(1/14, 0)/... ratio structure
-        assert CM.crowd_index(rec) == pytest.approx((1 / 14) / 2, abs=0)
+        assert CM.crowd_index(rec) == (pytest.approx((1 / 14) / 2, abs=0), 0)
 
-    def test_degenerate_person_warns(self):
+    def test_degenerate_person_counts(self):
         box = BBox(0, 0, 10, 10)
         outside = [(50, 50)] * 14
         rec = ImageRecord("a", 100, 100, persons=(person_at(box, outside),))
-        with pytest.warns(UserWarning):
-            assert CM.crowd_index(rec) == 0.0
+        assert CM.crowd_index(rec) == (0.0, 1)
 
     def test_zero_persons_error(self):
         with pytest.raises(UndefinedMetricError):
@@ -102,9 +124,9 @@ class TestCrowdIndex:
             person_at(box, own), foreign))
         # ratios: person 0 sees 1 labeled foreign point over 14 own; person 1
         # sees 14 foreign over its single labeled own -> clamped to 1
-        c_rec = CM.crowd_index(rec)
+        c_rec, no_own = CM.crowd_index(rec)
         assert c_rec == oracles.crowd_index_bruteforce(rec)
-        assert c_rec == 1.0
+        assert (c_rec, no_own) == (1.0, 0)
 
     def test_visible_only_mode(self):
         box = BBox(0, 0, 10, 10)
@@ -112,13 +134,11 @@ class TestCrowdIndex:
         rec = ImageRecord("a", 100, 100, persons=(
             person_at(box, occluded_pose),
             person_at(box, occluded_pose, vis=Visibility.OCCLUDED)))
-        assert CM.crowd_index(rec) == 1.0
-        with pytest.warns(UserWarning):
-            # occluded keypoints vanish in visible-only mode; person 2 has
-            # no countable keypoints at all
-            assert CM.crowd_index(rec, CM.COUNT_VISIBLE_ONLY) == 0.0
+        assert CM.crowd_index(rec) == (1.0, 0)
+        # occluded keypoints vanish in visible-only mode; person 2 has no
+        # countable keypoints at all
+        assert CM.crowd_index(rec, CM.COUNT_VISIBLE_ONLY) == (0.0, 1)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_similarity_transform_invariance(self, rng):
         # dyadic coordinates and power-of-two transforms keep FP exact
         for i in range(30):
@@ -141,7 +161,6 @@ class TestCrowdIndex:
                 for p in base.persons))
             assert CM.crowd_index(base) == CM.crowd_index(scaled)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_permutation_invariance(self, rng):
         for i in range(30):
             rec = rand_record(rng, image_id=f"p{i}", min_persons=2)
@@ -157,7 +176,7 @@ class TestCrowdIndex:
             person_at(box, coords), person_at(BBox(2, 2, 10, 10), coords)))
         three = ImageRecord("a", 50, 50, persons=(
             *two.persons, person_at(BBox(1, 1, 10, 10), coords)))
-        assert CM.crowd_index(three) >= CM.crowd_index(two)
+        assert CM.crowd_index(three)[0] >= CM.crowd_index(two)[0]
 
 
 class TestPartition:

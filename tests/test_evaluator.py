@@ -420,11 +420,10 @@ class TestEvalByCrowding:
         report = E.eval_by_crowding(pred, gt, crowd_cfg())
         assert report.to_json() == reference_report(pred, gt)
 
-    # the unlabeled gt of img_1 makes crowd_index warn about its ratio
-    @pytest.mark.filterwarnings("ignore:person 0 in image 'img_1'")
     def test_mixed_report_equals_reference(self, rng):
         """Images without gts or predictions, an unmatchable gt, tied scores
-        within and across images, and an image id that appears twice."""
+        within and across images, and an image id that appears twice. The
+        unlabeled gt of img_1 counts as CrowdIndex ratio 0."""
         gt_images, pred_images = [], []
         for i in range(30):
             gt_img = rand_record(rng, f"img_{i}", min_persons=1 if i == 1 else 0,
@@ -458,9 +457,11 @@ class TestEvalByCrowding:
         assert any(not img.persons for img in pred.images)
         report = E.eval_by_crowding(pred, gt, crowd_cfg())
         assert report.to_json() == reference_report(pred, gt)
+        no_own = [crowd_index(img)[1] for img in gt.images if img.persons]
+        assert report.no_own_keypoints == sum(no_own) > 0
 
 
 def reference_report(pred, gt):
     return oracles.eval_report_reference(
         pred, gt, crowd_cfg().sigmas, E.DEFAULT_THRESHOLDS,
-        lambda record: partition(crowd_index(record)))
+        lambda record: partition(crowd_index(record)[0]))

@@ -129,7 +129,7 @@ def _eval(corpus, d, seed):
 def _edge_gt(dataset: anno.Dataset) -> anno.Dataset:
     """The corpus with one extra gt person per image: every third image gets
     one without labeled keypoints (no OKS, a NaN column), the next one whose
-    box holds none of its own keypoints (CrowdIndex ratio 0 with a warning)."""
+    box holds none of its own keypoints (CrowdIndex ratio 0)."""
     unlabeled = anno.Keypoint(0.0, 0.0, anno.Visibility.UNLABELED)
     images = []
     for i, img in enumerate(dataset.images):

@@ -335,8 +335,9 @@ class TestCorpus:
         assert len(dataset.images) == 60
         counts = [0, 0, 0, 0]
         for img in dataset.images:
-            c = crowd_index(img)
-            assert dataset.meta["crowd_index"][img.id] == c
+            c = dataset.meta["crowd_index"][img.id]
+            # a generated box holds all of its person's keypoints
+            assert crowd_index(img) == (c, 0)
             counts[histogram_bin(c, 4)] += 1
         assert counts == [15, 15, 15, 15]
 
