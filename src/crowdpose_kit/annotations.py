@@ -145,24 +145,14 @@ JTA_SCHEMA = PoseSchema(
 _NAME_ALIASES = {"top_head": "head_top", "head_top": "top_head"}
 
 
-def _read_only(a, dtype) -> np.ndarray:
-    """`a` itself when it is a read-only array of `dtype` whose memory no
-    writeable array owns; otherwise a read-only copy."""
-    if not (isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable
-            and (a.base is None or isinstance(a.base, np.ndarray)
-                 and not a.base.flags.writeable)):
-        a = np.array(a, dtype=dtype)
-        a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, init=False)
 class Pose:
     """K keypoints as two read-only arrays: `xy`, (K, 2) float64
     coordinates, and `codes`, (K,) int8 indices into VISIBILITY_ORDER.
 
     Pose(schema, keypoints) builds the arrays from Keypoint objects;
-    Pose.from_arrays takes them as they are. `keypoints`, a tuple of
+    Pose.from_arrays copies them, so a pose owns its memory and never
+    changes after it is built. `keypoints`, a tuple of
     Keypoint, is built from the arrays on first use. Two poses are equal
     when their schemas are and their arrays hold the same bytes: -0.0
     differs from 0.0, and a NaN equals the same NaN.
@@ -181,18 +171,22 @@ class Pose:
 
     @classmethod
     def from_arrays(cls, schema: PoseSchema, xy, codes) -> "Pose":
-        """A pose over (K, 2) coordinates and (K,) codes. Read-only arrays
-        of the right dtypes are kept as they are, views included; anything
-        else is copied."""
-        xy, codes = _read_only(xy, np.float64), _read_only(codes, np.int8)
+        """A pose over read-only copies of (K, 2) coordinates and (K,)
+        codes: it shares no memory with the arguments."""
+        xy, codes = np.array(xy, dtype=np.float64), np.array(codes, dtype=np.int8)
         if codes.ndim != 1 or xy.shape != (len(codes), 2):
             raise ValueError(f"pose arrays of shapes {xy.shape} and {codes.shape}; "
                              f"expected (K, 2) and (K,)")
-        return cls._of(schema, xy, codes)
+        xy.flags.writeable = codes.flags.writeable = False
+        pose = object.__new__(cls)
+        pose.__dict__.update(schema=schema, xy=xy, codes=codes)
+        return pose
 
     @classmethod
     def _of(cls, schema: PoseSchema, xy: np.ndarray, codes: np.ndarray) -> "Pose":
-        """from_arrays for arrays known to be read-only and well-shaped."""
+        """A pose over the arrays themselves, for the package's builders:
+        float64 (K, 2) and int8 (K,) arrays just made, or views of them,
+        frozen, with no writeable array or view left over their memory."""
         pose = object.__new__(cls)
         pose.__dict__.update(schema=schema, xy=xy, codes=codes)
         return pose
@@ -218,7 +212,7 @@ class Pose:
         return hash((self.schema, self.codes.tobytes(), self.xy.tobytes()))
 
     def __reduce__(self):
-        # unpickled arrays are writeable; from_arrays makes read-only copies
+        # unpickled arrays are writeable; from_arrays freezes copies of them
         return Pose.from_arrays, (self.schema, self.xy, self.codes)
 
 
@@ -305,6 +299,19 @@ class PersonInstance:
     segmentation: Optional[SegmentMask] = None
     score: Optional[float] = None
     track_id: Optional[int] = None
+
+
+def gather_keypoints(persons: Sequence[PersonInstance]) -> tuple[np.ndarray, ...]:
+    """The keypoints of `persons`, in order, as new arrays that the caller
+    may write to: (T, 2) coordinates, (T,) codes and N + 1 row offsets;
+    person i holds rows offsets[i]:offsets[i + 1]."""
+    poses = [p.pose for p in persons]
+    offsets = np.fromiter(itertools.accumulate([len(pose.codes) for pose in poses],
+                                               initial=0), np.intp, len(poses) + 1)
+    # the empty heads give no persons (0, 2) float64 and (0,) int8 arrays
+    xy = np.concatenate([np.empty((0, 2))] + [pose.xy for pose in poses])
+    codes = np.concatenate([np.empty(0, np.int8)] + [pose.codes for pose in poses])
+    return xy, codes, offsets
 
 
 @dataclass(frozen=True)
@@ -655,19 +662,15 @@ class ValidationReport:
         }
 
 
-def _nonfinite_keypoints(poses: Sequence[Pose]) -> dict[int, list[int]]:
-    """Pose index -> indices of its labeled keypoints with a non-finite
-    coordinate, for the poses that have any; one array pass over all."""
-    if not poses:
-        return {}
-    xy = np.concatenate([p.xy for p in poses])
-    codes = np.concatenate([p.codes for p in poses])
+def _nonfinite_keypoints(persons: Sequence[PersonInstance]) -> dict[int, list[int]]:
+    """Person index -> indices of its labeled keypoints with a non-finite
+    coordinate, for the persons that have any; one array pass over all."""
+    xy, codes, offsets = gather_keypoints(persons)
     rows = np.flatnonzero((codes != CODE_UNLABELED) & ~np.isfinite(xy).all(axis=1))
-    starts = np.cumsum([0] + [len(p.codes) for p in poses])
+    owners = np.searchsorted(offsets, rows, side="right") - 1
     out: dict[int, list[int]] = {}
-    for row, owner in zip(rows.tolist(),
-                          (np.searchsorted(starts, rows, side="right") - 1).tolist()):
-        out.setdefault(owner, []).append(row - int(starts[owner]))
+    for owner, k in zip(owners.tolist(), (rows - offsets[owners]).tolist()):
+        out.setdefault(owner, []).append(k)
     return out
 
 
@@ -683,8 +686,7 @@ def validate(dataset: Dataset) -> ValidationReport:
     def add(img_id, person_idx, kind, detail):
         report.violations.append(Violation(img_id, person_idx, kind, detail))
 
-    nonfinite = _nonfinite_keypoints([p.pose for img in dataset.images
-                                      for p in img.persons])
+    nonfinite = _nonfinite_keypoints([p for img in dataset.images for p in img.persons])
     seen_ids = set()
     ordinal = 0
     for img in dataset.images:

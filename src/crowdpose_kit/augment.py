@@ -21,7 +21,7 @@ import numpy as np
 
 from .annotations import (CODE_OCCLUDED, CODE_SELF_OCCLUDED, CODE_VISIBLE,
                           VISIBILITY_BY_TAG, VISIBILITY_ORDER, BBox, ImageRecord, Keypoint,
-                          Pose, Visibility)
+                          Pose, Visibility, gather_keypoints)
 from .errors import ConfigError, GeometryError, InventoryError
 from .masks import (CUTOUT_BODY_PART, CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                     RasterImage, composite_with_mask, read_pam, write_pam)
@@ -266,27 +266,24 @@ def apply_augmentation(rng: np.random.Generator, image: RasterImage,
                                         placement.dst_w, placement.dst_h)
         painted |= mask
 
-    # every person's keypoints as rows of one array
-    poses = [p.pose for p in record.persons]
-    sizes = [len(pose.codes) for pose in poses]
-    starts = np.cumsum([0] + sizes).tolist()
-    xy = np.concatenate([pose.xy for pose in poses])
-    codes = np.concatenate([pose.codes for pose in poses])
+    xy, codes, offsets = gather_keypoints(record.persons)
     x, y = xy[:, 0], xy[:, 1]
     # compared as floats: a NaN or infinite coordinate is off the image
     rows = np.flatnonzero(_OCCLUDABLE[codes] & (0 <= x) & (x < image.width) &
                           (0 <= y) & (y < image.height))
     rows = rows[painted[np.floor(y[rows]).astype(np.intp),
                         np.floor(x[rows]).astype(np.intp)]]
-    owners = np.repeat(np.arange(len(poses)), sizes)[rows].tolist()
-    changes = [FlagChange(pi, row - starts[pi], VISIBILITY_ORDER[code], Visibility.OCCLUDED)
-               for row, pi, code in zip(rows.tolist(), owners, codes[rows].tolist())]
+    owners = np.searchsorted(offsets, rows, side="right") - 1
+    changes = [FlagChange(pi, k, VISIBILITY_ORDER[code], Visibility.OCCLUDED)
+               for pi, k, code in zip(owners.tolist(), (rows - offsets[owners]).tolist(),
+                                      codes[rows].tolist())]
     codes[rows] = CODE_OCCLUDED
+    # no writeable view of the new codes is left: changed poses keep views
     codes.flags.writeable = False
-    changed = set(owners)
+    changed = set(owners.tolist())
     new_persons = tuple(
-        replace(person, pose=Pose.from_arrays(person.pose.schema, person.pose.xy,
-                                              codes[starts[pi]:starts[pi + 1]]))
+        replace(person, pose=Pose._of(person.pose.schema, person.pose.xy,
+                                      codes[offsets[pi]:offsets[pi + 1]]))
         if pi in changed else person
         for pi, person in enumerate(record.persons))
     new_record = replace(record, persons=new_persons)

@@ -254,8 +254,10 @@ def _cmd_augment(args):
 
 def _gen_run(cfg: synthgen.CorpusConfig, rasters: bool, run):
     """Plan a run of slots and render each accepted scene; yields
-    (scene without layout, candidates spent, dataset.json entry, PAM bytes,
-    depth PAM bytes) per slot, with None for what the slot did not make."""
+    (scene without layout or persons, candidates spent, dataset.json entry,
+    PAM bytes, depth PAM bytes) per slot, with None for what the slot did
+    not make. The entry carries the persons, so gen's main process holds
+    only each scene's id, CrowdIndex, slot and attempt."""
     for scene, spent in synthgen.plan_slots(cfg, run):
         entry = pam = depth_pam = None
         if scene is not None:
@@ -263,7 +265,8 @@ def _gen_run(cfg: synthgen.CorpusConfig, rasters: bool, run):
             if rasters:
                 raster, depth = synthgen.render_layout(scene.layout)
                 pam, depth_pam = masks.write_pam(raster), masks.write_depth_pam(depth)
-            scene = dataclasses.replace(scene, layout=None)
+            scene = dataclasses.replace(scene, layout=None,
+                                        record=dataclasses.replace(scene.record, persons=()))
         yield scene, spent, entry, pam, depth_pam
 
 
@@ -470,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("analyze", _cmd_analyze, "CrowdIndex statistics for a dataset")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--count-mode", default=crowd_metrics.COUNT_LABELED,
                    choices=(crowd_metrics.COUNT_LABELED,
                             crowd_metrics.COUNT_VISIBLE_ONLY))

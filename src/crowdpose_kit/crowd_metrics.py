@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import CODE_UNLABELED, CODE_VISIBLE, Dataset, ImageRecord
+from .annotations import (CODE_UNLABELED, CODE_VISIBLE, Dataset, ImageRecord,
+                          gather_keypoints)
 from .errors import UndefinedMetricError
 
 LEVEL_EASY = "easy"
@@ -49,15 +50,13 @@ def crowd_index(record: ImageRecord,
     if n == 0:
         raise UndefinedMetricError(f"CrowdIndex undefined for image {record.id!r} "
                                    f"with zero persons")
-    poses = [p.pose for p in record.persons]
-    codes = np.concatenate([pose.codes for pose in poses])
-    counted = codes == CODE_VISIBLE if count_mode == COUNT_VISIBLE_ONLY else \
-        codes != CODE_UNLABELED
-    owners = np.repeat(np.arange(n), [len(pose.codes) for pose in poses])
-    points = np.concatenate([pose.xy for pose in poses])
+    points, codes, offsets = gather_keypoints(record.persons)
+    rows = np.flatnonzero(codes == CODE_VISIBLE if count_mode == COUNT_VISIBLE_ONLY
+                          else codes != CODE_UNLABELED)
+    owners = np.searchsorted(offsets, rows, side="right") - 1
     boxes = np.array([(p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h)
                       for p in record.persons], dtype=np.float64)
-    return crowd_index_arrays(boxes, points[counted], owners[counted])
+    return crowd_index_arrays(boxes, points[rows], owners)
 
 
 def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray,

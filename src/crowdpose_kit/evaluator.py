@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .annotations import CODE_UNLABELED, Dataset, PersonInstance
+from .annotations import CODE_UNLABELED, Dataset, PersonInstance, gather_keypoints
 from .crowd_metrics import LEVELS, crowd_index_arrays, partition
 from .errors import AlignmentError, ProtocolError, UndefinedMetricError
 
@@ -46,11 +46,9 @@ def _pose_arrays(persons: Sequence[PersonInstance],
         if len(p.pose.codes) != count:
             raise ProtocolError(f"pose has {len(p.pose.codes)} keypoints, "
                                 f"the OKS sigmas cover {count}")
-    if not persons:
-        return np.empty((0, count, 2)), np.empty((0, count), dtype=bool)
-    xy = np.stack([p.pose.xy for p in persons])
-    labeled = np.stack([p.pose.codes for p in persons]) != CODE_UNLABELED
-    return xy, labeled
+    xy, codes, _ = gather_keypoints(persons)
+    n = len(persons)
+    return xy.reshape(n, count, 2), codes.reshape(n, count) != CODE_UNLABELED
 
 
 def _oks_arrays(pred_xy: np.ndarray, gt_xy: np.ndarray, labeled: np.ndarray,

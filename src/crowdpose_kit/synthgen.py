@@ -302,14 +302,14 @@ def _boxes(kps: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def _layout_record(layout: SceneLayout, image_id: str) -> ImageRecord:
-    """The scene's annotations: each pose is a read-only view of one copy
-    of the layout's keypoints and flags."""
+    """The scene's annotations: each pose is a read-only view of one new
+    copy of the layout's keypoints and of its new flags."""
     codes = _layout_flags(layout)
     xy = layout.keypoints.copy()
     xy.flags.writeable = codes.flags.writeable = False
     persons = tuple(
         PersonInstance(bbox=BBox(*box), track_id=i,
-                       pose=Pose.from_arrays(CROWDPOSE_SCHEMA, xy[i], codes[i]))
+                       pose=Pose._of(CROWDPOSE_SCHEMA, xy[i], codes[i]))
         for i, box in enumerate(_boxes(xy, layout.radii).tolist()))
     return ImageRecord(id=image_id, width=layout.width, height=layout.height,
                        persons=persons)
@@ -386,7 +386,7 @@ def render_layout(layout: SceneLayout) -> tuple[RasterImage, np.ndarray]:
 
 @dataclass
 class GeneratedScene:
-    record: ImageRecord
+    record: ImageRecord  # without persons once gen has its entry
     layout: SceneLayout | None  # None once gen has rendered it
     crowd_index: float
     slot: int = 0

@@ -285,6 +285,17 @@ class TestValidate:
                      images=(ImageRecord("a", 10, 10, persons=(person,)),))
         assert anno.validate(ds).counts == {"schema_mismatch": 1}
 
+    def test_duplicate_image_id_and_degenerate_polygon(self):
+        seg = anno.SegmentMask(kind="polygons", polygons=(((0.0, 0.0), (1.0, 1.0)),
+                                                          ((0, 0), (2, 0), (0, 2))))
+        person = PersonInstance(bbox=BBox(0, 0, 5, 5), pose=make_pose([(1.0, 1.0)] * 14),
+                                segmentation=seg)
+        image = ImageRecord("a", 10, 10, persons=(person,))
+        report = anno.validate(Dataset(schema=CROWDPOSE_SCHEMA, images=(image, image)))
+        assert report.counts == {"degenerate_polygon": 2, "duplicate_image_id": 1}
+        duplicate = report.violations[1]
+        assert (duplicate.image_id, duplicate.person_index) == ("a", None)
+
     def test_score_and_nonfinite(self):
         kps = [Keypoint(float("nan"), 0.0, Visibility.VISIBLE)] + \
               [Keypoint(0.0, 0.0, Visibility.VISIBLE)] * 13
@@ -375,12 +386,21 @@ class TestArrayPoses:
         parsed = anno.parse_dataset(anno.serialize_dataset(ds), "native")
         pose = record.persons[0].pose
         writeable = np.zeros((14, 2))
+        # a read-only array whose memory a writeable view still reaches
+        frozen = np.zeros((14, 2))
+        view = frozen[:]
+        frozen.flags.writeable = False
+        frozen_codes = np.zeros(14, np.int8)
+        frozen_codes.flags.writeable = False
         poses = [pose, parsed.images[0].persons[0].pose,
                  Pose.from_arrays(CROWDPOSE_SCHEMA, writeable, np.zeros(14, np.int8)),
+                 Pose.from_arrays(CROWDPOSE_SCHEMA, frozen[:], frozen_codes),
                  pickle.loads(pickle.dumps(pose)),
                  anno.convert_jta_to_crowdpose(make_pose([(1, 2)] * 22, schema=JTA_SCHEMA))]
-        writeable[0, 0] = 5.0  # a copy was taken
-        assert poses[2].xy[0, 0] == 0.0
+        hashed = hash(poses[3])
+        writeable[0, 0] = view[0, 0] = 5.0  # copies were taken
+        assert poses[2].xy[0, 0] == poses[3].xy[0, 0] == 0.0
+        assert hash(poses[3]) == hashed
         for p in poses:
             assert p.xy.dtype == np.float64 and p.codes.dtype == np.int8
             assert not p.xy.flags.writeable and not p.codes.flags.writeable

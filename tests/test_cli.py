@@ -106,6 +106,14 @@ class TestGen:
         with_rasters, without = self.GEN_DIGESTS[(seed, depth)]
         assert digests == [with_rasters, with_rasters, without]
 
+    def test_easy_target_puts_every_scene_in_bin_0(self, tmp_path):
+        assert run(*_gen(tmp_path, "--target", "easy", "--no-rasters")) == 0
+        meta = json.loads((tmp_path / "g" / "dataset.json").read_text())["meta"]
+        assert meta["generator"]["bins"] == cli.DEFAULT_BINS
+        assert len(meta["crowd_index"]) == 10
+        assert all(crowd_metrics.histogram_bin(c, cli.DEFAULT_BINS) == 0
+                   for c in meta["crowd_index"].values())
+
     def test_tallest_person_generates_without_warnings(self, tmp_path, capsys):
         """Person heights at the cap draw, flag and render in finite
         arithmetic: gen exits 0 and prints nothing."""
@@ -533,6 +541,20 @@ def _convert(d, *extra):
             "--in", _write(d / "jta.json", doc), "--out", str(d / "c.json"), *extra]
 
 
+def _coco(d, **annotation):
+    """convert --from coco of one image with one 14-keypoint person, the
+    annotation's fields replaced by `annotation`."""
+    ann = {"image_id": 1, "bbox": [0, 0, 10, 10], "keypoints": [1, 1, 2] * 14, **annotation}
+    doc = {"images": [{"id": 1, "width": 20, "height": 20}], "annotations": [ann],
+           "categories": [{"name": "person", "keypoints": [f"k{i}" for i in range(14)]}]}
+    return ["convert", "--from", "coco", "--to", "native",
+            "--in", _write(d / "coco.json", doc), "--out", str(d / "c.json")]
+
+
+def _pam_header(depth):
+    return f"P7\nWIDTH 20\nHEIGHT 20\nDEPTH {depth}\nMAXVAL 255\nENDHDR\n".encode()
+
+
 def _augment(d, inventory_index=None, image_pam=None, method="objects", box=None,
              doc=None):
     """augment over one 20x20 image; either input may be replaced by bytes,
@@ -554,7 +576,8 @@ def _augment(d, inventory_index=None, image_pam=None, method="objects", box=None
 # A heatmap dump of an all-zero 14-keypoint pair.
 _ZERO_DUMP = H.write_heatmap_pair(H.HeatmapPair(np.zeros((2, 14, H.HEATMAP_H, H.HEATMAP_W))))
 
-# Inputs that once escaped dispatch with a traceback: argv builder, exit code.
+# Bad inputs, each an argv builder and its exit code: first those that once
+# escaped dispatch with a traceback, then domain errors no other test reaches.
 BAD_INPUTS = {
     "top_level_array": (lambda d: ["analyze", "--in", _write(d / "a.json", [])], 1),
     "native_image_without_persons": (lambda d: [
@@ -700,6 +723,26 @@ BAD_INPUTS = {
     "encode_without_out": (lambda d: [
         "heatmap", "encode", "--in", _write(d / "a.json", _native_doc())], 2),
     "augment_pose_length_3": (lambda d: _augment(d, doc=_short_pose(_native_doc())), 1),
+    # domain errors that exit 1 by design
+    "decode_bad_magic": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--in",
+        _write(d / "x.hm", b"NOPE" + _ZERO_DUMP[4:])], 1),
+    "decode_truncated": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--in",
+        _write(d / "x.hm", _ZERO_DUMP[:-4])], 1),
+    "augment_pam_depth_3": (lambda d: _augment(
+        d, image_pam=_pam_header(3) + bytes(20 * 20 * 3)), 1),
+    "augment_pam_truncated": (lambda d: _augment(
+        d, image_pam=_pam_header(4) + bytes(20 * 20 * 4 - 1)), 1),
+    "coco_unknown_image_id": (lambda d: _coco(d, image_id=2), 1),
+    "coco_keypoints_not_triples": (lambda d: _coco(d, keypoints=[1, 1, 2] * 14 + [1]), 1),
+    "coco_visibility_5": (lambda d: _coco(d, keypoints=[1, 1, 5] + [1, 1, 2] * 13), 1),
+    "coco_more_keypoints_than_names": (lambda d: _coco(d, keypoints=[1, 1, 2] * 15), 1),
+    "convert_14_keypoints_to_crowdpose": (lambda d: [
+        "convert", "--from", "native", "--to", "crowdpose",
+        "--in", _write(d / "a.json", _native_doc()), "--out", str(d / "c.json")], 1),
+    "gen_config_depth_model": (lambda d: _gen(
+        d, "--config", _write(d / "c.json", {"depth_model": "x"})), 1),
 }
 
 
@@ -877,9 +920,6 @@ class TestExitCodes:
                    "--out", str(tmp_path / "stats.json")) == 1
         assert capsys.readouterr().err.startswith("error: No space left on device")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "keep.txt"]
-
-    def test_gen_tolerance_is_not_an_option(self, tmp_path, capsys):
-        assert run(*_gen(tmp_path, "--tolerance", "0.03")) == 2
 
     def test_augment_method_none_usage_error(self, tmp_path, capsys):
         assert run(*_augment(tmp_path)) == 0
@@ -1163,6 +1203,7 @@ _REMOVED_FLAGS = {
     "heatmap encode --threshold": (_doc_command("heatmap encode"), ["--threshold", "0.5"]),
     "heatmap decode --seed": (_decode, _SEED),
     "heatmap decode --sigma": (_decode, ["--sigma", "2"]),
+    "gen --tolerance": (_gen, ["--tolerance", "0.03"]),
 }
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from crowdpose_kit import cli
 from crowdpose_kit import synthgen as S
-from crowdpose_kit.annotations import VISIBILITY_ORDER, Visibility, serialize_dataset
+from crowdpose_kit.annotations import (VISIBILITY_ORDER, Visibility, image_json,
+                                      serialize_dataset)
 from crowdpose_kit.crowd_metrics import crowd_index, histogram_bin
 from crowdpose_kit.errors import ConfigError, TargetingError
 from crowdpose_kit.masks import RasterImage, write_depth_pam, write_pam
@@ -424,8 +425,9 @@ class TestCorpus:
                                         retry_factor=retry_factor)
             planned = cli._gen_outputs(corpus_cfg, jobs, False)
             try:
-                return [(s.record, s.slot, s.attempt)
-                        for s, *_ in S.within_budget(corpus_cfg, planned)]
+                # the scenes come without persons: their entries hold them
+                return [(entry, s.slot, s.attempt, s.record.persons)
+                        for s, _, entry, *_ in S.within_budget(corpus_cfg, planned)]
             except TargetingError as err:
                 return str(err), err.achieved
             finally:
@@ -435,7 +437,8 @@ class TestCorpus:
             scenes=2, scene_cfg=S.SceneConfig(seed=31), target_histogram=(0.5, 0.5),
             retry_factor=2))
         assert [s.attempt for s in serial] == [0, 2]
-        assert outcome(2) == [(s.record, s.slot, s.attempt) for s in serial]
+        assert outcome(2) == [(image_json(s.record), s.slot, s.attempt, ())
+                              for s in serial]
         assert outcome(1) == ("exhausted 2 candidate scenes with 1/2 accepted", [1, 0])
         assert not multiprocessing.active_children()
 
