@@ -6,8 +6,9 @@ keypoints as two read-only arrays: (K, 2) coordinates and (K,) visibility
 codes. Three JSON input flavors are supported: COCO-like
 (``images``/``annotations`` arrays), JTA-like (per-frame arrays with
 occluded/self-occluded flag pairs) and the toolkit's own self-describing
-native format. Each parser gathers the keypoints of the whole document and
-converts them to arrays at once.
+native format. COCO and JTA documents are read as native image objects, and
+one builder turns the image objects of any document into records,
+converting the keypoints of the whole document to arrays at once.
 """
 
 from __future__ import annotations
@@ -45,24 +46,6 @@ CODE_VISIBLE = _CODE_OF[Visibility.VISIBLE]
 CODE_OCCLUDED = _CODE_OF[Visibility.OCCLUDED]
 CODE_SELF_OCCLUDED = _CODE_OF[Visibility.SELF_OCCLUDED]
 CODE_UNLABELED = _CODE_OF[Visibility.UNLABELED]
-
-
-# COCO keypoint visibility codes. Code 1 ("labeled but not visible") maps
-# to OCCLUDED, the closest semantic match to JTA's occluded flag.
-COCO_VISIBILITY = {2: Visibility.VISIBLE, 1: Visibility.OCCLUDED, 0: Visibility.UNLABELED}
-
-
-def jta_flags_to_visibility(occluded: bool, self_occluded: bool) -> Visibility:
-    """Map a JTA (occluded, self_occluded) flag pair to one visibility tag.
-
-    Occlusion by another entity dominates: when both flags are set the
-    keypoint counts as occluded.
-    """
-    if occluded:
-        return Visibility.OCCLUDED
-    if self_occluded:
-        return Visibility.SELF_OCCLUDED
-    return Visibility.VISIBLE
 
 
 # Invalid states (zero-size boxes, wrong pose lengths, ...) stay
@@ -216,52 +199,6 @@ class Pose:
         return Pose.from_arrays, (self.schema, self.xy, self.codes)
 
 
-class _PoseTable:
-    """Keypoint rows [x, y, tag] of many poses, gathered in document order;
-    poses() converts them all at once."""
-
-    def __init__(self):
-        self.rows: list = []
-        self.ends: list[int] = []
-
-    def add(self, rows) -> int:
-        """Gather one pose's rows; returns its index."""
-        self.rows += rows
-        self.ends.append(len(self.rows))
-        return len(self.ends) - 1
-
-    def poses(self, schema: PoseSchema) -> list[Pose]:
-        """The gathered poses, in order; each holds read-only views of one
-        coordinate array and one code array. A row that is not a triple, a
-        coordinate that float() refuses or an unknown tag raises."""
-        if set(map(len, self.rows)) - {3}:
-            raise ParseError("a keypoint row is not an [x, y, tag] triple")
-        # one flat list, not zip(*rows): zip would hold an iterator per row
-        flat = list(itertools.chain.from_iterable(self.rows))
-        xy = np.empty((len(self.rows), 2), dtype=np.float64)
-        xy[:, 0] = list(map(float, flat[0::3]))
-        xy[:, 1] = list(map(float, flat[1::3]))
-        try:
-            codes = np.array(list(map(_CODE_BY_TAG.__getitem__, flat[2::3])), dtype=np.int8)
-        except KeyError as exc:
-            raise ParseError(f"unknown keypoint visibility tag {exc.args[0]!r}; "
-                             f"expected one of {sorted(_CODE_BY_TAG)}") from exc
-        xy.flags.writeable = codes.flags.writeable = False
-        return [Pose._of(schema, xy[start:end], codes[start:end])
-                for start, end in zip([0] + self.ends, self.ends)]
-
-    def records(self, schema: PoseSchema, images) -> tuple[ImageRecord, ...]:
-        """Image records from (id, width, height, source, persons) tuples,
-        each person a (pose index, bbox, segmentation, score, track id)
-        tuple."""
-        poses = self.poses(schema)
-        return tuple(
-            ImageRecord(id=img_id, width=width, height=height, source=source,
-                        persons=tuple(PersonInstance(bbox, poses[i], seg, score, track)
-                                      for i, bbox, seg, score, track in persons))
-            for img_id, width, height, source, persons in images)
-
-
 @dataclass(frozen=True)
 class BBox:
     x: float
@@ -345,6 +282,8 @@ def _json_load(data: bytes):
     except json.JSONDecodeError as exc:
         byte_offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(f"invalid JSON: {exc.msg}", offset=byte_offset) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
 
 
 def _schema_for_count(count: int) -> PoseSchema:
@@ -387,6 +326,55 @@ def _segmentation_to_json(seg: Optional[SegmentMask]):
     return {"kind": "rle", "size": list(seg.rle_size), "counts": list(seg.rle_counts)}
 
 
+def _poses(schema: PoseSchema, rows: list, ends: list[int]) -> list[Pose]:
+    """The poses over keypoint rows [x, y, tag] gathered in order, pose i
+    ending at row ends[i]; each holds read-only views of one coordinate
+    array and one code array. A row that is not a triple, a coordinate that
+    float() refuses or an unknown tag raises."""
+    if set(map(len, rows)) - {3}:
+        raise ParseError("a keypoint row is not an [x, y, tag] triple")
+    # one flat list, not zip(*rows): zip would hold an iterator per row
+    flat = list(itertools.chain.from_iterable(rows))
+    xy = np.empty((len(rows), 2), dtype=np.float64)
+    xy[:, 0] = list(map(float, flat[0::3]))
+    xy[:, 1] = list(map(float, flat[1::3]))
+    try:
+        codes = np.array(list(map(_CODE_BY_TAG.__getitem__, flat[2::3])), dtype=np.int8)
+    except KeyError as exc:
+        raise ParseError(f"unknown keypoint visibility tag {exc.args[0]!r}; "
+                         f"expected one of {sorted(_CODE_BY_TAG)}") from exc
+    xy.flags.writeable = codes.flags.writeable = False
+    return [Pose._of(schema, xy[start:end], codes[start:end])
+            for start, end in zip([0] + ends, ends)]
+
+
+def _records(schema: PoseSchema, images: Sequence) -> tuple[ImageRecord, ...]:
+    """Image records from native image objects, {"id", "width", "height",
+    "source", "persons"}, each person {"keypoints": [[x, y, tag], ...],
+    "bbox", "segmentation", "score", "track_id"}. The keypoints of every
+    person are converted at once, before any other member is read."""
+    rows, ends = [], []
+    for img in images:
+        for p in img["persons"]:
+            rows += p["keypoints"]
+            ends.append(len(rows))
+    poses = iter(_poses(schema, rows, ends))
+    return tuple(
+        ImageRecord(id=str(img["id"]), width=int(img["width"]), height=int(img["height"]),
+                    source=img.get("source"), persons=tuple(
+                        PersonInstance(BBox(*map(float, p["bbox"])), next(poses),
+                                       _segmentation_from_json(p.get("segmentation")),
+                                       None if p.get("score") is None else float(p["score"]),
+                                       None if p.get("track_id") is None else int(p["track_id"]))
+                        for p in img["persons"]))
+        for img in images)
+
+
+# COCO keypoint visibility code -> tag. Code 1 ("labeled but not visible")
+# maps to occluded, the closest semantic match to JTA's occluded flag.
+_COCO_TAGS = {2: "visible", 1: "occluded", 0: "unlabeled"}
+
+
 def _parse_coco_like(doc) -> Dataset:
     categories = doc.get("categories") or []
     schema = None
@@ -394,6 +382,8 @@ def _parse_coco_like(doc) -> Dataset:
         names = tuple(str(n) for n in categories[0]["keypoints"])
         schema = PoseSchema(str(categories[0].get("name", "coco")), names)
 
+    # the last entry of an id takes its annotations; `order` keeps one
+    # record per entry
     images = {}
     order = []
     for img in doc.get("images", []):
@@ -401,7 +391,6 @@ def _parse_coco_like(doc) -> Dataset:
         images[img_id] = (img, [])
         order.append(img_id)
 
-    table = _PoseTable()
     for ann in doc.get("annotations", []):
         img_id = str(ann["image_id"])
         if img_id not in images:
@@ -416,67 +405,45 @@ def _parse_coco_like(doc) -> Dataset:
             raise SchemaError(f"annotation has {count} keypoints, schema "
                               f"{schema.name!r} expects {schema.count}")
         rows = []
-        for i in range(count):
-            x, y, v = flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]
-            vis = COCO_VISIBILITY.get(int(v))
-            if vis is None:
+        for x, y, v in zip(flat[0::3], flat[1::3], flat[2::3]):
+            tag = _COCO_TAGS.get(int(v))
+            if tag is None:
                 raise ParseError(f"unknown COCO visibility code {v}")
-            if vis is Visibility.UNLABELED:
-                rows.append((0.0, 0.0, vis.value))
-            else:
-                rows.append((float(x), float(y), vis.value))
-        pose = table.add(rows)
-        bx, by, bw, bh = (float(v) for v in ann["bbox"])
-        score = ann.get("score")
-        images[img_id][1].append((
-            pose, BBox(bx, by, bw, bh),
-            _segmentation_from_json(ann.get("segmentation")),
-            None if score is None else float(score),
-            None if ann.get("track_id") is None else int(ann["track_id"]),
-        ))
+            # an unlabeled keypoint's coordinates are zeroed, never read
+            rows.append([0.0, 0.0, tag] if tag == "unlabeled" else [x, y, tag])
+        images[img_id][1].append({"keypoints": rows, "bbox": ann["bbox"],
+                                  "segmentation": ann.get("segmentation"),
+                                  "score": ann.get("score"), "track_id": ann.get("track_id")})
 
-    if schema is None:
-        schema = CROWDPOSE_SCHEMA
-    rows = []
-    for img_id in order:
-        img, persons = images[img_id]
-        rows.append((img_id, int(img["width"]), int(img["height"]), img.get("file_name"),
-                     persons))
-    return Dataset(schema=schema, images=table.records(schema, rows), meta={})
+    schema = schema or CROWDPOSE_SCHEMA
+    natives = [{"id": img_id, "width": img["width"], "height": img["height"],
+                "source": img.get("file_name"), "persons": persons}
+               for img_id, (img, persons) in zip(order, map(images.get, order))]
+    return Dataset(schema=schema, images=_records(schema, natives), meta={})
 
 
 def _parse_jta_like(doc) -> Dataset:
-    schema = JTA_SCHEMA
-    table = _PoseTable()
     images = []
     for frame in doc.get("frames", []):
         persons = []
         for entry in frame.get("people", []):
             rows = entry["keypoints"]
-            if len(rows) != schema.count:
+            if len(rows) != JTA_SCHEMA.count:
                 raise SchemaError(f"JTA person has {len(rows)} keypoints, expected "
-                                  f"{schema.count}")
-            kps = []
-            for row in rows:
-                x, y, occ, self_occ = row
-                kps.append((float(x), float(y),
-                            jta_flags_to_visibility(bool(occ), bool(self_occ)).value))
-            pose = table.add(kps)
-            if "bbox" in entry and entry["bbox"] is not None:
-                bx, by, bw, bh = (float(v) for v in entry["bbox"])
-            else:
-                xs = [k[0] for k in kps]
-                ys = [k[1] for k in kps]
-                bx, by = min(xs), min(ys)
-                bw = max(max(xs) - bx, 1.0)
-                bh = max(max(ys) - by, 1.0)
-            persons.append((
-                pose, BBox(bx, by, bw, bh), None, None,
-                None if entry.get("track_id") is None else int(entry["track_id"]),
-            ))
-        images.append((str(frame["id"]), int(frame["width"]), int(frame["height"]),
-                       frame.get("source"), persons))
-    return Dataset(schema=schema, images=table.records(schema, images), meta={})
+                                  f"{JTA_SCHEMA.count}")
+            # occlusion by another entity dominates self-occlusion
+            rows = [[x, y, "occluded" if occ else "self_occluded" if self_occ else "visible"]
+                    for x, y, occ, self_occ in rows]
+            bbox = entry.get("bbox")
+            if bbox is None:  # the keypoints' extent, at least 1 x 1
+                xs = [float(row[0]) for row in rows]
+                ys = [float(row[1]) for row in rows]
+                bbox = [min(xs), min(ys), max(max(xs) - min(xs), 1.0),
+                        max(max(ys) - min(ys), 1.0)]
+            persons.append({"keypoints": rows, "bbox": bbox, "track_id": entry.get("track_id")})
+        images.append({"id": frame["id"], "width": frame["width"], "height": frame["height"],
+                       "source": frame.get("source"), "persons": persons})
+    return Dataset(schema=JTA_SCHEMA, images=_records(JTA_SCHEMA, images), meta={})
 
 
 def _parse_native(doc) -> Dataset:
@@ -485,22 +452,7 @@ def _parse_native(doc) -> Dataset:
                          f"{doc.get('format')!r})")
     sblock = doc["schema"]
     schema = PoseSchema(str(sblock["name"]), tuple(str(n) for n in sblock["keypoint_names"]))
-    table = _PoseTable()
-    images = []
-    for img in doc["images"]:
-        persons = []
-        for p in img["persons"]:
-            pose = table.add(p["keypoints"])
-            bx, by, bw, bh = map(float, p["bbox"])
-            persons.append((
-                pose, BBox(bx, by, bw, bh),
-                _segmentation_from_json(p.get("segmentation")),
-                None if p.get("score") is None else float(p["score"]),
-                None if p.get("track_id") is None else int(p["track_id"]),
-            ))
-        images.append((str(img["id"]), int(img["width"]), int(img["height"]),
-                       img.get("source"), persons))
-    return Dataset(schema=schema, images=table.records(schema, images),
+    return Dataset(schema=schema, images=_records(schema, doc["images"]),
                    meta=dict(doc.get("meta", {})))
 
 
@@ -592,15 +544,9 @@ def default_jta_to_crowdpose_mapping() -> tuple[int, ...]:
     return tuple(indices)
 
 
-def convert_jta_to_crowdpose(pose: Pose, mapping: Optional[Sequence[int]] = None) -> Pose:
-    """Reorder and discard JTA keypoints into the 14-keypoint CrowdPose layout.
-
-    Output keypoint k is the input keypoint mapping[k], coordinates and
-    visibility untouched.
-    """
-    if pose.schema.count != JTA_SCHEMA.count:
-        raise SchemaError(f"expected a {JTA_SCHEMA.count}-keypoint pose, got "
-                          f"{pose.schema.count}")
+def _jta_mapping(mapping: Optional[Sequence[int]]) -> list[int]:
+    """`mapping` as a list of ints, or the default one when it is None;
+    MappingError unless it names 14 distinct JTA keypoints."""
     if mapping is None:
         mapping = default_jta_to_crowdpose_mapping()
     mapping = [int(i) for i in mapping]
@@ -610,21 +556,35 @@ def convert_jta_to_crowdpose(pose: Pose, mapping: Optional[Sequence[int]] = None
     if len(set(mapping)) != len(mapping):
         raise MappingError("mapping entries must be distinct")
     for idx in mapping:
-        if not 0 <= idx < pose.schema.count:
-            raise MappingError(f"mapping index {idx} out of range [0, {pose.schema.count})")
+        if not 0 <= idx < JTA_SCHEMA.count:
+            raise MappingError(f"mapping index {idx} out of range [0, {JTA_SCHEMA.count})")
+    return mapping
+
+
+def convert_jta_to_crowdpose(pose: Pose, mapping: Optional[Sequence[int]] = None) -> Pose:
+    """Reorder and discard JTA keypoints into the 14-keypoint CrowdPose layout.
+
+    Output keypoint k is the input keypoint mapping[k], coordinates and
+    visibility untouched.
+    """
+    if pose.schema.count != JTA_SCHEMA.count or len(pose.codes) != JTA_SCHEMA.count:
+        raise SchemaError(f"expected a {JTA_SCHEMA.count}-keypoint pose, got "
+                          f"{len(pose.codes)} keypoints of schema {pose.schema.name!r}")
+    mapping = _jta_mapping(mapping)
     return Pose.from_arrays(CROWDPOSE_SCHEMA, pose.xy[mapping], pose.codes[mapping])
 
 
 def convert_dataset_jta_to_crowdpose(dataset: Dataset,
                                      mapping: Optional[Sequence[int]] = None) -> Dataset:
-    """Apply convert_jta_to_crowdpose to every person of every image."""
-    images = []
-    for img in dataset.images:
-        persons = tuple(
-            replace(p, pose=convert_jta_to_crowdpose(p.pose, mapping)) for p in img.persons
-        )
-        images.append(replace(img, persons=persons))
-    return Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(images), meta=dict(dataset.meta))
+    """Apply convert_jta_to_crowdpose to every person of every image. The
+    mapping is checked, or the default one derived, once, before any person
+    is looked at."""
+    mapping = _jta_mapping(mapping)
+    images = tuple(
+        replace(img, persons=tuple(replace(p, pose=convert_jta_to_crowdpose(p.pose, mapping))
+                                   for p in img.persons))
+        for img in dataset.images)
+    return Dataset(schema=CROWDPOSE_SCHEMA, images=images, meta=dict(dataset.meta))
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def _read_dataset(path: str, fmt: str) -> anno.Dataset:
 def _read_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deeply
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -33,61 +33,6 @@ def jta_doc(rows, frame_id="seq0/f0"):
                         "people": [{"track_id": 7, "keypoints": rows}]}]}
 
 
-class TestParseCoco:
-    def test_visibility_codes(self):
-        flat = []
-        codes = [2, 1, 0] + [2] * 11
-        for i, v in enumerate(codes):
-            flat += [10.0 + i, 20.0 + i, v]
-        ds = anno.parse_dataset(json.dumps(coco_doc(flat)).encode(), "coco_like")
-        kps = ds.images[0].persons[0].pose.keypoints
-        assert kps[0].vis is Visibility.VISIBLE
-        assert kps[1].vis is Visibility.OCCLUDED
-        assert kps[2].vis is Visibility.UNLABELED
-        assert kps[0].x == 10.0 and kps[0].y == 20.0
-
-    def test_empty_image_list(self):
-        ds = anno.parse_dataset(b'{"images": [], "annotations": []}', "coco_like")
-        assert ds.images == ()
-
-    def test_malformed_json_reports_byte_offset(self):
-        with pytest.raises(ParseError) as err:
-            anno.parse_dataset(b'{"images": [,]}', "coco_like")
-        assert err.value.offset == 12
-
-    def test_unknown_keypoint_count(self):
-        doc = coco_doc([1.0, 2.0, 2] * 5)
-        doc.pop("categories")
-        with pytest.raises(SchemaError):
-            anno.parse_dataset(json.dumps(doc).encode(), "coco_like")
-
-
-class TestParseJta:
-    def test_flag_pairs(self):
-        # hand-written fixture covering all four flag pairs
-        rows = [[float(i), float(i + 100), 0, 0] for i in range(22)]
-        rows[1][2:] = [1, 0]   # occluded only
-        rows[2][2:] = [0, 1]   # self-occluded only
-        rows[3][2:] = [1, 1]   # both set: occlusion by others dominates
-        ds = anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta_like")
-        kps = ds.images[0].persons[0].pose.keypoints
-        assert kps[0].vis is Visibility.VISIBLE
-        assert kps[1].vis is Visibility.OCCLUDED
-        assert kps[2].vis is Visibility.SELF_OCCLUDED
-        assert kps[3].vis is Visibility.OCCLUDED
-        assert ds.schema is JTA_SCHEMA
-        assert ds.images[0].persons[0].track_id == 7
-
-    def test_wrong_count_rejected(self):
-        rows = [[0.0, 0.0, 0, 0]] * 21
-        with pytest.raises(SchemaError):
-            anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta_like")
-
-    @given(st.booleans(), st.booleans())
-    def test_flag_mapping_total(self, occ, self_occ):
-        assert isinstance(anno.jta_flags_to_visibility(occ, self_occ), Visibility)
-
-
 def valid_native_doc() -> dict:
     """Two images: a scored person with a polygon mask and one with an RLE mask."""
     pose = make_pose([(float(k), float(k)) for k in range(14)])
@@ -104,6 +49,31 @@ def valid_native_doc() -> dict:
                  images=(ImageRecord("a", 20, 20, persons=persons, source="a.pam"),
                          ImageRecord("b", 30, 10)))
     return json.loads(anno.serialize_dataset(ds))
+
+
+def valid_coco_doc() -> dict:
+    """Two images: a scored, tracked person with a polygon-list mask and one
+    with an RLE mask and an unlabeled keypoint."""
+    flat = [float(v) for k in range(14) for v in (k, k + 1, 2)]
+    return {
+        "images": [{"id": 1, "width": 20, "height": 20, "file_name": "a.jpg"},
+                   {"id": 2, "width": 30, "height": 10}],
+        "annotations": [
+            {"image_id": 1, "bbox": [0, 0, 10, 10], "keypoints": flat, "score": 0.5,
+             "track_id": 3, "segmentation": [[1.0, 2.0, 8.5, 2.0, 5.0, 9.0]]},
+            {"image_id": 2, "bbox": [2, 2, 6, 6], "keypoints": [0, 0, 0] + flat[3:],
+             "segmentation": {"size": [4, 4], "counts": [4, 8, 4]}}],
+        "categories": [{"name": "person",
+                        "keypoints": list(CROWDPOSE_SCHEMA.keypoint_names)}],
+    }
+
+
+def valid_jta_doc() -> dict:
+    """One frame: a tracked person with a bbox and one whose bbox is derived."""
+    rows = [[float(k), float(k + 1), k % 2, k % 3 == 0] for k in range(22)]
+    return {"frames": [{"id": "seq0/f0", "width": 64, "height": 48, "source": "f0.pam",
+                        "people": [{"track_id": 7, "bbox": [0, 0, 30, 30], "keypoints": rows},
+                                   {"keypoints": rows}]}]}
 
 
 def _lookup(doc, path):
@@ -136,11 +106,11 @@ JSON_VALUES = st.recursive(JSON_SCALARS, _json_containers, max_leaves=6)
 
 
 @st.composite
-def mutated_native_doc(draw):
-    """A valid native document with one defect: a dropped or retyped member
-    anywhere, a shortened array (keypoint row, bbox, ...), or a non-object
-    top level."""
-    doc = valid_native_doc()
+def mutated_doc(draw, valid: dict):
+    """A copy of the valid document `valid` with one defect: a dropped or
+    retyped member anywhere, a shortened array (keypoint row, bbox, ...), or
+    a non-object top level."""
+    doc = json.loads(json.dumps(valid))
     action = draw(st.sampled_from(("drop", "retype", "shorten", "top_level")))
     if action == "top_level":
         return draw(JSON_SCALARS | st.lists(JSON_VALUES, max_size=3))
@@ -156,6 +126,89 @@ def mutated_native_doc(draw):
     else:
         parent[key] = parent[key][:draw(st.integers(0, len(parent[key]) - 1))]
     return doc
+
+
+class TestParseCoco:
+    def test_visibility_codes(self):
+        flat = []
+        codes = [2, 1, 0] + [2] * 11
+        for i, v in enumerate(codes):
+            flat += [10.0 + i, 20.0 + i, v]
+        ds = anno.parse_dataset(json.dumps(coco_doc(flat)).encode(), "coco_like")
+        kps = ds.images[0].persons[0].pose.keypoints
+        assert kps[0].vis is Visibility.VISIBLE
+        assert kps[1].vis is Visibility.OCCLUDED
+        assert kps[2].vis is Visibility.UNLABELED
+        assert kps[0].x == 10.0 and kps[0].y == 20.0
+
+    def test_empty_image_list(self):
+        ds = anno.parse_dataset(b'{"images": [], "annotations": []}', "coco_like")
+        assert ds.images == ()
+
+    def test_malformed_json_reports_byte_offset(self):
+        with pytest.raises(ParseError) as err:
+            anno.parse_dataset(b'{"images": [,]}', "coco_like")
+        assert err.value.offset == 12
+
+    def test_unknown_keypoint_count(self):
+        doc = coco_doc([1.0, 2.0, 2] * 5)
+        doc.pop("categories")
+        with pytest.raises(SchemaError):
+            anno.parse_dataset(json.dumps(doc).encode(), "coco_like")
+
+    def test_duplicate_image_id_gives_two_records(self):
+        doc = valid_coco_doc()
+        doc["images"][1]["id"] = 1
+        doc["annotations"][1]["image_id"] = 1
+        ds = anno.parse_dataset(json.dumps(doc).encode(), "coco_like")
+        assert [img.id for img in ds.images] == ["1", "1"]
+        assert anno.validate(ds).counts == {"duplicate_image_id": 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_doc(valid_coco_doc()))
+    def test_mutated_document_raises_only_domain_errors(self, doc):
+        try:
+            anno.parse_dataset(json.dumps(doc).encode(), "coco_like")
+        except CrowdKitError:
+            pass
+
+
+class TestParseJta:
+    def test_flag_pairs(self):
+        # hand-written fixture covering all four flag pairs
+        rows = [[float(i), float(i + 100), 0, 0] for i in range(22)]
+        rows[1][2:] = [1, 0]   # occluded only
+        rows[2][2:] = [0, 1]   # self-occluded only
+        rows[3][2:] = [1, 1]   # both set: occlusion by others dominates
+        ds = anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta_like")
+        kps = ds.images[0].persons[0].pose.keypoints
+        assert kps[0].vis is Visibility.VISIBLE
+        assert kps[1].vis is Visibility.OCCLUDED
+        assert kps[2].vis is Visibility.SELF_OCCLUDED
+        assert kps[3].vis is Visibility.OCCLUDED
+        assert ds.schema is JTA_SCHEMA
+        assert ds.images[0].persons[0].track_id == 7
+
+    def test_wrong_count_rejected(self):
+        rows = [[0.0, 0.0, 0, 0]] * 21
+        with pytest.raises(SchemaError):
+            anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta_like")
+
+    def test_missing_bbox_is_the_keypoint_extent(self):
+        doc = jta_doc([[float(i), 2.0 * i + 5, 0, 0] for i in range(22)])
+        doc["frames"][0]["people"].append({"keypoints": [[3.0, 4.0, 0, 1]] * 22})
+        extent, single = anno.parse_dataset(json.dumps(doc).encode(),
+                                            "jta_like").images[0].persons
+        assert extent.bbox == BBox(0.0, 5.0, 21.0, 42.0)
+        assert single.bbox == BBox(3.0, 4.0, 1.0, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_doc(valid_jta_doc()))
+    def test_mutated_document_raises_only_domain_errors(self, doc):
+        try:
+            anno.parse_dataset(json.dumps(doc).encode(), "jta_like")
+        except CrowdKitError:
+            pass
 
 
 class TestNativeRoundtrip:
@@ -185,7 +238,7 @@ class TestNativeRoundtrip:
                                "native")
 
     @settings(max_examples=300, deadline=None)
-    @given(mutated_native_doc())
+    @given(mutated_doc(valid_native_doc()))
     def test_mutated_document_raises_only_domain_errors(self, doc):
         try:
             anno.parse_dataset(json.dumps(doc).encode(), "native")
@@ -259,6 +312,11 @@ class TestConversion:
         with pytest.raises(SchemaError):
             anno.convert_jta_to_crowdpose(
                 make_pose([(0, 0)] * 14, schema=CROWDPOSE_SCHEMA))
+        with pytest.raises(SchemaError):  # shorter than its schema
+            anno.convert_jta_to_crowdpose(
+                Pose.from_arrays(JTA_SCHEMA, np.zeros((3, 2)), np.zeros(3, np.int8)))
+        with pytest.raises(MappingError):  # checked before any person
+            anno.convert_dataset_jta_to_crowdpose(Dataset(schema=JTA_SCHEMA), [0] * 14)
 
 
 class TestValidate:

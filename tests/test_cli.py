@@ -500,6 +500,11 @@ def _short_pose(doc):
     return doc
 
 
+def _with_schema(doc, block):
+    doc["schema"] = block
+    return doc
+
+
 def _keypoint_row(row):
     """A document edit that sets the first keypoint row to `row`."""
     def edit(doc):
@@ -533,10 +538,10 @@ def _eval(d, *extra, score=0.9):
             *extra]
 
 
-def _convert(d, *extra):
+def _convert(d, *extra, persons=1):
     rows = [[float(i), 0.0, 0, 0] for i in range(22)]
     doc = {"frames": [{"id": "f0", "width": 64, "height": 48,
-                       "people": [{"keypoints": rows}]}]}
+                       "people": [{"keypoints": rows}] * persons}]}
     return ["convert", "--from", "jta", "--to", "crowdpose",
             "--in", _write(d / "jta.json", doc), "--out", str(d / "c.json"), *extra]
 
@@ -662,6 +667,14 @@ BAD_INPUTS = {
     "eval_score_nan": (lambda d: _eval(d, score=math.nan), 1),
     "convert_mapping_object": (lambda d: _convert(
         d, "--mapping", _write(d / "m.json", {"a": 1})), 1),
+    # the mapping is checked even on a frame with no persons
+    "convert_bad_mapping_no_persons": (lambda d: _convert(
+        d, "--mapping", _write(d / "m.json", [0] * 14), persons=0), 1),
+    # a 22-name schema over a 3-keypoint pose
+    "convert_pose_length_3_to_crowdpose": (lambda d: [
+        "convert", "--from", "native", "--to", "crowdpose", "--out", str(d / "c.json"),
+        "--in", _write(d / "a.json", _with_schema(_short_pose(_native_doc()), {
+            "name": "jta", "keypoint_names": list(anno.JTA_SCHEMA.keypoint_names)}))], 1),
     "decode_zero_bbox": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "0", "0", "--in",
         _write(d / "x.hm", _ZERO_DUMP)], 1),
@@ -743,6 +756,19 @@ BAD_INPUTS = {
         "--in", _write(d / "a.json", _native_doc()), "--out", str(d / "c.json")], 1),
     "gen_config_depth_model": (lambda d: _gen(
         d, "--config", _write(d / "c.json", {"depth_model": "x"})), 1),
+    # nested past the interpreter's recursion limit
+    "validate_nested_too_deeply": (lambda d: [
+        "validate", "--in", _write(d / "a.json", "[" * 10 ** 5 + "]" * 10 ** 5)], 1),
+    "eval_sigmas_nested_too_deeply": (lambda d: _eval(
+        d, "--sigmas", _write(d / "s.json", "[" * 10 ** 5 + "]" * 10 ** 5)), 1),
+    "validate_not_utf8": (lambda d: [
+        "validate", "--in", _write(d / "a.json", b"\xff\xfe{}")], 1),
+    "native_schema_duplicate_names": (lambda d: [
+        "validate", "--in", _write(d / "a.json", _with_schema(
+            _native_doc(), {"name": "x", "keypoint_names": ["a", "a"]}))], 1),
+    # an integer beyond the float range
+    "eval_sigmas_overflow": (lambda d: _eval(
+        d, "--sigmas", _write(d / "s.json", [10 ** 400] * 14)), 1),
 }
 
 

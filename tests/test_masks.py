@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crowdpose_kit import masks as M
-from crowdpose_kit.annotations import BBox, SegmentMask
+from crowdpose_kit.annotations import BBox, Keypoint, SegmentMask, Visibility
 from crowdpose_kit.errors import GeometryError, MaskDecodeError
 from crowdpose_kit.masks import Cutout, RasterImage
 
@@ -82,6 +82,15 @@ class TestExtractCutout:
         alpha = cut.raster.pixels[:, :, 3]
         assert alpha[0, :].any() and alpha[-1, :].any()
         assert alpha[:, 0].any() and alpha[:, -1].any()
+
+    def test_keypoints_become_cutout_local(self, rng):
+        mask = np.zeros((10, 12), dtype=bool)
+        mask[3:6, 7:10] = True
+        kps = (Keypoint(8.5, 4.0, Visibility.VISIBLE), Keypoint(7.0, 9.0, Visibility.OCCLUDED))
+        cut = M.extract_cutout(rand_raster(rng, 12, 10), mask, M.CUTOUT_FULL_BODY,
+                               keypoints=kps)
+        assert cut.keypoints == (Keypoint(1.5, 1.0, Visibility.VISIBLE),
+                                 Keypoint(0.0, 6.0, Visibility.OCCLUDED))
 
     def test_empty_mask(self, rng):
         with pytest.raises(MaskDecodeError):
