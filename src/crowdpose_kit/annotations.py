@@ -3,12 +3,14 @@
 The canonical model is a 4-state visibility flag per keypoint plus boxes,
 optional segmentation and scores, grouped per image. A pose holds its
 keypoints as two read-only arrays: (K, 2) coordinates and (K,) visibility
-codes. Three JSON input flavors are supported: COCO-like
-(``images``/``annotations`` arrays), JTA-like (per-frame arrays with
+codes. Three JSON input formats are supported, named as the CLI names them:
+"coco" (``images``/``annotations`` arrays), "jta" (per-frame arrays with
 occluded/self-occluded flag pairs) and the toolkit's own self-describing
-native format. COCO and JTA documents are read as native image objects, and
-one builder turns the image objects of any document into records,
-converting the keypoints of the whole document to arrays at once.
+"native" format. COCO and JTA documents are read as native image objects,
+their own vocabularies (COCO visibility codes, polygon lists and bare RLE,
+JTA flag pairs) translated where their parsers read them, and one builder
+turns the image objects of any document into records, converting the
+keypoints of the whole document to arrays at once.
 """
 
 from __future__ import annotations
@@ -32,20 +34,13 @@ class Visibility(str, enum.Enum):
     UNLABELED = "unlabeled"
 
 
-# Visibility by its tag string, looked up rather than calling Visibility(tag)
-# once per keypoint.
-VISIBILITY_BY_TAG = {v.value: v for v in Visibility}
-
-# A pose stores each keypoint's Visibility as its code: its index in this
-# order. The parsers map tag strings to codes, the serializer codes to tags.
-VISIBILITY_ORDER = tuple(Visibility)
-_CODE_OF = {v: i for i, v in enumerate(VISIBILITY_ORDER)}
-_CODE_BY_TAG = {v.value: i for v, i in _CODE_OF.items()}
-_TAG_OF_CODE = tuple(v.value for v in VISIBILITY_ORDER)
-CODE_VISIBLE = _CODE_OF[Visibility.VISIBLE]
-CODE_OCCLUDED = _CODE_OF[Visibility.OCCLUDED]
-CODE_SELF_OCCLUDED = _CODE_OF[Visibility.SELF_OCCLUDED]
-CODE_UNLABELED = _CODE_OF[Visibility.UNLABELED]
+# The tags in code order. A pose stores each keypoint's tag as its code, the
+# tag's index here: the parsers map tags to codes, the serializer codes to
+# tags, and a foreign format's vocabulary becomes tags where it is parsed.
+TAGS = tuple(v.value for v in Visibility)
+CODE_VISIBLE, CODE_OCCLUDED, CODE_SELF_OCCLUDED, CODE_UNLABELED = range(len(TAGS))
+_CODE_BY_TAG = {tag: code for code, tag in enumerate(TAGS)}
+VISIBILITY_ORDER = tuple(Visibility)  # the member of each code
 
 
 # Invalid states (zero-size boxes, wrong pose lengths, ...) stay
@@ -124,14 +119,10 @@ JTA_SCHEMA = PoseSchema(
     ),
 )
 
-# Joint-name aliases between schema vocabularies.
-_NAME_ALIASES = {"top_head": "head_top", "head_top": "top_head"}
-
-
 @dataclass(frozen=True, init=False)
 class Pose:
     """K keypoints as two read-only arrays: `xy`, (K, 2) float64
-    coordinates, and `codes`, (K,) int8 indices into VISIBILITY_ORDER.
+    coordinates, and `codes`, (K,) int8 indices into TAGS.
 
     Pose(schema, keypoints) builds the arrays from Keypoint objects;
     Pose.from_arrays copies them, so a pose owns its memory and never
@@ -148,7 +139,7 @@ class Pose:
     def __init__(self, schema: PoseSchema, keypoints: Sequence[Keypoint]):
         kps = tuple(keypoints)
         xy = np.array([(k.x, k.y) for k in kps], dtype=np.float64).reshape(len(kps), 2)
-        codes = np.array([_CODE_OF[k.vis] for k in kps], dtype=np.int8)
+        codes = np.array([_CODE_BY_TAG[k.vis] for k in kps], dtype=np.int8)
         xy.flags.writeable = codes.flags.writeable = False
         self.__dict__.update(schema=schema, xy=xy, codes=codes)
 
@@ -181,7 +172,7 @@ class Pose:
 
     def to_json(self) -> list:
         """[x, y, tag] rows, the native format's keypoints."""
-        return [[x, y, _TAG_OF_CODE[c]]
+        return [[x, y, TAGS[c]]
                 for (x, y), c in zip(self.xy.tolist(), self.codes.tolist())]
 
     def __eq__(self, other):
@@ -295,26 +286,19 @@ def _schema_for_count(count: int) -> PoseSchema:
 
 
 def _segmentation_from_json(obj) -> Optional[SegmentMask]:
+    """A native segmentation, {"kind": "polygons", "polygons": [[[x, y], ...],
+    ...]} or {"kind": "rle", "size": [h, w], "counts": [...]}, or None."""
     if obj is None:
         return None
-    # COCO polygon style: list of flat coordinate lists.
-    if isinstance(obj, list):
-        polys = []
-        for flat in obj:
-            pts = tuple((float(flat[i]), float(flat[i + 1])) for i in range(0, len(flat), 2))
-            polys.append(pts)
-        return SegmentMask(kind="polygons", polygons=tuple(polys))
-    if isinstance(obj, dict):
-        if obj.get("kind") == "polygons" or "polygons" in obj and "counts" not in obj:
-            polys = tuple(
-                tuple((float(x), float(y)) for x, y in poly) for poly in obj["polygons"]
-            )
-            return SegmentMask(kind="polygons", polygons=polys)
-        if "counts" in obj:
-            h, w = obj["size"]
-            return SegmentMask(kind="rle", rle_size=(int(h), int(w)),
-                               rle_counts=tuple(int(c) for c in obj["counts"]))
-    raise ParseError(f"unrecognized segmentation payload: {type(obj).__name__}")
+    kind = obj["kind"]
+    if kind == "polygons":
+        return SegmentMask(kind="polygons", polygons=tuple(
+            tuple((float(x), float(y)) for x, y in poly) for poly in obj["polygons"]))
+    if kind == "rle":
+        h, w = obj["size"]
+        return SegmentMask(kind="rle", rle_size=(int(h), int(w)),
+                           rle_counts=tuple(int(c) for c in obj["counts"]))
+    raise ParseError(f"unknown segmentation kind {kind!r}; expected 'polygons' or 'rle'")
 
 
 def _segmentation_to_json(seg: Optional[SegmentMask]):
@@ -382,14 +366,12 @@ def _parse_coco_like(doc) -> Dataset:
         names = tuple(str(n) for n in categories[0]["keypoints"])
         schema = PoseSchema(str(categories[0].get("name", "coco")), names)
 
-    # the last entry of an id takes its annotations; `order` keeps one
-    # record per entry
     images = {}
-    order = []
     for img in doc.get("images", []):
         img_id = str(img["id"])
+        if img_id in images:
+            raise ParseError(f"image id {img_id!r} repeats")
         images[img_id] = (img, [])
-        order.append(img_id)
 
     for ann in doc.get("annotations", []):
         img_id = str(ann["image_id"])
@@ -411,14 +393,19 @@ def _parse_coco_like(doc) -> Dataset:
                 raise ParseError(f"unknown COCO visibility code {v}")
             # an unlabeled keypoint's coordinates are zeroed, never read
             rows.append([0.0, 0.0, tag] if tag == "unlabeled" else [x, y, tag])
-        images[img_id][1].append({"keypoints": rows, "bbox": ann["bbox"],
-                                  "segmentation": ann.get("segmentation"),
+        seg = ann.get("segmentation")
+        if isinstance(seg, list):  # flat [x0, y0, x1, y1, ...] polygons
+            seg = {"kind": "polygons", "polygons": [
+                [[poly[i], poly[i + 1]] for i in range(0, len(poly), 2)] for poly in seg]}
+        elif seg is not None:  # a bare {"size", "counts"} RLE
+            seg = {"kind": "rle", "size": seg["size"], "counts": seg["counts"]}
+        images[img_id][1].append({"keypoints": rows, "bbox": ann["bbox"], "segmentation": seg,
                                   "score": ann.get("score"), "track_id": ann.get("track_id")})
 
     schema = schema or CROWDPOSE_SCHEMA
     natives = [{"id": img_id, "width": img["width"], "height": img["height"],
                 "source": img.get("file_name"), "persons": persons}
-               for img_id, (img, persons) in zip(order, map(images.get, order))]
+               for img_id, (img, persons) in images.items()]
     return Dataset(schema=schema, images=_records(schema, natives), meta={})
 
 
@@ -456,7 +443,7 @@ def _parse_native(doc) -> Dataset:
                    meta=dict(doc.get("meta", {})))
 
 
-_PARSERS = {"coco_like": _parse_coco_like, "jta_like": _parse_jta_like, "native": _parse_native}
+_PARSERS = {"coco": _parse_coco_like, "jta": _parse_jta_like, "native": _parse_native}
 
 
 def parse_dataset(data: bytes, format: str) -> Dataset:
@@ -530,18 +517,15 @@ def serialize_dataset(dataset: Dataset) -> bytes:
     return native_document(dataset.schema, dataset.meta, map(image_json, dataset.images))
 
 
+# JTA source index of each CrowdPose keypoint, matched by joint name; JTA
+# names the top of the head "head_top".
+_JTA_TO_CROWDPOSE = tuple(JTA_SCHEMA.keypoint_names.index(
+    "head_top" if name == "top_head" else name) for name in CROWDPOSE_SCHEMA.keypoint_names)
+
+
 def default_jta_to_crowdpose_mapping() -> tuple[int, ...]:
-    """JTA source index for each CrowdPose keypoint, derived by joint-name matching."""
-    indices = []
-    for name in CROWDPOSE_SCHEMA.keypoint_names:
-        candidates = (name, _NAME_ALIASES.get(name))
-        for cand in candidates:
-            if cand in JTA_SCHEMA.keypoint_names:
-                indices.append(JTA_SCHEMA.keypoint_names.index(cand))
-                break
-        else:
-            raise MappingError(f"no JTA joint matches CrowdPose joint {name!r}")
-    return tuple(indices)
+    """JTA source index for each CrowdPose keypoint, matched by joint name."""
+    return _JTA_TO_CROWDPOSE
 
 
 def _jta_mapping(mapping: Optional[Sequence[int]]) -> list[int]:
@@ -577,8 +561,7 @@ def convert_jta_to_crowdpose(pose: Pose, mapping: Optional[Sequence[int]] = None
 def convert_dataset_jta_to_crowdpose(dataset: Dataset,
                                      mapping: Optional[Sequence[int]] = None) -> Dataset:
     """Apply convert_jta_to_crowdpose to every person of every image. The
-    mapping is checked, or the default one derived, once, before any person
-    is looked at."""
+    mapping is checked once, before any person is looked at."""
     mapping = _jta_mapping(mapping)
     images = tuple(
         replace(img, persons=tuple(replace(p, pose=convert_jta_to_crowdpose(p.pose, mapping))

@@ -19,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .annotations import (CODE_OCCLUDED, CODE_SELF_OCCLUDED, CODE_VISIBLE,
-                          VISIBILITY_BY_TAG, VISIBILITY_ORDER, BBox, ImageRecord, Keypoint,
-                          Pose, Visibility, gather_keypoints)
+from .annotations import (CODE_OCCLUDED, CODE_SELF_OCCLUDED, CODE_VISIBLE, TAGS, BBox,
+                          ImageRecord, Keypoint, Pose, Visibility, gather_keypoints)
 from .errors import ConfigError, GeometryError, InventoryError
 from .masks import (CUTOUT_BODY_PART, CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                     RasterImage, composite_with_mask, read_pam, write_pam)
@@ -202,7 +201,7 @@ def plan_cutout(rng: np.random.Generator, kind: str, person: BBox,
 
 
 # the codes of the keypoints that a paste can occlude
-_OCCLUDABLE = np.zeros(len(VISIBILITY_ORDER), dtype=bool)
+_OCCLUDABLE = np.zeros(len(TAGS), dtype=bool)
 _OCCLUDABLE[[CODE_VISIBLE, CODE_SELF_OCCLUDED]] = True
 
 
@@ -210,12 +209,12 @@ _OCCLUDABLE[[CODE_VISIBLE, CODE_SELF_OCCLUDED]] = True
 class FlagChange:
     person_index: int
     keypoint_index: int
-    old: Visibility
-    new: Visibility
+    old: str  # tags
+    new: str
 
     def to_json(self) -> dict:
         return {"person_index": self.person_index, "keypoint_index": self.keypoint_index,
-                "old": self.old.value, "new": self.new.value}
+                "old": self.old, "new": self.new}
 
 
 @dataclass
@@ -274,7 +273,7 @@ def apply_augmentation(rng: np.random.Generator, image: RasterImage,
     rows = rows[painted[np.floor(y[rows]).astype(np.intp),
                         np.floor(x[rows]).astype(np.intp)]]
     owners = np.searchsorted(offsets, rows, side="right") - 1
-    changes = [FlagChange(pi, k, VISIBILITY_ORDER[code], Visibility.OCCLUDED)
+    changes = [FlagChange(pi, k, TAGS[code], TAGS[CODE_OCCLUDED])
                for pi, k, code in zip(owners.tolist(), (rows - offsets[owners]).tolist(),
                                       codes[rows].tolist())]
     codes[rows] = CODE_OCCLUDED
@@ -329,7 +328,7 @@ def load_inventory(directory: Path) -> CutoutInventory:
                 raster = read_pam((directory / entry["pam"]).read_bytes())
                 kps = None
                 if entry.get("keypoints") is not None:
-                    kps = tuple([Keypoint(float(x), float(y), VISIBILITY_BY_TAG[v])
+                    kps = tuple([Keypoint(float(x), float(y), Visibility(v))
                                  for x, y, v in entry["keypoints"]])
                 bx, by, bw, bh = entry["src_bbox"]
                 target.append(Cutout(raster=raster, src_bbox=BBox(bx, by, bw, bh),

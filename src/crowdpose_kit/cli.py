@@ -117,12 +117,23 @@ def _rolled_back(roots):
         raise
 
 
-def _format_name(flag: str) -> str:
-    return flag + "_like" if flag in ("coco", "jta") else "native"
-
-
 def _read_dataset(path: str, fmt: str) -> anno.Dataset:
     return anno.parse_dataset(Path(path).read_bytes(), fmt)
+
+
+def _read_named_images(path: str) -> anno.Dataset:
+    """The native dataset at `path`, poses of its schema's length, and each
+    image id, the stem of its output files, one plain file name (not empty,
+    `.` or `..`, no `/` or NUL) that no other image has."""
+    dataset = anno.require_schema_lengths(_read_dataset(path, "native"))
+    seen = set()
+    for img in dataset.images:
+        if img.id in ("", ".", "..") or "/" in img.id or "\0" in img.id:
+            raise CrowdKitError(f"image id {img.id!r} is not a plain file name")
+        if img.id in seen:
+            raise CrowdKitError(f"image id {img.id!r} repeats")
+        seen.add(img.id)
+    return dataset
 
 
 def _read_json(path: str):
@@ -187,7 +198,7 @@ def _note_ratio_zero(persons: int) -> None:
 # Each returns the inputs its manifest digests.
 
 def _cmd_convert(args):
-    dataset = _read_dataset(args.infile, _format_name(args.src_format))
+    dataset = _read_dataset(args.infile, args.src_format)
     if args.to == "crowdpose":
         if dataset.schema.count != anno.JTA_SCHEMA.count:
             raise ConfigError("conversion to crowdpose expects a 22-keypoint input")
@@ -205,7 +216,7 @@ def _cmd_convert(args):
 
 
 def _cmd_validate(args):
-    report = anno.validate(_read_dataset(args.infile, _format_name(args.format)))
+    report = anno.validate(_read_dataset(args.infile, args.format))
     _emit(report.to_json(), args.out)
     return [args.infile]
 
@@ -221,7 +232,7 @@ def _cmd_analyze(args):
 def _cmd_augment(args):
     if not Path(args.inventory).is_dir():
         raise InventoryError(f"inventory directory not found: {args.inventory}")
-    dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
+    dataset = _read_named_images(args.infile)
     inventory = aug.load_inventory(Path(args.inventory))
     config = aug.AugmentConfig(method=args.method)
     images_dir = args.images or str(Path(args.infile).parent)
@@ -369,7 +380,7 @@ def _cmd_gen(args):
 
 
 def _cmd_heatmap_encode(args):
-    dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
+    dataset = _read_named_images(args.infile)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     index = {}

@@ -78,8 +78,9 @@ def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray,
     for start in range(0, n, block):
         b = boxes[start:start + block]
         x0, y0 = b[:, 0, None], b[:, 1, None]
-        inside = ((x >= x0) & (x <= x0 + b[:, 2, None]) &
-                  (y >= y0) & (y <= y0 + b[:, 3, None]))          # (n, T)
+        with np.errstate(over="ignore"):  # a far edge past the float range is inf
+            inside = ((x >= x0) & (x <= x0 + b[:, 2, None]) &
+                      (y >= y0) & (y <= y0 + b[:, 3, None]))      # (n, T)
         n_in = inside.sum(axis=1)
         n_own = (inside & (owners == np.arange(start, start + len(b))[:, None])).sum(axis=1)
         ratios += [n_a / n_b for n_a, n_b in zip((n_in - n_own).tolist(), n_own.tolist())

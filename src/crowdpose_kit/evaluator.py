@@ -13,6 +13,7 @@ image's r-th prediction at every threshold, and each AP pool is ranked once.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -206,10 +207,10 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
                      cfg: OksConfig) -> EvalReport:
     """AP overall and per crowding level of the ground-truth CrowdIndex.
 
-    Prediction and ground-truth datasets must cover the same image ids, and
-    the OKS sigmas must cover the gt schema's keypoints. Images whose gt has
-    no persons join the overall pool only (their predictions count as false
-    positives); levels with no images report None.
+    Prediction and ground-truth datasets must each list the same image ids,
+    each id once, and the OKS sigmas must cover the gt schema's keypoints.
+    Images whose gt has no persons join the overall pool only (their
+    predictions count as false positives); levels with no images report None.
     """
     count = gt_dataset.schema.count
     if len(cfg.sigmas) != count:
@@ -217,6 +218,10 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
                             f"schema")
     gt_by_id = {img.id: img for img in gt_dataset.images}
     pred_by_id = {img.id: img for img in pred_dataset.images}
+    for which, dataset in (("gt", gt_dataset), ("pred", pred_dataset)):
+        repeated = [i for i, n in Counter(img.id for img in dataset.images).items() if n > 1]
+        if repeated:
+            raise AlignmentError(f"image ids that repeat in the {which} dataset: {repeated}")
     missing = sorted(set(gt_by_id) ^ set(pred_by_id))
     if missing:
         raise AlignmentError(f"image ids not shared by both datasets: {missing}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import (CODE_OCCLUDED, CODE_UNLABELED, CODE_VISIBLE, VISIBILITY_ORDER,
-                          BBox, Pose, PoseSchema)
+from .annotations import (CODE_OCCLUDED, CODE_UNLABELED, CODE_VISIBLE, TAGS, BBox, Pose,
+                          PoseSchema)
 from .errors import DimensionError, GeometryError, MaskDecodeError
 
 INPUT_W = 192
@@ -34,7 +34,7 @@ DEFAULT_SIGMA = 2.0
 DEFAULT_CONF_THRESHOLD = 0.7
 
 # the branch (0 visible, 1 occluded) of each labeled visibility code
-_BRANCH_OF_CODE = np.zeros(len(VISIBILITY_ORDER), dtype=np.intp)
+_BRANCH_OF_CODE = np.zeros(len(TAGS), dtype=np.intp)
 _BRANCH_OF_CODE[CODE_OCCLUDED] = 1
 
 

@@ -30,9 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from crowdpose_kit import synthgen as S
-from crowdpose_kit.annotations import (NATIVE_FORMAT_TAG, VISIBILITY_BY_TAG, BBox,
-                                       Dataset, ImageRecord, Keypoint, PersonInstance,
-                                       Pose, PoseSchema, Visibility,
+from crowdpose_kit.annotations import (NATIVE_FORMAT_TAG, BBox, Dataset, ImageRecord,
+                                       Keypoint, PersonInstance, Pose, PoseSchema, Visibility,
                                        _segmentation_from_json, _segmentation_to_json)
 from crowdpose_kit.errors import ParseError
 from crowdpose_kit.errors import MaskDecodeError, UndefinedMetricError
@@ -498,6 +497,13 @@ def loss_grad_reference(p, g, alpha: float, n: int):
 
 # --- the native parser over Keypoint objects -------------------------------
 
+# the reference parser's own tag table, spelled out rather than read from
+# the package's
+_VISIBILITY_OF_TAG = {"visible": Visibility.VISIBLE, "occluded": Visibility.OCCLUDED,
+                      "self_occluded": Visibility.SELF_OCCLUDED,
+                      "unlabeled": Visibility.UNLABELED}
+
+
 class PoseReference(NamedTuple):
     schema: PoseSchema
     keypoints: tuple
@@ -517,11 +523,11 @@ def parse_native_reference(doc) -> Dataset:
         for p in img["persons"]:
             rows = p["keypoints"]
             try:
-                kps = tuple([Keypoint(float(x), float(y), VISIBILITY_BY_TAG[v])
+                kps = tuple([Keypoint(float(x), float(y), _VISIBILITY_OF_TAG[v])
                              for x, y, v in rows])
             except KeyError as exc:  # rows is bound, so only a tag can be missing
                 raise ParseError(f"unknown keypoint visibility tag {exc.args[0]!r}; "
-                                 f"expected one of {sorted(VISIBILITY_BY_TAG)}") from exc
+                                 f"expected one of {sorted(_VISIBILITY_OF_TAG)}") from exc
             bx, by, bw, bh = map(float, p["bbox"])
             persons.append(PersonInstance(
                 bbox=BBox(bx, by, bw, bh),

@@ -134,7 +134,7 @@ class TestParseCoco:
         codes = [2, 1, 0] + [2] * 11
         for i, v in enumerate(codes):
             flat += [10.0 + i, 20.0 + i, v]
-        ds = anno.parse_dataset(json.dumps(coco_doc(flat)).encode(), "coco_like")
+        ds = anno.parse_dataset(json.dumps(coco_doc(flat)).encode(), "coco")
         kps = ds.images[0].persons[0].pose.keypoints
         assert kps[0].vis is Visibility.VISIBLE
         assert kps[1].vis is Visibility.OCCLUDED
@@ -142,33 +142,49 @@ class TestParseCoco:
         assert kps[0].x == 10.0 and kps[0].y == 20.0
 
     def test_empty_image_list(self):
-        ds = anno.parse_dataset(b'{"images": [], "annotations": []}', "coco_like")
+        ds = anno.parse_dataset(b'{"images": [], "annotations": []}', "coco")
         assert ds.images == ()
 
     def test_malformed_json_reports_byte_offset(self):
         with pytest.raises(ParseError) as err:
-            anno.parse_dataset(b'{"images": [,]}', "coco_like")
+            anno.parse_dataset(b'{"images": [,]}', "coco")
         assert err.value.offset == 12
 
     def test_unknown_keypoint_count(self):
         doc = coco_doc([1.0, 2.0, 2] * 5)
         doc.pop("categories")
         with pytest.raises(SchemaError):
-            anno.parse_dataset(json.dumps(doc).encode(), "coco_like")
+            anno.parse_dataset(json.dumps(doc).encode(), "coco")
 
-    def test_duplicate_image_id_gives_two_records(self):
+    def test_duplicate_image_id_is_refused(self):
+        # annotations join images by id: a repeated id leaves them no one image
         doc = valid_coco_doc()
-        doc["images"][1]["id"] = 1
         doc["annotations"][1]["image_id"] = 1
-        ds = anno.parse_dataset(json.dumps(doc).encode(), "coco_like")
-        assert [img.id for img in ds.images] == ["1", "1"]
-        assert anno.validate(ds).counts == {"duplicate_image_id": 1}
+        for second_id in (1, "1"):
+            doc["images"][1]["id"] = second_id
+            with pytest.raises(ParseError, match="image id '1' repeats"):
+                anno.parse_dataset(json.dumps(doc).encode(), "coco")
+
+    # a COCO segmentation is flat polygon lists or a bare RLE, never the
+    # native form
+    @pytest.mark.parametrize("seg", [[[1.0, 2.0, 3.0]], {"counts": [16]}, {"size": [4, 4]},
+                                     {"kind": "polygons", "polygons": []}, "x"])
+    def test_malformed_segmentation_is_refused(self, seg):
+        doc = valid_coco_doc()
+        doc["annotations"][0]["segmentation"] = seg
+        with pytest.raises(ParseError):
+            anno.parse_dataset(json.dumps(doc).encode(), "coco")
+
+    def test_format_names_are_the_cli_words(self):
+        assert sorted(anno._PARSERS) == ["coco", "jta", "native"]
+        with pytest.raises(ParseError, match="unknown dataset format 'coco_like'"):
+            anno.parse_dataset(b'{"images": []}', "coco_like")
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_doc(valid_coco_doc()))
     def test_mutated_document_raises_only_domain_errors(self, doc):
         try:
-            anno.parse_dataset(json.dumps(doc).encode(), "coco_like")
+            anno.parse_dataset(json.dumps(doc).encode(), "coco")
         except CrowdKitError:
             pass
 
@@ -180,7 +196,7 @@ class TestParseJta:
         rows[1][2:] = [1, 0]   # occluded only
         rows[2][2:] = [0, 1]   # self-occluded only
         rows[3][2:] = [1, 1]   # both set: occlusion by others dominates
-        ds = anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta_like")
+        ds = anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta")
         kps = ds.images[0].persons[0].pose.keypoints
         assert kps[0].vis is Visibility.VISIBLE
         assert kps[1].vis is Visibility.OCCLUDED
@@ -192,13 +208,13 @@ class TestParseJta:
     def test_wrong_count_rejected(self):
         rows = [[0.0, 0.0, 0, 0]] * 21
         with pytest.raises(SchemaError):
-            anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta_like")
+            anno.parse_dataset(json.dumps(jta_doc(rows)).encode(), "jta")
 
     def test_missing_bbox_is_the_keypoint_extent(self):
         doc = jta_doc([[float(i), 2.0 * i + 5, 0, 0] for i in range(22)])
         doc["frames"][0]["people"].append({"keypoints": [[3.0, 4.0, 0, 1]] * 22})
         extent, single = anno.parse_dataset(json.dumps(doc).encode(),
-                                            "jta_like").images[0].persons
+                                            "jta").images[0].persons
         assert extent.bbox == BBox(0.0, 5.0, 21.0, 42.0)
         assert single.bbox == BBox(3.0, 4.0, 1.0, 1.0)
 
@@ -206,7 +222,7 @@ class TestParseJta:
     @given(mutated_doc(valid_jta_doc()))
     def test_mutated_document_raises_only_domain_errors(self, doc):
         try:
-            anno.parse_dataset(json.dumps(doc).encode(), "jta_like")
+            anno.parse_dataset(json.dumps(doc).encode(), "jta")
         except CrowdKitError:
             pass
 
@@ -264,6 +280,16 @@ class TestNativeRoundtrip:
         got_poly, got_rle = (p.segmentation for p in back.images[0].persons)
         assert got_poly == seg_poly
         assert got_rle == seg_rle
+
+    @pytest.mark.parametrize("seg", [
+        [[1.0, 2.0, 8.5, 2.0, 5.0, 9.0]], {"polygons": [[[1, 2], [8, 2], [5, 9]]]},
+        {"size": [4, 4], "counts": [16]}, {"kind": "x", "polygons": []},
+        {"kind": None, "size": [4, 4], "counts": [16]}])
+    def test_segmentation_without_a_known_kind_is_refused(self, seg):
+        doc = valid_native_doc()
+        doc["images"][0]["persons"][0]["segmentation"] = seg
+        with pytest.raises(ParseError):
+            anno.parse_dataset(json.dumps(doc).encode(), "native")
 
 
 def jta_pose(vis=Visibility.VISIBLE):

@@ -9,10 +9,12 @@ import json
 import math
 import multiprocessing
 import platform
+import shutil
 import struct
 import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +57,12 @@ class TestGen:
         raster = read_pam((gen_dir / "scene_00000.pam").read_bytes())
         assert (raster.width, raster.height) == (ds.images[0].width,
                                                  ds.images[0].height)
+
+    def test_image_ids_name_files(self, gen_dir):
+        """gen's ids pass the check that augment and heatmap encode make
+        before naming files after them."""
+        dataset = cli._read_named_images(str(gen_dir / "dataset.json"))
+        assert [img.id for img in dataset.images] == [f"scene_{i:05d}" for i in range(12)]
 
     def test_manifest_fields(self, gen_dir):
         manifest = json.loads((gen_dir / "manifest.json").read_text())
@@ -556,6 +564,40 @@ def _coco(d, **annotation):
             "--in", _write(d / "coco.json", doc), "--out", str(d / "c.json")]
 
 
+def _with_ids(*ids):
+    """The native document with one copy of its image per id."""
+    doc = _native_doc()
+    doc["images"] = [dict(doc["images"][0], id=image_id) for image_id in ids]
+    return doc
+
+
+def _encode_ids(d, *ids):
+    return ["heatmap", "encode", "--in", _write(d / "a.json", _with_ids(*ids)),
+            "--out", str(d / "hm" / "out")]
+
+
+def _augment_ids(d, *ids):
+    """augment over images with these ids, each raster where augment reads
+    it: under --images d/img, so that "../x" reads d/x.pam."""
+    argv = _augment(d, doc=_with_ids(*ids))
+    (d / "img").mkdir()
+    for image_id in ids:
+        if "\0" not in image_id:
+            (d / "img" / f"{image_id}.pam").write_bytes((d / "a.pam").read_bytes())
+    return argv + ["--images", str(d / "img")]
+
+
+def _eval_repeated_gt_id(d):
+    """gt lists image a twice, with 1 person and then 2; pred lists a once,
+    with a scored copy of the first record's person."""
+    gt = _native_doc()
+    first = gt["images"][0]
+    gt["images"].append(dict(first, persons=first["persons"] * 2))
+    pred = _native_doc()
+    pred["images"][0]["persons"][0]["score"] = 0.9
+    return ["eval", "--gt", _write(d / "gt.json", gt), "--pred", _write(d / "p.json", pred)]
+
+
 def _pam_header(depth):
     return f"P7\nWIDTH 20\nHEIGHT 20\nDEPTH {depth}\nMAXVAL 255\nENDHDR\n".encode()
 
@@ -769,6 +811,19 @@ BAD_INPUTS = {
     # an integer beyond the float range
     "eval_sigmas_overflow": (lambda d: _eval(
         d, "--sigmas", _write(d / "s.json", [10 ** 400] * 14)), 1),
+    # image ids that name no file of their own: each once wrote outside --out,
+    # wrote one file for two images, or ended in a ValueError traceback
+    "encode_image_id_escapes": (lambda d: _encode_ids(d, "../escaped"), 1),
+    "encode_image_id_repeated": (lambda d: _encode_ids(d, "a", "a"), 1),
+    "encode_image_id_nul": (lambda d: _encode_ids(d, "a\0b"), 1),
+    "encode_image_id_empty": (lambda d: _encode_ids(d, ""), 1),
+    "encode_image_id_dot": (lambda d: _encode_ids(d, "."), 1),
+    "encode_image_id_dotdot": (lambda d: _encode_ids(d, ".."), 1),
+    "augment_image_id_escapes": (lambda d: _augment_ids(d, "../esc"), 1),
+    "augment_image_id_repeated": (lambda d: _augment_ids(d, "a", "a"), 1),
+    "augment_image_id_nul": (lambda d: _augment_ids(d, "a\0b"), 1),
+    # it counted the second gt record in the place of both
+    "eval_repeated_gt_image_id": (_eval_repeated_gt_id, 1),
 }
 
 
@@ -1070,6 +1125,99 @@ _EXTREME_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
 
 def _hm_file(d):
     return _write(d / "x.hm", _ZERO_DUMP)
+
+
+# Each command over valid inputs, as an argv of paths under the work dir.
+_PATH_COMMANDS = {
+    "convert": _convert,
+    "validate": lambda d: ["validate", "--in", _write(d / "a.json", _native_doc()),
+                           "--out", str(d / "v.json")],
+    "analyze": lambda d: ["analyze", "--in", _write(d / "a.json", _native_doc()),
+                          "--out", str(d / "s.json")],
+    "augment": lambda d: _augment_ids(d, "a"),
+    "gen": lambda d: _small_gen(d, "--bins", "1"),
+    "encode": lambda d: ["heatmap", "encode", "--in", _write(d / "a.json", _native_doc()),
+                         "--out", str(d / "hm")],
+    "decode": lambda d: ["heatmap", "decode", "--bbox", "0", "0", "10", "10",
+                         "--in", _hm_file(d), "--out", str(d / "p.json")],
+    "eval": _eval,
+}
+_PATH_FLAGS = [(name, flag) for name in _PATH_COMMANDS for flag in ("--in", "--out")
+               if (name, flag) not in (("gen", "--in"), ("eval", "--in"))]
+_PATH_FLAGS += [("augment", "--images"), ("augment", "--inventory")]
+_PATH_STATES = ("missing", "file", "empty_dir", "under_file", "holds_truncated", "truncated")
+
+
+def _path_in_state(d, valid: str, state: str, name: str = "state") -> str:
+    """A path d/name in `state` to stand in for `valid`, an input file or
+    directory or a new output path; "valid" leaves `valid` as it is."""
+    if state == "valid":
+        return valid
+    path, valid = d / name, Path(valid)
+    if state == "file":  # foreign bytes, also where a directory is expected
+        path.write_bytes(b"foreign\n")
+    elif state == "empty_dir":  # also where a file is expected
+        path.mkdir()
+    elif state == "under_file":
+        path.write_bytes(b"x")
+        path = path / "sub"
+    elif state == "holds_truncated":  # the valid files cut short, in a directory
+        if valid.is_dir():
+            shutil.copytree(valid, path)
+        else:
+            path.mkdir()
+            if valid.is_file():
+                shutil.copy(valid, path)
+            else:  # an output: a foreign file under a name the command may write
+                (path / "dataset.json").write_bytes(b'{"format": "crowdpose-kit/dat')
+        for f in path.iterdir():
+            f.write_bytes(f.read_bytes()[:f.stat().st_size // 2])
+    elif state == "truncated" and valid.is_file():
+        path.write_bytes(valid.read_bytes()[:valid.stat().st_size // 2])
+    elif state == "truncated":  # an output or a directory: a file cut short
+        path.write_bytes(b'{"format": "crowdpose-kit/dat')
+    return str(path)
+
+
+class TestPathStates:
+    """Every path flag of every command, in each state a path can be in:
+    missing, a file where a directory is expected or a directory where a
+    file is, under a file, or holding or being a file cut short. Read-only
+    paths are left out: run as root, the suite would find that permission
+    bits do not stop a write."""
+
+    @pytest.mark.parametrize("state", _PATH_STATES)
+    @pytest.mark.parametrize("command, flag", _PATH_FLAGS)
+    def test_path_state_exits_cleanly(self, tmp_path, capsys, command, flag, state):
+        argv = _PATH_COMMANDS[command](tmp_path)
+        at = argv.index(flag) + 1
+        argv[at] = _path_in_state(tmp_path, argv[at], state)
+        before = _tree(tmp_path)
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        if code:
+            assert _tree(tmp_path) == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(states=st.lists(st.sampled_from(("valid",) + _PATH_STATES), min_size=4, max_size=4))
+    def test_augment_paths_in_any_states(self, tmp_path_factory, states):
+        """augment's four path flags at once, each valid or in any state."""
+        d = tmp_path_factory.mktemp("augment")
+        argv = _augment_ids(d, "a")
+        for flag, state in zip(("--in", "--out", "--images", "--inventory"), states):
+            at = argv.index(flag) + 1
+            argv[at] = _path_in_state(d, argv[at], state, flag.strip("-"))
+        before = _tree(d)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        assert code in (0, 1)
+        if code:
+            assert err.getvalue().count("error:") == 1
+            assert _tree(d) == before
 
 
 # Float flags, each with a function of the work dir and the value as text

@@ -396,6 +396,18 @@ class TestEvalByCrowding:
         with pytest.raises(AlignmentError):
             E.eval_by_crowding(clipped, gt, crowd_cfg())
 
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    def test_repeated_image_id(self, rng, side):
+        """A repeated id is refused on either side: looked up by id, the
+        last of its records would stand in for each of them."""
+        gt, pred = two_level_datasets(rng, images=4)
+        datasets = {"gt": gt, "pred": pred}
+        images = datasets[side].images
+        datasets[side] = replace(datasets[side], images=images + images[1:2])
+        with pytest.raises(AlignmentError) as err:
+            E.eval_by_crowding(datasets["pred"], datasets["gt"], crowd_cfg())
+        assert f"repeat in the {side} dataset: ['{images[1].id}']" in str(err.value)
+
     def test_counts_sum(self, rng):
         gt, pred = two_level_datasets(rng, images=10)
         report = E.eval_by_crowding(pred, gt, crowd_cfg())
@@ -421,9 +433,9 @@ class TestEvalByCrowding:
         assert report.to_json() == reference_report(pred, gt)
 
     def test_mixed_report_equals_reference(self, rng):
-        """Images without gts or predictions, an unmatchable gt, tied scores
-        within and across images, and an image id that appears twice. The
-        unlabeled gt of img_1 counts as CrowdIndex ratio 0."""
+        """Images without gts or predictions, an unmatchable gt, and tied
+        scores within and across images. The unlabeled gt of img_1 counts as
+        CrowdIndex ratio 0."""
         gt_images, pred_images = [], []
         for i in range(30):
             gt_img = rand_record(rng, f"img_{i}", min_persons=1 if i == 1 else 0,
@@ -447,10 +459,6 @@ class TestEvalByCrowding:
                 preds.append(person(box, pose, score=float(rng.choice([0.3, 0.6, 0.9]))))
             gt_images.append(gt_img)
             pred_images.append(ImageRecord(gt_img.id, 200, 150, persons=tuple(preds)))
-        twice = next(i for i, img in enumerate(pred_images)
-                     if len({p.score for p in img.persons}) < len(img.persons))
-        gt_images.insert(3, gt_images[twice])
-        pred_images.append(pred_images[twice])
         gt = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(gt_images))
         pred = Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(pred_images))
         assert any(not img.persons for img in gt.images)
