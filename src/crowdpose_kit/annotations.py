@@ -253,9 +253,18 @@ class ImageRecord:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Image records under one schema, each id once: every parser and
+    builder makes one, and ParseError names the first id that repeats."""
     schema: PoseSchema
     images: tuple[ImageRecord, ...] = ()
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        seen = set()
+        for img in self.images:
+            if img.id in seen:
+                raise ParseError(f"image id {img.id!r} repeats")
+            seen.add(img.id)
 
 
 NATIVE_FORMAT_TAG = "crowdpose-kit/dataset@1"
@@ -366,16 +375,16 @@ def _parse_coco_like(doc) -> Dataset:
         names = tuple(str(n) for n in categories[0]["keypoints"])
         schema = PoseSchema(str(categories[0].get("name", "coco")), names)
 
-    images = {}
+    # natives in document order, so that a repeated id reaches Dataset
+    natives, persons_of = [], {}
     for img in doc.get("images", []):
-        img_id = str(img["id"])
-        if img_id in images:
-            raise ParseError(f"image id {img_id!r} repeats")
-        images[img_id] = (img, [])
+        persons_of[str(img["id"])] = persons = []
+        natives.append({"id": str(img["id"]), "width": img["width"], "height": img["height"],
+                        "source": img.get("file_name"), "persons": persons})
 
     for ann in doc.get("annotations", []):
         img_id = str(ann["image_id"])
-        if img_id not in images:
+        if img_id not in persons_of:
             raise ParseError(f"annotation references unknown image id {img_id!r}")
         flat = ann["keypoints"]
         if len(flat) % 3 != 0:
@@ -399,13 +408,10 @@ def _parse_coco_like(doc) -> Dataset:
                 [[poly[i], poly[i + 1]] for i in range(0, len(poly), 2)] for poly in seg]}
         elif seg is not None:  # a bare {"size", "counts"} RLE
             seg = {"kind": "rle", "size": seg["size"], "counts": seg["counts"]}
-        images[img_id][1].append({"keypoints": rows, "bbox": ann["bbox"], "segmentation": seg,
-                                  "score": ann.get("score"), "track_id": ann.get("track_id")})
+        persons_of[img_id].append({"keypoints": rows, "bbox": ann["bbox"], "segmentation": seg,
+                                   "score": ann.get("score"), "track_id": ann.get("track_id")})
 
     schema = schema or CROWDPOSE_SCHEMA
-    natives = [{"id": img_id, "width": img["width"], "height": img["height"],
-                "source": img.get("file_name"), "persons": persons}
-               for img_id, (img, persons) in images.items()]
     return Dataset(schema=schema, images=_records(schema, natives), meta={})
 
 
@@ -630,12 +636,8 @@ def validate(dataset: Dataset) -> ValidationReport:
         report.violations.append(Violation(img_id, person_idx, kind, detail))
 
     nonfinite = _nonfinite_keypoints([p for img in dataset.images for p in img.persons])
-    seen_ids = set()
     ordinal = 0
     for img in dataset.images:
-        if img.id in seen_ids:
-            add(img.id, None, "duplicate_image_id", f"image id {img.id!r} repeats")
-        seen_ids.add(img.id)
         for pi, person in enumerate(img.persons):
             if not (person.bbox.w > 0 and person.bbox.h > 0):
                 add(img.id, pi, "degenerate_bbox",

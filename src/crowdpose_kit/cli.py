@@ -1,9 +1,12 @@
 """crowdpose-kit command line: reproducible pipelines over the toolkit.
 
-`dispatch` is the one command runner. It times each subcommand and, for
-every run given `--out`, writes a manifest (argv, seed, content digest of
-the inputs the subcommand names, version, the Python and numpy versions,
-duration). Each command takes only the flags it reads, so `--seed` belongs
+`dispatch` is the one command runner. Before the subcommand runs, it makes
+every output location: the parent of `--out` and `--csv`, and the `--out`
+directory of `gen`, `augment` and `heatmap encode`. It times each
+subcommand and, for every run given `--out`, writes a manifest (argv, seed,
+content digest of the inputs the subcommand names, version, the Python and
+numpy versions, duration), inside a directory `--out` and beside a file
+`--out`. Each command takes only the flags it reads, so `--seed` belongs
 to `gen`, `augment` and `losscheck`; other manifests record a null seed.
 `dispatch` is also the one place that maps failures to exit codes: 0
 success, 1 domain error (`CrowdKitError`, an `OSError` such as a missing
@@ -71,14 +74,12 @@ def _digest_paths(paths) -> str:
     return h.hexdigest()
 
 
-def _manifest_path(out: Path) -> Path:
-    """Inside a directory --out without a suffix; beside any other --out."""
-    if out.suffix or not out.is_dir():
-        return out.with_suffix(out.suffix + ".manifest.json")
-    return out / "manifest.json"
+def _manifest_path(out: Path, out_dir: bool) -> Path:
+    """Inside a directory --out; beside a file --out."""
+    return out / "manifest.json" if out_dir else out.parent / (out.name + ".manifest.json")
 
 
-def _write_manifest(out: Path, argv, inputs, seed, duration_s: float) -> None:
+def _write_manifest(path: Path, argv, inputs, seed, duration_s: float) -> None:
     manifest = {
         "command": ["crowdpose-kit", *argv],
         "seed": seed,
@@ -88,7 +89,7 @@ def _write_manifest(out: Path, argv, inputs, seed, duration_s: float) -> None:
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         "duration_s": round(duration_s, 3),
     }
-    _emit(manifest, _manifest_path(out))
+    _emit(manifest, path)
 
 
 @contextlib.contextmanager
@@ -124,15 +125,11 @@ def _read_dataset(path: str, fmt: str) -> anno.Dataset:
 def _read_named_images(path: str) -> anno.Dataset:
     """The native dataset at `path`, poses of its schema's length, and each
     image id, the stem of its output files, one plain file name (not empty,
-    `.` or `..`, no `/` or NUL) that no other image has."""
+    `.` or `..`, no `/` or NUL); `Dataset` keeps the ids distinct."""
     dataset = anno.require_schema_lengths(_read_dataset(path, "native"))
-    seen = set()
     for img in dataset.images:
         if img.id in ("", ".", "..") or "/" in img.id or "\0" in img.id:
             raise CrowdKitError(f"image id {img.id!r} is not a plain file name")
-        if img.id in seen:
-            raise CrowdKitError(f"image id {img.id!r} repeats")
-        seen.add(img.id)
     return dataset
 
 
@@ -180,7 +177,6 @@ def _json_pair(read):
 def _emit(payload: dict, out: str | Path | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -209,9 +205,7 @@ def _cmd_convert(args):
                 raise ConfigError(f"{args.mapping}: expected a JSON list of "
                                   f"source keypoint indices")
         dataset = anno.convert_dataset_jta_to_crowdpose(dataset, mapping)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(anno.serialize_dataset(dataset))
+    Path(args.out).write_bytes(anno.serialize_dataset(dataset))
     return [args.infile, args.mapping]
 
 
@@ -237,7 +231,6 @@ def _cmd_augment(args):
     config = aug.AugmentConfig(method=args.method)
     images_dir = args.images or str(Path(args.infile).parent)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     log = {}
     new_images = []
     for image in dataset.images:
@@ -319,9 +312,9 @@ def _target_histogram(target: str, bins: int | None) -> tuple[float, ...]:
         return (1.0,) + (0.0,) * (bins - 1)
     weights = _json_list(_read_json(target), _json_float)
     total = sum(weights) if weights is not None else 0.0
-    if not (weights and min(weights) >= 0 and 0 < total < math.inf):
-        raise ConfigError(f"{target}: expected a JSON list of non-negative bin "
-                          f"weights with a positive, finite sum")
+    if not 0 < total < math.inf:
+        raise ConfigError(f"{target}: expected a JSON list of bin weights with a "
+                          f"positive, finite sum")
     if bins is not None and bins != len(weights):
         raise ConfigError(f"--bins {bins} differs from the {len(weights)} bin "
                           f"weights in {target}")
@@ -361,7 +354,6 @@ def _cmd_gen(args):
         scenes=args.scenes, scene_cfg=scene_cfg,
         target_histogram=_target_histogram(args.target, args.bins))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     planned = _gen_outputs(corpus_cfg, args.jobs, not args.no_rasters)
     try:
         scenes, entries = [], []
@@ -382,7 +374,6 @@ def _cmd_gen(args):
 def _cmd_heatmap_encode(args):
     dataset = _read_named_images(args.infile)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     index = {}
     for img in dataset.images:
         for pi, person in enumerate(img.persons):
@@ -429,14 +420,13 @@ def _cmd_losscheck(args):
 def _cmd_eval(args):
     gt = _read_dataset(args.gt, "native")
     pred = _read_dataset(args.pred, "native")
-    count = gt.schema.count
     if args.sigmas:
         sigmas = _json_list(_read_json(args.sigmas), _json_float)
-        if not (sigmas and len(sigmas) == count and min(sigmas) > 0):
-            raise ConfigError(f"{args.sigmas}: expected a JSON list of {count} "
-                              f"positive OKS sigmas, one per keypoint")
+        if sigmas is None:
+            raise ConfigError(f"{args.sigmas}: expected a JSON list of OKS sigmas, "
+                              f"one per keypoint")
     else:
-        sigmas = evaluator.default_sigmas(count)
+        sigmas = evaluator.default_sigmas(gt.schema.count)
     cfg = evaluator.OksConfig(sigmas=tuple(sigmas))
     report = evaluator.eval_by_crowding(pred, gt, cfg)
     _emit(report.to_json(), args.out)
@@ -449,7 +439,6 @@ def _cmd_eval(args):
 def _write_report_csv(path: Path, report: evaluator.EvalReport) -> None:
     def cell(v):
         return "" if v is None else f"{v:.3f}"
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         "AP,AP_Easy,AP_Med,AP_Hard\n"
         f"{cell(report.ap)},{cell(report.ap_easy)},{cell(report.ap_medium)},"
@@ -464,9 +453,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Crowded-scene pose data toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, parent=sub):
+    def command(name, func, help, parent=sub, out_dir=False):
+        """A subcommand; `out_dir` marks one whose --out is a directory."""
         p = parent.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, out_dir=out_dir)
         return p
 
     p = command("convert", _cmd_convert, "convert between annotation schemas")
@@ -490,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             crowd_metrics.COUNT_VISIBLE_ONLY))
     p.add_argument("--out")
 
-    p = command("augment", _cmd_augment, "paste occlusion cutouts over a dataset")
+    p = command("augment", _cmd_augment, "paste occlusion cutouts over a dataset",
+                out_dir=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--method", required=True, choices=aug.METHODS)
     p.add_argument("--inventory", required=True)
@@ -502,7 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored: augment runs "
                         "in one process")
 
-    p = command("gen", _cmd_gen, "generate a synthetic annotated crowd corpus")
+    p = command("gen", _cmd_gen, "generate a synthetic annotated crowd corpus",
+                out_dir=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--target", default="uniform",
@@ -521,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     heatmap = sub.add_parser("heatmap", help="encode or decode dual-branch heatmaps")
     actions = heatmap.add_subparsers(required=True)
-    p = command("encode", _cmd_heatmap_encode, "heatmap pairs of every person", actions)
+    p = command("encode", _cmd_heatmap_encode, "heatmap pairs of every person", actions,
+                out_dir=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sigma", type=float, default=heatmaps.DEFAULT_SIGMA)
@@ -558,11 +551,17 @@ def dispatch(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         out = Path(args.out) if getattr(args, "out", None) else None
-        with _rolled_back([out, out and _manifest_path(out), getattr(args, "csv", None)]):
+        csv = Path(args.csv) if getattr(args, "csv", None) else None
+        manifest = out and _manifest_path(out, args.out_dir)
+        with _rolled_back([out, manifest, csv]):
+            for path in filter(None, (out, csv)):
+                path.parent.mkdir(parents=True, exist_ok=True)
+            if out and args.out_dir:
+                out.mkdir(exist_ok=True)
             started = time.time()
             inputs = args.func(args)
             if out:
-                _write_manifest(out, argv, inputs, getattr(args, "seed", None),
+                _write_manifest(manifest, argv, inputs, getattr(args, "seed", None),
                                 time.time() - started)
     except SystemExit as exc:  # usage error (2), or --help (0)
         return int(exc.code or 0)

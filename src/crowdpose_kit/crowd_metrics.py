@@ -78,7 +78,8 @@ def crowd_index_arrays(boxes: np.ndarray, points: np.ndarray,
     for start in range(0, n, block):
         b = boxes[start:start + block]
         x0, y0 = b[:, 0, None], b[:, 1, None]
-        with np.errstate(over="ignore"):  # a far edge past the float range is inf
+        # a far edge past the float range is inf; -inf + inf is NaN, holding no point
+        with np.errstate(over="ignore", invalid="ignore"):
             inside = ((x >= x0) & (x <= x0 + b[:, 2, None]) &
                       (y >= y0) & (y <= y0 + b[:, 3, None]))      # (n, T)
         n_in = inside.sum(axis=1)

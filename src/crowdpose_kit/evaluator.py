@@ -13,7 +13,6 @@ image's r-th prediction at every threshold, and each AP pool is ranked once.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -207,8 +206,8 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
                      cfg: OksConfig) -> EvalReport:
     """AP overall and per crowding level of the ground-truth CrowdIndex.
 
-    Prediction and ground-truth datasets must each list the same image ids,
-    each id once, and the OKS sigmas must cover the gt schema's keypoints.
+    Prediction and ground-truth datasets must list the same image ids, and
+    the OKS sigmas must cover the gt schema's keypoints.
     Images whose gt has no persons join the overall pool only (their
     predictions count as false positives); levels with no images report None.
     """
@@ -218,10 +217,6 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
                             f"schema")
     gt_by_id = {img.id: img for img in gt_dataset.images}
     pred_by_id = {img.id: img for img in pred_dataset.images}
-    for which, dataset in (("gt", gt_dataset), ("pred", pred_dataset)):
-        repeated = [i for i, n in Counter(img.id for img in dataset.images).items() if n > 1]
-        if repeated:
-            raise AlignmentError(f"image ids that repeat in the {which} dataset: {repeated}")
     missing = sorted(set(gt_by_id) ^ set(pred_by_id))
     if missing:
         raise AlignmentError(f"image ids not shared by both datasets: {missing}")
@@ -255,7 +250,7 @@ def eval_by_crowding(pred_dataset: Dataset, gt_dataset: Dataset,
                         order) for (g, p), order in zip(spans, orders)), DEFAULT_THRESHOLDS)
     hits = np.concatenate([np.empty((len(DEFAULT_THRESHOLDS), 0), dtype=bool)] +
                           [a >= 0 for a in assigned], axis=1)
-    id_rank = {img_id: r for r, img_id in enumerate(sorted(set(image_ids)))}
+    id_rank = {img_id: r for r, img_id in enumerate(sorted(image_ids))}
     keys = np.array([(p.score, id_rank[img_id], i) for img_id, ps in zip(image_ids, preds)
                      for i, p in enumerate(ps)], dtype=np.float64).reshape(-1, 3).T
     matchable = labeled.any(axis=1)

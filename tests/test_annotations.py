@@ -218,6 +218,12 @@ class TestParseJta:
         assert extent.bbox == BBox(0.0, 5.0, 21.0, 42.0)
         assert single.bbox == BBox(3.0, 4.0, 1.0, 1.0)
 
+    def test_repeated_frame_id_is_refused(self):
+        doc = valid_jta_doc()
+        doc["frames"] *= 2
+        with pytest.raises(ParseError, match="image id 'seq0/f0' repeats"):
+            anno.parse_dataset(json.dumps(doc).encode(), "jta")
+
     @settings(max_examples=300, deadline=None)
     @given(mutated_doc(valid_jta_doc()))
     def test_mutated_document_raises_only_domain_errors(self, doc):
@@ -252,6 +258,12 @@ class TestNativeRoundtrip:
         with pytest.raises(ParseError):
             anno.parse_dataset(b'{"format": "other", "schema": {}, "images": []}',
                                "native")
+
+    def test_repeated_image_id_is_refused(self):
+        doc = valid_native_doc()
+        doc["images"][1]["id"] = doc["images"][0]["id"]
+        with pytest.raises(ParseError, match="image id 'a' repeats"):
+            anno.parse_dataset(json.dumps(doc).encode(), "native")
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_doc(valid_native_doc()))
@@ -370,15 +382,19 @@ class TestValidate:
         assert anno.validate(ds).counts == {"schema_mismatch": 1}
 
     def test_duplicate_image_id_and_degenerate_polygon(self):
+        """A repeated image id never reaches validate: Dataset refuses it."""
         seg = anno.SegmentMask(kind="polygons", polygons=(((0.0, 0.0), (1.0, 1.0)),
                                                           ((0, 0), (2, 0), (0, 2))))
         person = PersonInstance(bbox=BBox(0, 0, 5, 5), pose=make_pose([(1.0, 1.0)] * 14),
                                 segmentation=seg)
         image = ImageRecord("a", 10, 10, persons=(person,))
-        report = anno.validate(Dataset(schema=CROWDPOSE_SCHEMA, images=(image, image)))
-        assert report.counts == {"degenerate_polygon": 2, "duplicate_image_id": 1}
-        duplicate = report.violations[1]
-        assert (duplicate.image_id, duplicate.person_index) == ("a", None)
+        with pytest.raises(ParseError, match="image id 'a' repeats"):
+            Dataset(schema=CROWDPOSE_SCHEMA, images=(image, image))
+        report = anno.validate(Dataset(schema=CROWDPOSE_SCHEMA, images=(
+            image, dataclasses.replace(image, id="b"))))
+        assert report.counts == {"degenerate_polygon": 2}
+        assert [(v.image_id, v.person_index) for v in report.violations] == [
+            ("a", 0), ("b", 0)]
 
     def test_score_and_nonfinite(self):
         kps = [Keypoint(float("nan"), 0.0, Visibility.VISIBLE)] + \
@@ -416,7 +432,8 @@ def native_docs(draw):
         "height": st.integers(1, 99), "persons": st.lists(person, max_size=4)})
     return {"format": anno.NATIVE_FORMAT_TAG,
             "schema": {"name": "s", "keypoint_names": ["a", "b"]},
-            "meta": {}, "images": draw(st.lists(image, max_size=3))}
+            "meta": {}, "images": draw(st.lists(image, max_size=3,
+                                                  unique_by=lambda img: img["id"]))}
 
 
 def _fields(dataset):
@@ -548,8 +565,8 @@ def datasets(draw):
                       source=st.none() | _TEXT)
     meta = st.dictionaries(_TEXT, st.none() | _TEXT | _SCORES | st.lists(st.integers()),
                            max_size=3)
-    return Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(draw(st.lists(image, max_size=3))),
-                   meta=draw(meta))
+    images = st.lists(image, max_size=3, unique_by=lambda img: img.id)
+    return Dataset(schema=CROWDPOSE_SCHEMA, images=tuple(draw(images)), meta=draw(meta))
 
 
 class TestSerializer:

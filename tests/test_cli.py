@@ -250,6 +250,15 @@ class TestAnalyzeValidate:
         manifest = json.loads((tmp_path / "report.manifest.json").read_text())
         assert set(manifest["versions"]) == {"python", "numpy"}
 
+    @pytest.mark.parametrize("command", ["augment", "encode", "gen"])
+    def test_directory_output_with_suffix_holds_its_manifest(self, tmp_path, command):
+        argv = _PATH_COMMANDS[command](tmp_path)
+        out = tmp_path / "out.d"
+        argv[argv.index("--out") + 1] = str(out)
+        assert run(*argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["command"][1:] == argv
+        assert not (tmp_path / "out.d.manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "eval"])
     def test_ratio_zero_persons_make_one_note(self, tmp_path, capsys, command):
         """Persons whose box holds none of their own keypoints are counted
@@ -546,10 +555,12 @@ def _eval(d, *extra, score=0.9):
             *extra]
 
 
-def _convert(d, *extra, persons=1):
+def _convert(d, *extra, persons=1, frames=1):
+    """convert --from jta of `frames` frames, each with id f0 and `persons`
+    persons."""
     rows = [[float(i), 0.0, 0, 0] for i in range(22)]
     doc = {"frames": [{"id": "f0", "width": 64, "height": 48,
-                       "people": [{"keypoints": rows}] * persons}]}
+                       "people": [{"keypoints": rows}] * persons}] * frames}
     return ["convert", "--from", "jta", "--to", "crowdpose",
             "--in", _write(d / "jta.json", doc), "--out", str(d / "c.json"), *extra]
 
@@ -824,6 +835,12 @@ BAD_INPUTS = {
     "augment_image_id_nul": (lambda d: _augment_ids(d, "a\0b"), 1),
     # it counted the second gt record in the place of both
     "eval_repeated_gt_image_id": (_eval_repeated_gt_id, 1),
+    # it wrote a document that every reader of it refused
+    "convert_jta_repeated_frame_id": (lambda d: _convert(d, frames=2), 1),
+    "validate_jta_repeated_frame_id": (lambda d: [
+        "validate", "--format", "jta", "--in", _convert(d, frames=2)[-3]], 1),
+    "validate_native_repeated_image_id": (lambda d: [
+        "validate", "--in", _write(d / "a.json", _with_ids("f0", "f0"))], 1),
 }
 
 
@@ -1200,6 +1217,8 @@ class TestPathStates:
             assert len([line for line in err.splitlines() if "error:" in line]) == 1
         if code:
             assert _tree(tmp_path) == before
+        if (flag, state) == ("--out", "under_file"):  # every command names the file
+            assert err == f"error: File exists: {tmp_path / 'state'}\n"
 
     @settings(max_examples=100, deadline=None)
     @given(states=st.lists(st.sampled_from(("valid",) + _PATH_STATES), min_size=4, max_size=4))

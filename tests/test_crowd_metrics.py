@@ -47,6 +47,8 @@ class TestCrowdIndex:
     @given(crowd_arrays())
     # far edges past the float range overflowed with a RuntimeWarning
     @example(([(0.0, 8.98846567431158e307, 0.0, 8.98846567431158e307)], [], []))
+    # and an edge at -inf with an infinite size gave NaN with a RuntimeWarning
+    @example(([(0.0, -np.inf, 0.0, np.inf)], [(0.0, 0.0)], [0]))
     def test_array_core_matches_scalar_loop(self, arrays):
         boxes, points, owners = arrays
         want, empty = oracles.crowd_index_arrays_reference(boxes, points, owners)

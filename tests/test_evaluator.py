@@ -13,7 +13,7 @@ from crowdpose_kit.annotations import (CODE_VISIBLE, CROWDPOSE_SCHEMA, BBox, Dat
                                        ImageRecord, Keypoint, PersonInstance, Pose,
                                        PoseSchema, Visibility)
 from crowdpose_kit.crowd_metrics import crowd_index, partition
-from crowdpose_kit.errors import (AlignmentError, ProtocolError,
+from crowdpose_kit.errors import (AlignmentError, ParseError, ProtocolError,
                                   UndefinedMetricError)
 
 import oracles
@@ -398,15 +398,13 @@ class TestEvalByCrowding:
 
     @pytest.mark.parametrize("side", ["gt", "pred"])
     def test_repeated_image_id(self, rng, side):
-        """A repeated id is refused on either side: looked up by id, the
-        last of its records would stand in for each of them."""
+        """A repeated id never reaches eval on either side, where the last of
+        its records, looked up by id, would stand in for each of them:
+        Dataset refuses it."""
         gt, pred = two_level_datasets(rng, images=4)
-        datasets = {"gt": gt, "pred": pred}
-        images = datasets[side].images
-        datasets[side] = replace(datasets[side], images=images + images[1:2])
-        with pytest.raises(AlignmentError) as err:
-            E.eval_by_crowding(datasets["pred"], datasets["gt"], crowd_cfg())
-        assert f"repeat in the {side} dataset: ['{images[1].id}']" in str(err.value)
+        dataset = {"gt": gt, "pred": pred}[side]
+        with pytest.raises(ParseError, match=f"image id '{dataset.images[1].id}' repeats"):
+            replace(dataset, images=dataset.images + dataset.images[1:2])
 
     def test_counts_sum(self, rng):
         gt, pred = two_level_datasets(rng, images=10)
