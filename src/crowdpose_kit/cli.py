@@ -1,8 +1,20 @@
 """crowdpose-kit command line: reproducible pipelines over the toolkit.
 
+A command loads only what it runs. Importing this module loads numpy,
+`annotations` and `errors`, and no other package module. `COMMANDS` maps
+each command's words to the function that runs it, its help line, the
+function that declares its flags and whether its `--out` is a directory.
+The one parser, built once per process, registers every command's name and
+help line; argparse declares a command's flags only when it selects that
+command. The flag declarations and the runner of a command import the
+package modules that command calls, so `eval` loads `evaluator` and
+`crowd_metrics` but never `synthgen`, and only the commands that draw load
+`numpy.random`.
+
 `dispatch` is the one command runner. Before the subcommand runs, it makes
 every output location: the parent of `--out` and `--csv`, and the `--out`
-directory of `gen`, `augment` and `heatmap encode`. It times each
+directory of `gen`, `augment` and `heatmap encode`; a location at any
+depth under a file fails first, naming that file. It times each
 subcommand and, for every run given `--out`, writes a manifest (argv, seed,
 content digest of the inputs the subcommand names, version, the Python and
 numpy versions, duration), inside a directory `--out` and beside a file
@@ -34,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -43,20 +56,16 @@ import shutil
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import annotations as anno
-from . import augment as aug
-from . import crowd_metrics
-from . import evaluator
-from . import heatmaps
-from . import masks
-from . import occloss
-from . import synthgen
 from .errors import ConfigError, CrowdKitError, InventoryError
-from .seeding import map_jobs, substream
+
+if TYPE_CHECKING:  # each command imports the modules it runs
+    from . import evaluator, synthgen
 
 
 def _digest_paths(paths) -> str:
@@ -116,6 +125,17 @@ def _rolled_back(roots):
             with contextlib.suppress(OSError):  # not empty, gone, or never made
                 d.rmdir()
         raise
+
+
+def _refuse_under_file(path: Path) -> None:
+    """Raise the error that names the nearest existing ancestor of the
+    output location `path` if that ancestor is not a directory; `mkdir`
+    would name the first level it fails to make instead."""
+    for ancestor in path.parents:
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(ancestor))
+            return
 
 
 def _read_dataset(path: str, fmt: str) -> anno.Dataset:
@@ -191,7 +211,8 @@ def _note_ratio_zero(persons: int) -> None:
 
 
 # --- subcommands -----------------------------------------------------------
-# Each returns the inputs its manifest digests.
+# Each returns the inputs its manifest digests, and imports the package
+# modules it calls, so that no command loads another command's modules.
 
 def _cmd_convert(args):
     dataset = _read_dataset(args.infile, args.src_format)
@@ -216,6 +237,8 @@ def _cmd_validate(args):
 
 
 def _cmd_analyze(args):
+    from . import crowd_metrics
+
     dataset = anno.require_schema_lengths(_read_dataset(args.infile, "native"))
     stats = crowd_metrics.dataset_histogram(dataset, args.bins, args.count_mode)
     _emit(stats.to_json(), args.out)
@@ -224,6 +247,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_augment(args):
+    from . import augment as aug
+    from . import masks
+    from .seeding import substream
+
     if not Path(args.inventory).is_dir():
         raise InventoryError(f"inventory directory not found: {args.inventory}")
     dataset = _read_named_images(args.infile)
@@ -262,6 +289,8 @@ def _gen_run(cfg: synthgen.CorpusConfig, rasters: bool, run):
     PAM bytes, depth PAM bytes) per slot, with None for what the slot did
     not make. The entry carries the persons, so gen's main process holds
     only each scene's id, CrowdIndex, slot and attempt."""
+    from . import masks, synthgen
+
     for scene, spent in synthgen.plan_slots(cfg, run):
         entry = pam = depth_pam = None
         if scene is not None:
@@ -286,6 +315,9 @@ def _gen_outputs(cfg: synthgen.CorpusConfig, jobs: int, rasters: bool):
     there are fewer) so that one slow run does not leave the other workers
     idle, or more so that no run holds over RUN_SLOTS slots, and map_jobs
     fans the runs out; otherwise one run is planned in this process."""
+    from . import synthgen
+    from .seeding import map_jobs
+
     slots = synthgen.corpus_slots(cfg)
     parts = (max(min(4 * jobs, len(slots)), math.ceil(len(slots) / RUN_SLOTS))
              if jobs > 1 else 1)
@@ -302,11 +334,12 @@ NAMED_TARGETS = ("uniform", "easy")
 def _target_histogram(target: str, bins: int | None) -> tuple[float, ...]:
     """Bin weights summing to 1. A weights file sets the bin count itself;
     an explicit --bins must then agree with it."""
+    from .crowd_metrics import MAX_BINS
+
     if target in NAMED_TARGETS:
         bins = DEFAULT_BINS if bins is None else bins
-        if not 1 <= bins <= crowd_metrics.MAX_BINS:
-            raise ConfigError(f"--bins must be in [1, {crowd_metrics.MAX_BINS}], "
-                              f"got {bins}")
+        if not 1 <= bins <= MAX_BINS:
+            raise ConfigError(f"--bins must be in [1, {MAX_BINS}], got {bins}")
         if target == "uniform":
             return (1.0 / bins,) * bins
         return (1.0,) + (0.0,) * (bins - 1)
@@ -348,6 +381,8 @@ def _scene_overrides(path: str) -> dict:
 
 
 def _cmd_gen(args):
+    from . import synthgen
+
     overrides = _scene_overrides(args.config) if args.config else {}
     scene_cfg = synthgen.SceneConfig(seed=args.seed, **overrides)
     corpus_cfg = synthgen.CorpusConfig(
@@ -372,6 +407,8 @@ def _cmd_gen(args):
 
 
 def _cmd_heatmap_encode(args):
+    from . import heatmaps
+
     dataset = _read_named_images(args.infile)
     out = Path(args.out)
     index = {}
@@ -392,6 +429,8 @@ def _cmd_heatmap_encode(args):
 
 
 def _cmd_heatmap_decode(args):
+    from . import heatmaps
+
     pair = heatmaps.read_heatmap_pair(Path(args.infile).read_bytes())
     bx, by, bw, bh = args.bbox
     transform = heatmaps.bbox_to_crop(anno.BBox(bx, by, bw, bh))
@@ -406,6 +445,8 @@ def _cmd_heatmap_decode(args):
 
 
 def _cmd_losscheck(args):
+    from . import occloss
+
     cfg = occloss.LossConfig(alpha=args.alpha)
     err = occloss.grad_check(cfg, trials=args.trials, fd_step=args.fd_step,
                              seed=args.seed)
@@ -418,6 +459,8 @@ def _cmd_losscheck(args):
 
 
 def _cmd_eval(args):
+    from . import evaluator
+
     gt = _read_dataset(args.gt, "native")
     pred = _read_dataset(args.pred, "native")
     if args.sigmas:
@@ -446,20 +489,11 @@ def _write_report_csv(path: Path, report: evaluator.EvalReport) -> None:
 
 
 # --- parser ----------------------------------------------------------------
+# Each command's flags, declared on its parser only when argparse selects
+# the command; a declaration imports a module only for a command that runs
+# that module.
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crowdpose-kit",
-        description="Crowded-scene pose data toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, parent=sub, out_dir=False):
-        """A subcommand; `out_dir` marks one whose --out is a directory."""
-        p = parent.add_parser(name, help=help)
-        p.set_defaults(func=func, out_dir=out_dir)
-        return p
-
-    p = command("convert", _cmd_convert, "convert between annotation schemas")
+def _convert_flags(p):
     p.add_argument("--from", dest="src_format", required=True,
                    choices=("jta", "coco", "native"))
     p.add_argument("--to", required=True, choices=("crowdpose", "native"))
@@ -467,23 +501,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = command("validate", _cmd_validate, "report annotation invariant violations")
+
+def _validate_flags(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", default="native", choices=("coco", "jta", "native"))
     p.add_argument("--out")
 
-    p = command("analyze", _cmd_analyze, "CrowdIndex statistics for a dataset")
+
+def _analyze_flags(p):
+    from .crowd_metrics import COUNT_LABELED, COUNT_VISIBLE_ONLY
+
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    p.add_argument("--count-mode", default=crowd_metrics.COUNT_LABELED,
-                   choices=(crowd_metrics.COUNT_LABELED,
-                            crowd_metrics.COUNT_VISIBLE_ONLY))
+    p.add_argument("--count-mode", default=COUNT_LABELED,
+                   choices=(COUNT_LABELED, COUNT_VISIBLE_ONLY))
     p.add_argument("--out")
 
-    p = command("augment", _cmd_augment, "paste occlusion cutouts over a dataset",
-                out_dir=True)
+
+def _augment_flags(p):
+    from .augment import METHODS
+
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", required=True, choices=aug.METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--inventory", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--images",
@@ -493,8 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored: augment runs "
                         "in one process")
 
-    p = command("gen", _cmd_gen, "generate a synthetic annotated crowd corpus",
-                out_dir=True)
+
+def _gen_flags(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scenes", type=int, required=True)
     p.add_argument("--target", default="uniform",
@@ -511,28 +550,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-rasters", action="store_true",
                    help="skip PAM raster and depth outputs")
 
-    heatmap = sub.add_parser("heatmap", help="encode or decode dual-branch heatmaps")
-    actions = heatmap.add_subparsers(required=True)
-    p = command("encode", _cmd_heatmap_encode, "heatmap pairs of every person", actions,
-                out_dir=True)
+
+def _heatmap_encode_flags(p):
+    from .heatmaps import DEFAULT_SIGMA
+
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sigma", type=float, default=heatmaps.DEFAULT_SIGMA)
-    p = command("decode", _cmd_heatmap_decode, "the pose in one heatmap pair", actions)
+    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+
+
+def _heatmap_decode_flags(p):
+    from .heatmaps import DEFAULT_CONF_THRESHOLD
+
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bbox", type=float, nargs=4, metavar=("X", "Y", "W", "H"),
                    required=True, help="person box in image coordinates")
-    p.add_argument("--threshold", type=float, default=heatmaps.DEFAULT_CONF_THRESHOLD)
+    p.add_argument("--threshold", type=float, default=DEFAULT_CONF_THRESHOLD)
     p.add_argument("--out")
 
-    p = command("losscheck", _cmd_losscheck,
-                "finite-difference check of the loss gradient")
+
+def _losscheck_flags(p):
+    from .occloss import DEFAULT_ALPHA
+
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=occloss.DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--fd-step", type=float, default=1e-4)
 
-    p = command("eval", _cmd_eval, "OKS/AP evaluation by crowding level")
+
+def _eval_flags(p):
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--sigmas", help="JSON list of per-keypoint sigmas")
@@ -541,6 +587,71 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility and ignored: eval runs in "
                         "one process")
+
+
+class Command(NamedTuple):
+    run: Callable       # takes the parsed args
+    help: str
+    flags: Callable     # declares the flags on the command's parser
+    out_dir: bool = False  # --out is a directory
+
+
+# Every command that runs, by its words, in help order. A two-word command
+# is an action of the group its first word names, with the help in GROUPS.
+COMMANDS = {
+    "convert": Command(_cmd_convert, "convert between annotation schemas", _convert_flags),
+    "validate": Command(_cmd_validate, "report annotation invariant violations",
+                        _validate_flags),
+    "analyze": Command(_cmd_analyze, "CrowdIndex statistics for a dataset", _analyze_flags),
+    "augment": Command(_cmd_augment, "paste occlusion cutouts over a dataset",
+                       _augment_flags, out_dir=True),
+    "gen": Command(_cmd_gen, "generate a synthetic annotated crowd corpus", _gen_flags,
+                   out_dir=True),
+    "heatmap encode": Command(_cmd_heatmap_encode, "heatmap pairs of every person",
+                              _heatmap_encode_flags, out_dir=True),
+    "heatmap decode": Command(_cmd_heatmap_decode, "the pose in one heatmap pair",
+                              _heatmap_decode_flags),
+    "losscheck": Command(_cmd_losscheck, "finite-difference check of the loss gradient",
+                         _losscheck_flags),
+    "eval": Command(_cmd_eval, "OKS/AP evaluation by crowding level", _eval_flags),
+}
+GROUPS = {"heatmap": "encode or decode dual-branch heatmaps"}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which declares the command's flags the first
+    time argparse selects it; a group's parser declares none."""
+    flags = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.flags is not None:
+            self.flags(self)
+            self.flags = None
+        return super().parse_known_args(args, namespace)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser: every command's name and help line, and for each
+    command its COMMANDS key as the default of args.command, which for a
+    `heatmap` action replaces the group name that the top level stores."""
+    parser = argparse.ArgumentParser(
+        prog="crowdpose-kit",
+        description="Crowded-scene pose data toolkit")
+    top = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
+    actions = {}
+    for key, command in COMMANDS.items():
+        sub, name = top, key
+        if " " in key:
+            group, name = key.split()
+            if group not in actions:
+                group_parser = top.add_parser(group, help=GROUPS[group])
+                actions[group] = group_parser.add_subparsers(required=True)
+            sub = actions[group]
+        p = sub.add_parser(name, help=command.help)
+        p.flags = command.flags
+        p.set_defaults(command=key)
     return parser
 
 
@@ -549,17 +660,21 @@ def dispatch(argv) -> int:
     return the process exit code."""
     argv = list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
+        command = COMMANDS[args.command]
         out = Path(args.out) if getattr(args, "out", None) else None
         csv = Path(args.csv) if getattr(args, "csv", None) else None
-        manifest = out and _manifest_path(out, args.out_dir)
+        manifest = out and _manifest_path(out, command.out_dir)
         with _rolled_back([out, manifest, csv]):
-            for path in filter(None, (out, csv)):
+            locations = [path for path in (out, csv) if path]
+            for path in locations:
+                _refuse_under_file(path)
+            for path in locations:
                 path.parent.mkdir(parents=True, exist_ok=True)
-            if out and args.out_dir:
+            if out and command.out_dir:
                 out.mkdir(exist_ok=True)
             started = time.time()
-            inputs = args.func(args)
+            inputs = command.run(args)
             if out:
                 _write_manifest(manifest, argv, inputs, getattr(args, "seed", None),
                                 time.time() - started)

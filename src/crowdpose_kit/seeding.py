@@ -10,7 +10,6 @@ long-running loop asks `stopped()` whether its caller has gone.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import hashlib
 import itertools
 import os
@@ -77,7 +76,9 @@ def map_jobs(fn, items, jobs: int):
         for item in items:
             yield from fn(item)
         return
-    import multiprocessing  # only here: importing it slows every command's start
+    # only here, so that a command that only draws does not load them
+    import concurrent.futures
+    import multiprocessing
 
     stop = multiprocessing.Event()
     pool = concurrent.futures.ProcessPoolExecutor(

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import concurrent.futures
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import crowdpose_kit
 
 # Filled by test_acceptance.py; printed after the run so capture modes never
 # hide the per-criterion verdict lines.
@@ -22,6 +26,17 @@ from crowdpose_kit.augment import CutoutInventory
 from crowdpose_kit import seeding
 from crowdpose_kit.masks import (CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                                  RasterImage)
+
+
+def child_env() -> dict[str, str]:
+    """Environment whose PYTHONPATH starts with the absolute directory holding
+    the crowdpose_kit this suite imported, so a child run in any cwd executes
+    that same package (a relative entry such as `src` would not resolve)."""
+    package_root = str(Path(crowdpose_kit.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    # an empty entry would put the child's cwd on sys.path
+    parts = [package_root] + [p for p in inherited if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(parts)}
 
 
 def make_pose(coords, vis=Visibility.VISIBLE, schema=CROWDPOSE_SCHEMA):

@@ -5,7 +5,6 @@ hides it). Run via `pytest tests/test_acceptance.py -v`.
 
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import time
@@ -14,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-import crowdpose_kit
 from crowdpose_kit import annotations as anno
 from crowdpose_kit import augment as AUG
 from crowdpose_kit import crowd_metrics as CM
@@ -31,7 +29,7 @@ from crowdpose_kit.seeding import substream
 
 import conftest
 import oracles
-from conftest import blob_cutout, make_pose, rand_pose, rand_raster, rand_record
+from conftest import blob_cutout, child_env, make_pose, rand_pose, rand_raster, rand_record
 
 
 def check(number: int, ok: bool, message: str) -> None:
@@ -300,20 +298,9 @@ def test_criterion_8_synthetic_corpus_targeting():
 
 # 9 ---------------------------------------------------------------------------
 
-def _child_env() -> dict[str, str]:
-    """Environment whose PYTHONPATH starts with the absolute directory holding
-    the crowdpose_kit this suite imported, so a child run in any cwd executes
-    that same package (a relative entry such as `src` would not resolve)."""
-    package_root = str(Path(crowdpose_kit.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    # an empty entry would put the child's cwd on sys.path
-    parts = [package_root] + [p for p in inherited if p]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(parts)}
-
-
 def _run_cli(*argv, cwd):
     args = [sys.executable, "-m", "crowdpose_kit", *argv]
-    env = _child_env()
+    env = child_env()
     proc = subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, (
         f"exit {proc.returncode}: {args[1:]} with PYTHONPATH={env['PYTHONPATH']!r}"

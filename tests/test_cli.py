@@ -9,8 +9,11 @@ import json
 import math
 import multiprocessing
 import platform
+import re
 import shutil
 import struct
+import subprocess
+import sys
 import textwrap
 import warnings
 from dataclasses import replace
@@ -30,7 +33,7 @@ from crowdpose_kit import synthgen
 from crowdpose_kit.cli import dispatch
 from crowdpose_kit.masks import RasterImage, read_pam, write_pam
 
-from conftest import blob_cutout, make_pose
+from conftest import blob_cutout, child_env, make_pose
 
 
 def run(*argv):
@@ -299,7 +302,7 @@ class TestAnalyzeValidate:
         def analyze(args):
             warnings.warn("something else", UserWarning)
             return []
-        monkeypatch.setattr(cli, "_cmd_analyze", analyze)
+        monkeypatch.setitem(cli.COMMANDS, "analyze", cli.COMMANDS["analyze"]._replace(run=analyze))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run("analyze", "--in", "x") == 0
@@ -956,7 +959,7 @@ class TestExitCodes:
             (cli.Path(args.out) / "sub").mkdir(parents=True)
             (cli.Path(args.out) / "sub" / "part.pam").write_bytes(b"x")
             raise MemoryError
-        monkeypatch.setattr(cli, "_cmd_gen", exhausted)
+        monkeypatch.setitem(cli.COMMANDS, "gen", cli.COMMANDS["gen"]._replace(run=exhausted))
         assert run(*_gen(tmp_path)) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
@@ -1162,7 +1165,8 @@ _PATH_COMMANDS = {
 _PATH_FLAGS = [(name, flag) for name in _PATH_COMMANDS for flag in ("--in", "--out")
                if (name, flag) not in (("gen", "--in"), ("eval", "--in"))]
 _PATH_FLAGS += [("augment", "--images"), ("augment", "--inventory")]
-_PATH_STATES = ("missing", "file", "empty_dir", "under_file", "holds_truncated", "truncated")
+_PATH_STATES = ("missing", "file", "empty_dir", "under_file", "two_under_file",
+                "holds_truncated", "truncated")
 
 
 def _path_in_state(d, valid: str, state: str, name: str = "state") -> str:
@@ -1175,9 +1179,9 @@ def _path_in_state(d, valid: str, state: str, name: str = "state") -> str:
         path.write_bytes(b"foreign\n")
     elif state == "empty_dir":  # also where a file is expected
         path.mkdir()
-    elif state == "under_file":
+    elif state in ("under_file", "two_under_file"):
         path.write_bytes(b"x")
-        path = path / "sub"
+        path = path / "sub" if state == "under_file" else path / "sub" / "deeper"
     elif state == "holds_truncated":  # the valid files cut short, in a directory
         if valid.is_dir():
             shutil.copytree(valid, path)
@@ -1199,9 +1203,9 @@ def _path_in_state(d, valid: str, state: str, name: str = "state") -> str:
 class TestPathStates:
     """Every path flag of every command, in each state a path can be in:
     missing, a file where a directory is expected or a directory where a
-    file is, under a file, or holding or being a file cut short. Read-only
-    paths are left out: run as root, the suite would find that permission
-    bits do not stop a write."""
+    file is, one or two levels under a file, or holding or being a file
+    cut short. Read-only paths are left out: run as root, the suite would
+    find that permission bits do not stop a write."""
 
     @pytest.mark.parametrize("state", _PATH_STATES)
     @pytest.mark.parametrize("command, flag", _PATH_FLAGS)
@@ -1217,7 +1221,7 @@ class TestPathStates:
             assert len([line for line in err.splitlines() if "error:" in line]) == 1
         if code:
             assert _tree(tmp_path) == before
-        if (flag, state) == ("--out", "under_file"):  # every command names the file
+        if flag == "--out" and state.endswith("under_file"):  # every command names the file
             assert err == f"error: File exists: {tmp_path / 'state'}\n"
 
     @settings(max_examples=100, deadline=None)
@@ -1350,14 +1354,13 @@ class TestConfigEdges:
             assert err.getvalue().count("error:") == 1
 
 
-def _leaf_commands(parser, words=()):
-    """(command words, parser) for every command that has no subcommands."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        yield " ".join(words), parser
-    for action in subs:
-        for name, sub in action.choices.items():
-            yield from _leaf_commands(sub, (*words, name))
+def _flags(command: str) -> list:
+    """(first option string, dest) of every flag that `command`, a
+    cli.COMMANDS key, declares."""
+    parser = argparse.ArgumentParser()
+    cli.COMMANDS[command].flags(parser)
+    return [(action.option_strings[0], action.dest) for action in parser._actions
+            if action.option_strings and action.dest != "help"]
 
 
 def _args_read(func) -> set:
@@ -1405,12 +1408,31 @@ class TestFlags:
         """Each option of each command is read as args.<dest> in the
         function that runs it; only UNREAD_FLAGS are not."""
         unread = []
-        for command, parser in _leaf_commands(cli._build_parser()):
-            read = _args_read(parser.get_default("func"))
-            unread += [(command, action.option_strings[0]) for action in parser._actions
-                       if action.option_strings and action.dest != "help"
-                       and action.dest not in read]
+        for command, entry in cli.COMMANDS.items():
+            read = _args_read(entry.run)
+            unread += [(command, flag) for flag, dest in _flags(command) if dest not in read]
         assert sorted(unread) == sorted(UNREAD_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help_lists_every_flag(self, command, capsys):
+        assert run(*command.split(), "--help") == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: crowdpose-kit {command} [-h]")
+        listed = set(re.findall(r"(?<![\w-])--[\w-]+", out)) - {"--help"}
+        assert listed == {flag for flag, _ in _flags(command)}
+
+    def test_unknown_command_names_every_command(self, capsys):
+        assert run("bogus") == 2
+        err = capsys.readouterr().err
+        assert "error: argument command: invalid choice: 'bogus'" in err
+        assert len(cli.COMMANDS) == 9
+        for command in cli.COMMANDS:
+            assert f"'{command.split()[0]}'" in err
+
+    def test_group_without_action_is_a_usage_error(self, capsys):
+        assert run("heatmap") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: {encode,decode}\n")
 
     @pytest.mark.parametrize("name", sorted(_REMOVED_FLAGS))
     def test_removed_flag_is_a_usage_error(self, name, tmp_path, capsys):
@@ -1427,3 +1449,62 @@ class TestFlags:
                    "--out", str(out)) == 0
         manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
         assert manifest["seed"] is None
+
+
+# What `import crowdpose_kit.cli` loads of the package.
+_CLI_LOADS = ("crowdpose_kit", "crowdpose_kit.annotations", "crowdpose_kit.cli",
+              "crowdpose_kit.errors")
+# The package modules each command runs, with the modules they import, and
+# numpy.random for the commands that draw.
+_COMMAND_LOADS = {
+    "convert": (),
+    "validate": (),
+    "analyze": ("crowd_metrics",),
+    "augment": ("augment", "masks", "seeding", "numpy.random"),
+    "gen": ("synthgen", "crowd_metrics", "masks", "seeding", "numpy.random"),
+    "heatmap encode": ("heatmaps",),
+    "heatmap decode": ("heatmaps",),
+    "losscheck": ("occloss", "heatmaps", "seeding", "numpy.random"),
+    "eval": ("evaluator", "crowd_metrics"),
+}
+# Each command over valid inputs, as an argv of paths under the work dir.
+_RUN_ARGV = {**_PATH_COMMANDS, "heatmap encode": _PATH_COMMANDS["encode"],
+             "heatmap decode": _PATH_COMMANDS["decode"],
+             "losscheck": lambda d: ["losscheck", "--trials", "1"]}
+
+# Run in a fresh interpreter with the command words and the argv as JSON:
+# prints what is loaded after the import, after `--help` (with its exit
+# code) and after the run.
+_FOOTPRINT_CHILD = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "crowdpose_kit"
+                  or m in ("numpy.random", "concurrent.futures", "multiprocessing"))
+from crowdpose_kit import cli
+words, argv = sys.argv[1].split(), json.loads(sys.argv[2])
+stages = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    stages["help"] = [cli.dispatch([*words, "--help"]), loaded()]
+    stages["run"] = [cli.dispatch(argv), loaded()]
+print(json.dumps(stages))
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_loads_only_what_it_runs(self, tmp_path, command):
+        """In a fresh interpreter, importing the CLI loads only itself,
+        `annotations` and `errors`; the command's `--help` loads nothing
+        that the command does not run, and running it loads exactly the
+        modules it runs, no pool module, and numpy.random only if it draws."""
+        argv = _RUN_ARGV[command](tmp_path)
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, command,
+                               json.dumps(argv)], cwd=tmp_path, env=child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads(proc.stdout)
+        runs = sorted({*_CLI_LOADS, *(m if "." in m else f"crowdpose_kit.{m}"
+                                      for m in _COMMAND_LOADS[command])})
+        assert stages["import"] == list(_CLI_LOADS)
+        assert stages["help"][0] == 0 and set(stages["help"][1]) <= set(runs)
+        assert stages["run"] == [0, runs]
