@@ -417,7 +417,8 @@ def _cmd_heatmap_encode(args):
             transform = heatmaps.bbox_to_crop(person.bbox)
             pair, in_bounds = heatmaps.encode(person.pose, transform, args.sigma)
             name = f"{img.id}_p{pi}.hm"
-            (out / name).write_bytes(heatmaps.write_heatmap_pair(pair))
+            with open(out / name, "wb") as f:
+                heatmaps.dump_heatmap_pair(pair, f)
             index[name] = {
                 "image_id": img.id, "person_index": pi,
                 "bbox": [person.bbox.x, person.bbox.y, person.bbox.w,

@@ -6,8 +6,11 @@ unnormalized Gaussians (peak 1, truncated at 3 sigma) written into the
 visible branch for visible and self-occluded keypoints and into the
 occluded branch for occluded keypoints; the opposite branch stays zero, so
 wrong-branch predictions are penalized by the loss. A pair is one
-(2, K, H, W) float64 array, visible branch first; its shape is the only
-place its sizes are stored.
+(2, K, H, W) array, visible branch first; its shape is the only place its
+sizes are stored. `encode` makes float32 pairs, the dump's own dtype, and
+`read_heatmap_pair` returns a read-only view of the dump's bytes; a pair
+built in code may be float64. `decode` and the `occloss` kernels work in
+the pair's dtype.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def encode(pose: Pose, transform: CropTransform,
         raise DimensionError(f"sigma must be finite and positive, with 2 * sigma**2 "
                              f"a normal float, got {sigma}")
     k = len(pose.codes)
-    grids = np.zeros((2, k, HEATMAP_H, HEATMAP_W), dtype=np.float64)
+    grids = np.zeros((2, k, HEATMAP_H, HEATMAP_W), dtype=np.float32)
     pair = HeatmapPair(grids)
     in_bounds = np.zeros(k, dtype=bool)
     # a non-finite coordinate can never land in the grid
@@ -160,6 +163,7 @@ def encode(pose: Pose, transform: CropTransform,
         ((ys.astype(np.float64) - hy[:, None]) ** 2)[:, :, None]
     patch = np.exp(-d2 / (2.0 * sigma * sigma))
     patch[d2 > reach * reach] = 0.0
+    # the float64 patch rounds to float32 on assignment, as astype would
     grids[branch[:, None, None], idx[:, None, None], ys[:, :, None],
           xs[:, None, :]] = patch
     return pair, in_bounds
@@ -185,39 +189,36 @@ def decode(pair: HeatmapPair, transform: CropTransform,
     visible); the argmax is refined by a quarter-cell shift toward the
     larger axis neighbor and mapped back through the stride and the inverse
     crop transform. Low-confidence keypoints are flagged, not dropped. The
-    pose carries a generated `decoded_{K}` schema.
+    pose carries a generated `decoded_{K}` schema. Confidences are float64
+    whatever the pair's dtype, and so is their comparison with the
+    threshold.
     """
     if not math.isfinite(conf_threshold):
         raise DimensionError(f"confidence threshold must be finite, got {conf_threshold}")
     k, h, w = pair.shape
     inv = transform.inverse()
-    vis, occ = pair.values.reshape(2, k, h * w)
-    rows = np.arange(k)
+    planes = pair.values.reshape(2 * k, h * w)  # visible planes, then occluded
     # argmax takes the first maximum, and a NaN as the maximum, like max
-    vis_arg, occ_arg = vis.argmax(axis=1), occ.argmax(axis=1)
-    vis_max, occ_max = vis[rows, vis_arg], occ[rows, occ_arg]
-    use_vis = vis_max >= occ_max
-    confidences = np.where(use_vis, vis_max, occ_max)
-    r, c = np.divmod(np.where(use_vis, vis_arg, occ_arg), w)
-
-    def at(rr, cc):
-        flat = rr * w + cc
-        return np.where(use_vis, vis[rows, flat], occ[rows, flat])
-
-    x, y = c.astype(np.float64), r.astype(np.float64)
-    right, left = np.minimum(c + 1, w - 1), np.maximum(c - 1, 0)
-    down, up = np.minimum(r + 1, h - 1), np.maximum(r - 1, 0)
-    # border rows and columns compute a shift too, then drop it: an
-    # inf - inf there must not warn
+    arg = planes.argmax(axis=1)
+    peaks = planes[np.arange(2 * k), arg]
+    use_vis = peaks[:k] >= peaks[k:]
+    plane = np.arange(k) + np.where(use_vis, 0, k)
+    best = arg[plane]
+    confidences = peaks[plane].astype(np.float64)
+    cell = np.column_stack(np.divmod(best, w)[::-1])  # (K, 2) column, row
+    # the right and lower, then the left and upper neighbor; a border cell's
+    # index is clipped into the plane and its shift dropped, so an inf - inf
+    # there must not warn
+    around = np.clip(best[:, None] + np.array([1, w, -1, -w]), 0, h * w - 1)
+    near = planes[plane[:, None], around]
     with np.errstate(invalid="ignore"):
-        x = np.where((0 < c) & (c < w - 1),
-                     x + 0.25 * np.sign(at(r, right) - at(r, left)), x)
-        y = np.where((0 < r) & (r < h - 1),
-                     y + 0.25 * np.sign(at(down, c) - at(up, c)), y)
-    img_xy = inv.apply(np.column_stack([x * STRIDE, y * STRIDE]))
-    codes = np.where(use_vis, CODE_VISIBLE, CODE_OCCLUDED)
+        shift = 0.25 * np.sign(near[:, :2] - near[:, 2:])
+    inner = (0 < cell) & (cell < (w - 1, h - 1))
+    xy = inv.apply(STRIDE * (cell + np.where(inner, shift, 0.0)))
+    codes = np.where(use_vis, CODE_VISIBLE, CODE_OCCLUDED).astype(np.int8)
+    xy.flags.writeable = codes.flags.writeable = False
     return DecodeResult(
-        pose=Pose.from_arrays(_decoded_schema(k), img_xy, codes),
+        pose=Pose._of(_decoded_schema(k), xy, codes),
         confidences=confidences,
         low_confidence=confidences < conf_threshold,
     )
@@ -229,19 +230,23 @@ def decode(pair: HeatmapPair, transform: CropTransform,
 DUMP_MAGIC = b"CPKH"
 
 
-def write_heatmap_pair(pair: HeatmapPair) -> bytes:
+def dump_heatmap_pair(pair: HeatmapPair, file) -> None:
+    """Write the pair's dump to an open binary file: the header, then the
+    values' own buffer, cast only if the pair is not float32."""
     k, h, w = pair.shape
-    return DUMP_MAGIC + struct.pack("<III", k, h, w) + pair.values.astype("<f4").tobytes()
+    file.write(DUMP_MAGIC + struct.pack("<III", k, h, w))
+    file.write(np.ascontiguousarray(pair.values, dtype="<f4"))
 
 
 def read_heatmap_pair(data: bytes) -> HeatmapPair:
+    """The pair in a dump, as a float32 view of `data`, read-only as bytes
+    are: no copy is made."""
     if len(data) < 16 or data[:4] != DUMP_MAGIC:
         raise MaskDecodeError("not a heatmap dump")
-    k, h, w = struct.unpack("<III", data[4:16])
+    k, h, w = struct.unpack_from("<III", data, 4)
     if k == 0 or h == 0 or w == 0:
         raise MaskDecodeError(f"heatmap dump has an empty {k}x{h}x{w} stack")
-    plane = k * h * w
-    floats = np.frombuffer(data[16:16 + 2 * plane * 4], dtype="<f4")
-    if floats.size != 2 * plane:
+    count = 2 * k * h * w
+    if len(data) < 16 + 4 * count:
         raise MaskDecodeError("truncated heatmap dump")
-    return HeatmapPair(floats.reshape((2, k, h, w)).astype(np.float64))
+    return HeatmapPair(np.frombuffer(data, "<f4", count, offset=16).reshape(2, k, h, w))

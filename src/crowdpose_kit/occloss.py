@@ -5,7 +5,9 @@ keypoint count K and each per-keypoint term is the mean of squared
 differences between predicted and ground-truth heatmaps on its branch
 (MSE). Because wrong-branch ground truth is zero, peaks predicted in the
 wrong branch are penalized. Every kernel makes one pass over the pair's
-(2, K, H, W) array, with the branch weight (1, alpha) applied per branch.
+(2, K, H, W) array, with the branch weight (1, alpha) applied per branch,
+in the pair's dtype: float32 for encoded and read-back pairs, float64 for
+the gradient check and any pair built in float64.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def loss_grad(p: HeatmapPair, g: HeatmapPair, cfg: LossConfig) -> HeatmapPair:
     k, h, w = p.shape
     # in place, in the order (p - g) * 2.0 * weight / (K * H * W)
     grad = p.values - g.values
-    grad *= np.array([2.0, 2.0 * cfg.alpha])[:, None, None, None]
+    grad *= np.array([2.0, 2.0 * cfg.alpha], dtype=grad.dtype)[:, None, None, None]
     grad /= k * h * w
     return HeatmapPair(grad)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import io
 import os
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRec
                                        Keypoint, PersonInstance, Pose, Visibility)
 from crowdpose_kit.augment import CutoutInventory
 from crowdpose_kit import seeding
+from crowdpose_kit.heatmaps import dump_heatmap_pair
 from crowdpose_kit.masks import (CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                                  RasterImage)
 
@@ -37,6 +39,13 @@ def child_env() -> dict[str, str]:
     # an empty entry would put the child's cwd on sys.path
     parts = [package_root] + [p for p in inherited if p]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(parts)}
+
+
+def dump_bytes(pair) -> bytes:
+    """A heatmap pair's dump, as `heatmap encode` writes it to a file."""
+    buf = io.BytesIO()
+    dump_heatmap_pair(pair, buf)
+    return buf.getvalue()
 
 
 def make_pose(coords, vis=Visibility.VISIBLE, schema=CROWDPOSE_SCHEMA):

@@ -33,7 +33,7 @@ from crowdpose_kit import synthgen
 from crowdpose_kit.cli import dispatch
 from crowdpose_kit.masks import RasterImage, read_pam, write_pam
 
-from conftest import blob_cutout, child_env, make_pose
+from conftest import blob_cutout, child_env, dump_bytes, make_pose
 
 
 def run(*argv):
@@ -635,7 +635,8 @@ def _augment(d, inventory_index=None, image_pam=None, method="objects", box=None
 
 
 # A heatmap dump of an all-zero 14-keypoint pair.
-_ZERO_DUMP = H.write_heatmap_pair(H.HeatmapPair(np.zeros((2, 14, H.HEATMAP_H, H.HEATMAP_W))))
+_ZERO_DUMP = dump_bytes(H.HeatmapPair(np.zeros((2, 14, H.HEATMAP_H, H.HEATMAP_W),
+                                              dtype=np.float32)))
 
 # Bad inputs, each an argv builder and its exit code: first those that once
 # escaped dispatch with a traceback, then domain errors no other test reaches.
@@ -799,6 +800,11 @@ BAD_INPUTS = {
     "decode_truncated": (lambda d: [
         "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--in",
         _write(d / "x.hm", _ZERO_DUMP[:-4])], 1),
+    # K * H * W near 2**96: the length check, not frombuffer, refuses it
+    "decode_huge_header": (lambda d: [
+        "heatmap", "decode", "--bbox", "0", "0", "10", "10", "--in",
+        _write(d / "x.hm", H.DUMP_MAGIC + struct.pack("<III", *[2**32 - 1] * 3)
+               + _ZERO_DUMP[16:])], 1),
     "augment_pam_depth_3": (lambda d: _augment(
         d, image_pam=_pam_header(3) + bytes(20 * 20 * 3)), 1),
     "augment_pam_truncated": (lambda d: _augment(
@@ -1295,6 +1301,9 @@ class TestFloatFuzz:
     # a huge alpha or step overflowed the check's loss, and warned on exit 1
     @example(target="--alpha", field=("score",), value=1e308)
     @example(target="--fd-step", field=("score",), value=1e308)
+    # a float32 pair's confidences compared with a huge threshold in float32
+    # overflowed it with a numpy warning
+    @example(target="--threshold", field=("score",), value=1e308)
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(target=st.sampled_from(sorted(_FLOAT_FLAGS) + sorted(_DOC_COMMANDS)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from crowdpose_kit import heatmaps as H
 from crowdpose_kit.annotations import (CODE_OCCLUDED, CODE_VISIBLE, CROWDPOSE_SCHEMA, BBox,
                                        Keypoint, Pose, Visibility)
-from crowdpose_kit.errors import DimensionError
+from crowdpose_kit.errors import DimensionError, MaskDecodeError
 
 import oracles
-from conftest import make_pose, rand_pose
+from conftest import dump_bytes, make_pose, rand_pose
 
 
 class TestBboxToCrop:
@@ -151,6 +152,27 @@ class TestDecode:
             assert ka.x == kb.x and ka.y == kb.y
         assert (b.confidences == a.confidences * 0.25).all()
 
+    def test_threshold_is_compared_in_float64(self):
+        """A float32 peak of float32(0.7) lies below the float64 threshold
+        0.7, and a threshold beyond float32's range does not overflow."""
+        values = np.zeros((2, 2, 3, 3), dtype=np.float32)
+        values[0, :, 1, 1] = 0.7
+        pair = H.HeatmapPair(values)
+        result = H.decode(pair, crop_for_scale_2())
+        assert result.confidences.dtype == np.float64
+        assert (result.confidences == float(np.float32(0.7))).all()
+        assert result.low_confidence.all()
+        with np.errstate(all="raise"):
+            assert H.decode(pair, crop_for_scale_2(), 1e308).low_confidence.all()
+            assert not H.decode(pair, crop_for_scale_2(), -1e308).low_confidence.any()
+
+    def test_float32_pair_decodes_as_its_float64_copy(self, rng):
+        t = crop_for_scale_2()
+        for _ in range(20):
+            pair, _ = H.encode(rand_pose(rng, BBox(2, 2, 92, 124)), t)
+            wide = H.HeatmapPair(pair.values.astype(np.float64))
+            assert _decoded(H.decode(pair, t)) == _decoded(H.decode(wide, t))
+
     def test_low_confidence_flagged_not_dropped(self):
         t = crop_for_scale_2()
         pair, _ = H.encode(pose_at_cells([(11, 23)] * 14), t)
@@ -173,13 +195,45 @@ class TestDumpFormat:
     def test_roundtrip(self, rng):
         pose = rand_pose(rng, BBox(0, 0, 96, 128))
         pair, _ = H.encode(pose, crop_for_scale_2())
-        blob = H.write_heatmap_pair(pair)
+        assert pair.values.dtype == np.float32
+        blob = dump_bytes(pair)
         assert blob[:4] == H.DUMP_MAGIC and len(blob) == 16 + 2 * 14 * 64 * 48 * 4
+        assert blob[16:] == pair.values.astype("<f4").tobytes()
         back = H.read_heatmap_pair(blob)
-        assert (back.visible.values ==
-                pair.visible.values.astype(np.float32).astype(np.float64)).all()
-        assert (back.occluded.values ==
-                pair.occluded.values.astype(np.float32).astype(np.float64)).all()
+        assert back.values.dtype == np.float32 and back.shape == pair.shape
+        assert back.values.tobytes() == pair.values.tobytes()
+
+    def test_float64_pair_dumps_its_float32_values(self, rng):
+        values = rng.standard_normal((2, 3, 4, 5))
+        blob = dump_bytes(H.HeatmapPair(values))
+        assert blob == H.DUMP_MAGIC + struct.pack("<III", 3, 4, 5) + \
+            values.astype("<f4").tobytes()
+
+    def test_read_is_a_read_only_view_of_the_input(self):
+        blob = dump_bytes(H.HeatmapPair(np.ones((2, 3, 4, 5), dtype=np.float32)))
+        pair = H.read_heatmap_pair(blob)
+        assert not pair.values.flags.writeable
+        assert np.shares_memory(pair.values, np.frombuffer(blob, np.uint8))
+        with pytest.raises(ValueError):
+            pair.visible.values[0, 0, 0] = 2.0
+
+    def test_trailing_bytes_are_ignored(self):
+        blob = dump_bytes(H.HeatmapPair(np.ones((2, 1, 2, 2), dtype=np.float32)))
+        assert (H.read_heatmap_pair(blob + b"tail").values == 1.0).all()
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"", "not a heatmap dump"),
+        (b"NOPE" + struct.pack("<III", 1, 1, 1) + bytes(8), "not a heatmap dump"),
+        (H.DUMP_MAGIC + struct.pack("<III", 1, 0, 1), "heatmap dump has an empty 1x0x1 stack"),
+        (H.DUMP_MAGIC + struct.pack("<III", 1, 1, 1) + bytes(7), "truncated heatmap dump"),
+        # K * H * W near 2**96 is refused by the length check, before frombuffer
+        (H.DUMP_MAGIC + struct.pack("<III", *[2**32 - 1] * 3) + bytes(64),
+         "truncated heatmap dump"),
+    ])
+    def test_bad_dumps_keep_their_messages(self, blob, message):
+        with pytest.raises(MaskDecodeError) as caught:
+            H.read_heatmap_pair(blob)
+        assert str(caught.value) == message
 
     def test_shape_mismatch_raises(self):
         for shape in ((2, 64, 48), (3, 14, 64, 48)):  # 3-D; three branches
@@ -287,8 +341,8 @@ class TestMatchesPerKeypointReference:
         pair, in_bounds = H.encode(pose, transform, sigma)
         want, want_in_bounds = oracles.encode_reference(pose, transform, sigma)
         assert in_bounds.tolist() == want_in_bounds.tolist()
-        assert _pair_bytes(pair) == _pair_bytes(want)
-        assert H.write_heatmap_pair(pair) == H.write_heatmap_pair(want)
+        # the reference's float64 Gaussians, rounded to float32 once
+        assert _pair_bytes(pair) == _pair_bytes(H.HeatmapPair(want.values.astype(np.float32)))
 
     @settings(max_examples=200, deadline=None)
     @given(encode_cases(), st.floats(0.0, 1.0))

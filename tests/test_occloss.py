@@ -203,3 +203,27 @@ class TestMatchesReference:
             assert got.values.tobytes() == ref.values.tobytes()
         assert before == [a.tobytes() for a in (p.visible.values, p.occluded.values,
                                                 g.visible.values, g.occluded.values)]
+
+
+class TestFloat32Pairs:
+    """Encoded and read-back pairs are float32: the kernels stay in that
+    dtype and within float32 rounding of the float64 reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.tuples(st.integers(1, 14), st.integers(1, 64), st.integers(1, 48)),
+           alpha=st.one_of(st.sampled_from((0.5, 1.5, 3.0)), st.floats(1e-3, 1e3)))
+    def test_loss_and_grad_near_reference(self, seed, shape, alpha):
+        rng = np.random.default_rng(seed)
+        p, g = (HeatmapPair(rng.random((2, *shape), dtype=np.float32)) for _ in range(2))
+        wide_p, wide_g = (HeatmapPair(x.values.astype(np.float64)) for x in (p, g))
+        c = L.LossConfig(alpha=alpha)
+        value = L.loss(p, g, c)
+        want = oracles.loss_reference(wide_p, wide_g, alpha, shape[0])
+        np.testing.assert_allclose(
+            (value.total, value.visible_term, value.occluded_term), want, rtol=1e-5)
+        grad = L.loss_grad(p, g, c)
+        assert grad.values.dtype == np.float32
+        np.testing.assert_allclose(
+            grad.values, oracles.loss_grad_reference(wide_p, wide_g, alpha, shape[0]).values,
+            rtol=1e-5)
