@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import io
 import itertools
 import json
 from dataclasses import dataclass, field, replace
@@ -509,18 +510,26 @@ def image_json(img: ImageRecord) -> str:
     })
 
 
-def native_document(schema: PoseSchema, meta: dict, image_entries) -> bytes:
-    """A native document from image_json entries: the bytes that one
-    json.dumps of the whole document, keys sorted, would give."""
-    head = _dumps({"format": NATIVE_FORMAT_TAG})[:-1]
-    tail = _dumps({"meta": meta, "schema": {"name": schema.name,
-                                             "keypoint_names": list(schema.keypoint_names)}})
-    return (f'{head},"images":[{",".join(image_entries)}],{tail[1:]}\n').encode("utf-8")
+def native_document(file, schema: PoseSchema, image_entries, meta) -> None:
+    """Write a native document into the open binary `file`: the bytes that
+    one json.dumps of the whole document, keys sorted, would give. Each
+    image_json entry is written as it comes; `meta()` is called after the
+    last one, as "meta" and "schema" sort after "images"."""
+    file.write(f'{_dumps({"format": NATIVE_FORMAT_TAG})[:-1]},"images":['.encode("utf-8"))
+    for i, entry in enumerate(image_entries):
+        if i:
+            file.write(b",")
+        file.write(entry.encode("utf-8"))
+    tail = _dumps({"meta": meta(), "schema": {"name": schema.name,
+                                               "keypoint_names": list(schema.keypoint_names)}})
+    file.write(f"],{tail[1:]}\n".encode("utf-8"))
 
 
 def serialize_dataset(dataset: Dataset) -> bytes:
     """Serialize to the native format. Deterministic: equal datasets give equal bytes."""
-    return native_document(dataset.schema, dataset.meta, map(image_json, dataset.images))
+    buf = io.BytesIO()
+    native_document(buf, dataset.schema, map(image_json, dataset.images), lambda: dataset.meta)
+    return buf.getvalue()
 
 
 # JTA source index of each CrowdPose keypoint, matched by joint name; JTA

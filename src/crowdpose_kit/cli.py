@@ -390,17 +390,20 @@ def _cmd_gen(args):
         target_histogram=_target_histogram(args.target, args.bins))
     out = Path(args.out)
     planned = _gen_outputs(corpus_cfg, args.jobs, not args.no_rasters)
-    try:
-        scenes, entries = [], []
+    scenes = []
+
+    def entries():
         for scene, _, entry, pam, depth_pam in synthgen.within_budget(corpus_cfg, planned):
             scenes.append(scene)
-            entries.append(entry)
             if pam is not None:
                 (out / f"{scene.record.id}.pam").write_bytes(pam)
                 (out / f"{scene.record.id}_depth.pam").write_bytes(depth_pam)
-        dataset = synthgen.corpus_dataset(corpus_cfg, scenes)
-        (out / "dataset.json").write_bytes(
-            anno.native_document(dataset.schema, dataset.meta, entries))
+            yield entry
+
+    try:
+        with open(out / "dataset.json", "wb") as f:
+            anno.native_document(f, anno.CROWDPOSE_SCHEMA, entries(),
+                                 lambda: synthgen.corpus_dataset(corpus_cfg, scenes).meta)
     finally:
         planned.close()
     return [args.config, args.target if args.target not in NAMED_TARGETS else None]
@@ -494,6 +497,17 @@ def _write_report_csv(path: Path, report: evaluator.EvalReport) -> None:
 # the command; a declaration imports a module only for a command that runs
 # that module.
 
+def _worker_count(value: str) -> int:
+    """A --jobs value: an integer of at least 1."""
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _convert_flags(p):
     p.add_argument("--from", dest="src_format", required=True,
                    choices=("jta", "coco", "native"))
@@ -529,7 +543,7 @@ def _augment_flags(p):
     p.add_argument("--images",
                    help="directory of <id>.pam rasters (default: beside --in)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_worker_count, default=1,
                    help="accepted for compatibility and ignored: augment runs "
                         "in one process")
 
@@ -545,7 +559,7 @@ def _gen_flags(p):
                         f"match it")
     p.add_argument("--config", help="JSON with SceneConfig overrides")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_worker_count, default=1,
                    help="worker processes that plan and render scenes (at most "
                         "one per CPU); the main process writes every file")
     p.add_argument("--no-rasters", action="store_true",
@@ -585,7 +599,7 @@ def _eval_flags(p):
     p.add_argument("--sigmas", help="JSON list of per-keypoint sigmas")
     p.add_argument("--out")
     p.add_argument("--csv")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_worker_count, default=1,
                    help="accepted for compatibility and ignored: eval runs in "
                         "one process")
 

@@ -42,10 +42,6 @@ class DimensionError(CrowdKitError):
     """Tensor shape mismatch between compared heatmap stacks."""
 
 
-class DivergenceError(CrowdKitError):
-    """Gradient descent diverged; names the offending learning rate."""
-
-
 class ProtocolError(CrowdKitError):
     """Evaluation protocol violation (e.g. prediction without a score)."""
 

@@ -5,9 +5,11 @@ score-ordered matching against unmatched ground truths, then a dataset-wide
 101-point interpolated precision/recall integral, averaged over thresholds
 0.50:0.05:0.95. Reports carry one AP column per crowding level.
 
-As in COCO's `computeOks`/`evaluateImg` split, each image builds one
-(predictions x ground truths) OKS matrix; one matcher step then takes every
-image's r-th prediction at every threshold, and each AP pool is ranked once.
+As in COCO's `computeOks`/`evaluateImg` split, `eval_by_crowding`, the
+module's one entry point, gathers the keypoints into arrays once;
+`_oks_arrays` builds each image's (predictions x ground truths) OKS matrix
+from slices of them, one `_match_run` step takes every image's r-th
+prediction at every threshold, and each AP pool is ranked once.
 """
 
 from __future__ import annotations
@@ -53,8 +55,15 @@ def _pose_arrays(persons: Sequence[PersonInstance],
 
 def _oks_arrays(pred_xy: np.ndarray, gt_xy: np.ndarray, labeled: np.ndarray,
                 scale: np.ndarray, sigmas: Sequence[float]) -> np.ndarray:
-    """oks_matrix on arrays: (P, K, 2) and (G, K, 2) coordinates, the gts'
-    (G, K) labeled mask and (G,) box areas."""
+    """Object keypoint similarity of every prediction to every gt, (P, G),
+    from (P, K, 2) and (G, K, 2) coordinates, the gts' (G, K) labeled mask
+    and their (G,) box areas.
+
+    Per keypoint: exp(-d^2 / (2 * s^2 * k_i^2)) with s^2 the gt box area in
+    px^2 and k_i = 2 * sigmas[i], averaged over the gt's labeled keypoints.
+    A gt without labeled keypoints has no OKS: its column is NaN. The terms
+    are added in keypoint order, so each entry equals the one-pair sum term
+    for term."""
     k = 2.0 * np.asarray(sigmas, dtype=np.float64)
     total = np.zeros((len(pred_xy), len(gt_xy)))
     # dividing by zero (no labeled keypoint, or a zero-area gt) gives NaN
@@ -69,23 +78,7 @@ def _oks_arrays(pred_xy: np.ndarray, gt_xy: np.ndarray, labeled: np.ndarray,
         return total / labeled.sum(axis=1)
 
 
-def oks_matrix(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
-               cfg: OksConfig) -> np.ndarray:
-    """Object keypoint similarity of every prediction to every gt, (P, G).
-
-    Per keypoint: exp(-d^2 / (2 * s^2 * k_i^2)) with s^2 the gt box area in
-    px^2 and k_i = 2 * sigmas[i], averaged over the gt's labeled keypoints.
-    A gt without labeled keypoints has no OKS: its column is NaN. The terms are added in keypoint order, so each
-    entry equals the one-pair sum term for term.
-    """
-    count = len(cfg.sigmas)
-    pred_xy, _ = _pose_arrays(preds, count)
-    gt_xy, labeled = _pose_arrays(gts, count)
-    scale = np.array([g.bbox.area for g in gts], dtype=np.float64)
-    return _oks_arrays(pred_xy, gt_xy, labeled, scale, cfg.sigmas)
-
-
-def _score_order(preds: Sequence[PersonInstance], image_id: str = "") -> list[int]:
+def _score_order(preds: Sequence[PersonInstance], image_id: str) -> list[int]:
     """Prediction indices by descending score; ties keep input order.
 
     A NaN score has no rank (it compares false with every score), so the
@@ -105,9 +98,15 @@ _MATCH_RUN_CELLS = 1 << 17
 
 def _match_run(run: Sequence[tuple[np.ndarray, Sequence[int]]],
                thresholds: Sequence[float]) -> list[np.ndarray]:
-    """match_greedy for a run of (oks_matrix, score order) pairs at every
-    threshold at once, step r taking every image's r-th prediction. Returns
-    per image a (thresholds, predictions) array of gt indices, -1 for none."""
+    """Greedy assignment of predictions to ground truths for a run of
+    (_oks_arrays matrix, _score_order) pairs, one per image, at every
+    threshold at once; step r takes every image's r-th prediction.
+
+    Predictions are visited in score order; each takes the unmatched gt
+    with the highest OKS if that OKS reaches the threshold; argmax keeps
+    the first of equal gts, and NaN OKS entries (gts without labeled
+    keypoints) never match. Returns per image a (thresholds, predictions)
+    array, predictions in input order, of gt indices, -1 for none."""
     depth, width = np.max([oks.shape for oks, _ in run], axis=0)
     # rows in rank order; padded rows and columns match nothing
     stack = np.full((len(run), depth, width), -np.inf)
@@ -139,20 +138,6 @@ def _match(images: Iterable[tuple[np.ndarray, Sequence[int]]],
         run.append((oks, order))
     if run:
         yield from _match_run(run, thresholds)
-
-
-def match_greedy(preds: Sequence[PersonInstance], gts: Sequence[PersonInstance],
-                 threshold: float, cfg: OksConfig) -> list[Optional[int]]:
-    """Greedy assignment of predictions to ground truths at one OKS threshold.
-
-    Predictions are visited in score order (ties keep input order); each
-    takes the unmatched gt with the highest OKS if that OKS reaches the
-    threshold; argmax keeps the first of equal gts, and NaN OKS entries
-    never match. Ground truths without labeled keypoints are unmatchable.
-    Returns, per prediction (input order), the matched gt index or None.
-    """
-    run = [(oks_matrix(preds, gts, cfg), _score_order(preds))]
-    return [None if gi < 0 else gi for gi in _match_run(run, (threshold,))[0][0].tolist()]
 
 
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)

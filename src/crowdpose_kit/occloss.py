@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError
 from .heatmaps import HeatmapPair
 from .seeding import substream
 
@@ -115,32 +115,3 @@ def grad_check(cfg: LossConfig, trials: int = 100, fd_step: float = 1e-4,
                 worst = rel
     return worst
 
-
-def fit_direct(g: HeatmapPair, init: HeatmapPair, cfg: LossConfig, lr: float,
-               steps: int) -> tuple[HeatmapPair, list[float]]:
-    """Plain gradient descent treating the prediction as free parameters.
-
-    Returns the final prediction and the loss trajectory (length steps + 1,
-    including the initial loss). Raises DivergenceError when the loss blows
-    past 1e6x its initial value.
-    """
-    if lr <= 0:
-        raise DimensionError(f"learning rate must be positive, got {lr}")
-    p = HeatmapPair(init.values.copy())
-    trajectory = [loss(p, g, cfg).total]
-    initial = trajectory[0]
-    for _ in range(steps):
-        grad = loss_grad(p, g, cfg)
-        p.values -= lr * grad.values
-        current = loss(p, g, cfg).total
-        trajectory.append(current)
-        if initial > 0 and current > 1e6 * initial:
-            raise DivergenceError(f"gradient descent diverged at lr={lr}")
-    return p, trajectory
-
-
-def stable_lr(cfg: LossConfig, k: int, h: int, w: int) -> float:
-    """Half the quadratic stability bound for the MSE objective over a
-    pair of shape (2, k, h, w)."""
-    curvature = 2.0 * max(1.0, cfg.alpha) / (k * h * w)
-    return 1.0 / curvature  # = 0.5 * (2 / curvature)

@@ -24,7 +24,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 from crowdpose_kit.annotations import (CROWDPOSE_SCHEMA, BBox, Dataset, ImageRecord,
                                        Keypoint, PersonInstance, Pose, Visibility)
 from crowdpose_kit.augment import CutoutInventory
-from crowdpose_kit import seeding
+from crowdpose_kit import evaluator, seeding
 from crowdpose_kit.heatmaps import dump_heatmap_pair
 from crowdpose_kit.masks import (CUTOUT_FULL_BODY, CUTOUT_OBJECT, Cutout,
                                  RasterImage)
@@ -62,6 +62,25 @@ def rand_pose(rng, box: BBox, schema=CROWDPOSE_SCHEMA, vis=Visibility.VISIBLE):
         rng.uniform(box.y, box.y + box.h, schema.count),
     ])
     return make_pose(coords, vis=vis, schema=schema)
+
+
+def oks_matrix(preds, gts, sigmas) -> np.ndarray:
+    """One image's (P, G) OKS matrix as eval builds it: evaluator._oks_arrays
+    over evaluator._pose_arrays."""
+    pred_xy, _ = evaluator._pose_arrays(preds, len(sigmas))
+    gt_xy, labeled = evaluator._pose_arrays(gts, len(sigmas))
+    area = np.array([g.bbox.area for g in gts], dtype=np.float64)
+    return evaluator._oks_arrays(pred_xy, gt_xy, labeled, area, sigmas)
+
+
+def greedy_matches(scenes, sigmas, thresholds) -> list[list[list]]:
+    """eval's matching of (preds, gts) scenes, all in one evaluator._match
+    call: per scene and threshold, per prediction the gt index or None."""
+    assigned = evaluator._match(((oks_matrix(preds, gts, sigmas),
+                                  evaluator._score_order(preds, f"scene_{i}"))
+                                 for i, (preds, gts) in enumerate(scenes)), thresholds)
+    return [[[None if gi < 0 else gi for gi in row] for row in a.tolist()]
+            for a in assigned]
 
 
 def rand_record(rng, image_id="img", width=200, height=150, max_persons=6,

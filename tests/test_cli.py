@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -196,6 +197,25 @@ class TestGen:
                    "--no-rasters", "--out", str(tmp_path / "g")) == 0
         assert [len(r) for r in pool_submitted] == [cli.RUN_SLOTS] * 40
         assert [slot for r in pool_submitted for slot, _ in r] == list(range(200))
+
+    def test_main_process_memory_does_not_grow_with_entries(self, tmp_path):
+        """gen writes each dataset.json entry as it arrives: from 100 to
+        1,000 scenes, the main process's traced peak grows by less than half
+        an entry a scene. Holding every entry and joining the document took
+        about three entries a scene."""
+        def peak(scenes):
+            tracemalloc.start()
+            try:
+                assert run("gen", "--seed", "1", "--scenes", str(scenes), "--jobs", "2",
+                           "--no-rasters", "--out", str(tmp_path / str(scenes))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # the modules gen imports are loaded outside the measure
+        growth = (peak(1000) - peak(100)) / 900
+        entry = (tmp_path / "1000" / "dataset.json").stat().st_size / 1000
+        assert growth < entry / 2
 
     def test_target_file_is_digested(self, tmp_path):
         """The manifest's config_digest covers a --target weights file; a
@@ -1451,6 +1471,19 @@ class TestFlags:
         capsys.readouterr()
         assert run(*argv, *flag) == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("build", [_gen, _augment, _eval], ids=lambda f: f.__name__[1:])
+    def test_jobs_below_one_is_a_usage_error(self, build, value, tmp_path, capsys):
+        """--jobs counts worker processes: below 1 it is refused like any
+        invalid flag value, before the command writes anything."""
+        argv = build(tmp_path)
+        before = _tree(tmp_path)
+        assert run(*argv, "--jobs", value) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"crowdpose-kit {argv[0]}: error: argument --jobs: "
+                          f"must be at least 1, got {value}"]
+        assert _tree(tmp_path) == before
 
     def test_manifest_seed_is_null_without_a_seed_flag(self, tmp_path):
         out = tmp_path / "stats.json"

@@ -17,7 +17,7 @@ from crowdpose_kit.errors import (AlignmentError, ParseError, ProtocolError,
                                   UndefinedMetricError)
 
 import oracles
-from conftest import make_pose, rand_pose, rand_record
+from conftest import greedy_matches, make_pose, oks_matrix, rand_pose, rand_record
 
 PAIR_SCHEMA = PoseSchema("pair", ("a", "b"))
 CODES_VISIBLE = np.full(14, CODE_VISIBLE, dtype=np.int8)
@@ -32,10 +32,10 @@ def pair_cfg(**kw):
 
 
 def oks_of(pred, gt, gt_scale, cfg):
-    """The one-pair OKS entry of the matrix; gt_scale is the gt bbox area."""
+    """The one-pair OKS entry of eval's matrix; gt_scale is the gt bbox area."""
     box = BBox(0.0, 0.0, gt_scale, 1.0)
-    return E.oks_matrix([PersonInstance(bbox=box, pose=pred)],
-                        [PersonInstance(bbox=box, pose=gt)], cfg)[0, 0]
+    return oks_matrix([PersonInstance(bbox=box, pose=pred)],
+                      [PersonInstance(bbox=box, pose=gt)], cfg.sigmas)[0, 0]
 
 
 class TestOks:
@@ -61,8 +61,10 @@ class TestOks:
     def test_unlabeled_gt_excluded(self):
         gt = pair_pose([(0, 0), (5, 5)], vis=[Visibility.VISIBLE,
                                               Visibility.UNLABELED])
-        pred = pair_pose([(0, 0), (999, 999)])
-        assert oks_of(pred, gt, gt_scale=25.0, cfg=pair_cfg()) == 1.0
+        # an unlabeled keypoint's term counts neither far off nor in place
+        for unlabeled in [(999, 999), (5, 5)]:
+            pred = pair_pose([(0, 0), unlabeled])
+            assert oks_of(pred, gt, gt_scale=25.0, cfg=pair_cfg()) == 1.0
 
     def test_no_labeled_gt_undefined(self):
         gt = pair_pose([(0, 0), (5, 5)], vis=Visibility.UNLABELED)
@@ -105,7 +107,7 @@ class TestOks:
             pose = make_pose([(k.x + rng.normal(0, 6), k.y + rng.normal(0, 6))
                               for k in base.pose.keypoints])
             preds.append(person(base.bbox, pose, score=0.5))
-        matrix = E.oks_matrix(preds, gts, cfg)
+        matrix = oks_matrix(preds, gts, cfg.sigmas)
         assert matrix.shape == (n_pred, n_gt)
         for pi, p in enumerate(preds):
             assert math.isnan(matrix[pi, 0])  # gt 0 has no labeled keypoint
@@ -121,8 +123,7 @@ class TestOks:
         gt = pair_pose([(0, 0), (5, 5)])
         box = BBox(0, 0, 5, 5)
         with pytest.raises(ProtocolError):
-            E.oks_matrix([person(box, gt)], [person(box, gt)],
-                         E.OksConfig(sigmas=(0.1, 0.1, 0.1)))
+            oks_matrix([person(box, gt)], [person(box, gt)], (0.1, 0.1, 0.1))
 
     def test_thresholds_validated(self):
         with pytest.raises(ProtocolError):
@@ -145,7 +146,7 @@ class TestMatchGreedy:
             pose = rand_pose(rng, box)
             gts.append(person(box, pose))
             preds.append(person(box, pose, score=0.5 + 0.1 * i))
-        assigned = E.match_greedy(preds, gts, 0.9, crowd_cfg())
+        [[assigned]] = greedy_matches([(preds, gts)], crowd_cfg().sigmas, (0.9,))
         assert assigned == [0, 1, 2, 3]
 
     def test_two_preds_one_gt(self, rng):
@@ -153,18 +154,21 @@ class TestMatchGreedy:
         pose = rand_pose(rng, box)
         gts = [person(box, pose)]
         preds = [person(box, pose, score=0.4), person(box, pose, score=0.9)]
-        assigned = E.match_greedy(preds, gts, 0.5, crowd_cfg())
+        [[assigned]] = greedy_matches([(preds, gts)], crowd_cfg().sigmas, (0.5,))
         assert assigned == [None, 0]  # higher score wins, the other is a FP
 
     def test_score_required(self, rng):
         box = BBox(5, 5, 30, 50)
         pose = rand_pose(rng, box)
         with pytest.raises(ProtocolError):
-            E.match_greedy([person(box, pose)], [person(box, pose)], 0.5,
-                           crowd_cfg())
+            greedy_matches([([person(box, pose)], [person(box, pose)])],
+                           crowd_cfg().sigmas, (0.5,))
 
     def test_matches_reference_implementation(self, rng):
+        """100 scenes matched in one call at three thresholds, as eval
+        matches a dataset."""
         cfg = crowd_cfg()
+        scenes = []
         for i in range(100):
             gts, preds = [], []
             for g in range(int(rng.integers(1, 6))):
@@ -179,8 +183,11 @@ class TestMatchGreedy:
                     for k in base.pose.keypoints))
                 preds.append(person(base.bbox, noisy,
                                     score=float(rng.uniform(0.1, 1.0))))
-            for thr in (0.5, 0.75, 0.95):
-                ours = E.match_greedy(preds, gts, thr, cfg)
+            scenes.append((preds, gts))
+        thresholds = (0.5, 0.75, 0.95)
+        matched = greedy_matches(scenes, cfg.sigmas, thresholds)
+        for i, ((preds, gts), rows) in enumerate(zip(scenes, matched)):
+            for thr, ours in zip(thresholds, rows):
                 ref = oracles.match_greedy_reference(preds, gts, thr, cfg.sigmas)
                 assert ours == ref, f"scene {i} thr {thr}"
 

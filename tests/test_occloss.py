@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdpose_kit import occloss as L
-from crowdpose_kit.errors import DimensionError, DivergenceError
+from crowdpose_kit.errors import DimensionError
 from crowdpose_kit.heatmaps import HeatmapPair
 from crowdpose_kit.seeding import substream
 
@@ -149,32 +149,6 @@ class TestGradient:
             return L.LossValue(math.nan, math.nan, math.nan)
         monkeypatch.setattr(L, "loss", nan_loss)
         assert math.isnan(L.grad_check(cfg(), trials=1))
-
-
-class TestFitDirect:
-    def test_init_at_optimum_stays(self):
-        g = rand_pair(15)
-        _, trajectory = L.fit_direct(g, g, cfg(), lr=1.0, steps=20)
-        assert trajectory == [0.0] * 21
-
-    def test_convergence_and_monotonicity(self):
-        c = L.LossConfig(alpha=1.5)
-        rng = substream(16, "fit")
-        g = HeatmapPair(rng.standard_normal((2, 2, 16, 12)))
-        init = HeatmapPair(rng.standard_normal((2, 2, 16, 12)))
-        lr = L.stable_lr(c, 2, 16, 12)
-        final, trajectory = L.fit_direct(g, init, c, lr=lr, steps=5000)
-        assert trajectory[-1] < 1e-6
-        assert all(b <= a + 1e-15 for a, b in zip(trajectory, trajectory[1:]))
-        assert np.abs(final.visible.values - g.visible.values).max() < 1e-3
-
-    def test_divergence_detected(self):
-        c = L.LossConfig(alpha=1.5)
-        g = HeatmapPair(np.zeros((2, 2, 16, 12)))
-        init = rand_pair(17)
-        init2 = HeatmapPair(init.values[:, :2])
-        with pytest.raises(DivergenceError):
-            L.fit_direct(g, init2, c, lr=50.0 * L.stable_lr(c, 2, 16, 12), steps=400)
 
 
 class TestMatchesReference:

@@ -25,9 +25,6 @@ KEPT = {
     "extract_cutout": "bench/inputs.py",
     "decode_polygon": "bench/inputs.py",
     "plan_corpus": "bench/inputs.py",
-    "match_greedy": "tests/test_acceptance.py::test_criterion_7_evaluator_sanity",
-    "fit_direct": "tests/test_acceptance.py::test_criterion_3_direct_fit_convergence",
-    "stable_lr": "tests/test_acceptance.py::test_criterion_3_direct_fit_convergence",
 }
 
 _CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
