@@ -56,13 +56,22 @@ def _listed(fn, item) -> list:
     return list(fn(item))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, which a container or `taskset` may make smaller than the host's
+    os.cpu_count(); else os.cpu_count(), or 1 when that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_jobs(fn, items, jobs: int):
     """Yield the outputs of the iterable fn(item) for each item, in item
-    order. With jobs > 1 the items fan out over a pool of
-    min(jobs, items, CPUs) processes, each returning list(fn(item));
-    otherwise each output is made in this process as it is taken. Callers
-    write each output as it comes, so the outputs are never all held at
-    once.
+    order. The items fan out over a pool of min(jobs, items, CPUs)
+    processes, each returning list(fn(item)), where CPUs counts only those
+    this process may run on; when that is at most 1, each output is made in
+    this process as it is taken. Callers write each output as it comes, so
+    the outputs are never all held at once.
 
     The pool holds two submitted items per worker: the next item is
     submitted when the oldest one's outputs are taken. When the generator
@@ -71,7 +80,7 @@ def map_jobs(fn, items, jobs: int):
     waits for the running items and cancels the rest: no worker outlives
     it."""
     items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    workers = min(jobs, len(items), _usable_cpus())
     if workers <= 1:
         for item in items:
             yield from fn(item)

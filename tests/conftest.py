@@ -183,9 +183,11 @@ class _TakenLater:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The max_workers of every process pool seeding.map_jobs starts, on a
-    host with 4 CPUs."""
+    host with 4 CPUs that this process may all run on."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(seeding.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(seeding.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "submitted", [])
     monkeypatch.setattr(RecordingPool, "in_flight", [])

@@ -30,7 +30,7 @@ from crowdpose_kit import augment as AUG
 from crowdpose_kit import cli
 from crowdpose_kit import crowd_metrics
 from crowdpose_kit import heatmaps as H
-from crowdpose_kit import synthgen
+from crowdpose_kit import seeding, synthgen
 from crowdpose_kit.cli import dispatch
 from crowdpose_kit.masks import RasterImage, read_pam, write_pam
 
@@ -1531,6 +1531,21 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(stages))
 """
 
+_THREADS_CHILD = """
+import os
+from crowdpose_kit import cli
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+def _blas_name() -> str:
+    """The name of the BLAS numpy was built with, or "" where numpy does
+    not say (before 1.26)."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
 
 class TestImportFootprint:
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -1550,3 +1565,23 @@ class TestImportFootprint:
         assert stages["import"] == list(_CLI_LOADS)
         assert stages["help"][0] == 0 and set(stages["help"][1]) <= set(runs)
         assert stages["run"] == [0, runs]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="no /proc/self/task to count threads in")
+    @pytest.mark.skipif("openblas" not in _blas_name(), reason="numpy's BLAS is not OpenBLAS")
+    @pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+    def test_import_runs_blas_on_one_thread(self, setting, threads):
+        """A fresh interpreter that imports the CLI holds one thread: OpenBLAS
+        starts no worker, unless the user's OPENBLAS_NUM_THREADS asks for
+        more. The suite's own environment holds the CLI's setting, so the
+        child's is removed first."""
+        if threads > seeding._usable_cpus():
+            pytest.skip("OpenBLAS starts no more threads than the CPUs")
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == threads

@@ -36,8 +36,19 @@ def test_pool_size(pool_sizes, jobs, items, size):
 
 
 def test_unknown_cpu_count_runs_in_process(pool_sizes, monkeypatch):
+    """Without an affinity set to count, the host's CPUs decide."""
+    monkeypatch.delattr(seeding.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(seeding.os, "cpu_count", lambda: None)
     assert list(seeding.map_jobs(lambda i: [i], range(5), 8)) == list(range(5))
+    assert pool_sizes == []
+
+
+def test_one_usable_cpu_runs_in_process(pool_sizes, monkeypatch):
+    """A process allowed one of the host's 4 CPUs, as under `taskset -c 0`,
+    starts no pool for jobs=2, and yields what jobs=1 yields."""
+    monkeypatch.setattr(seeding.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = list(seeding.map_jobs(lambda i: [i, -i], range(10), 1))
+    assert list(seeding.map_jobs(lambda i: [i, -i], range(10), 2)) == serial
     assert pool_sizes == []
 
 
@@ -84,6 +95,8 @@ def test_closing_stops_running_workers(monkeypatch):
     """A real pool: closing map_jobs after its first output stops the
     worker that is looping on another item, and leaves no child running."""
     monkeypatch.setattr(seeding.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(seeding.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     outputs = seeding.map_jobs(_first_returns_rest_loop, range(4), 2)
     assert next(outputs) == 0
     started = time.monotonic()
